@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"asyncsyn/internal/bench"
 	"asyncsyn/internal/sg"
 	"asyncsyn/internal/stg"
 )
@@ -41,5 +42,29 @@ func BenchmarkSolveChain(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSolveDirect measures the whole-graph CSC solve of the Direct
+// baseline on mmu1: one state graph, one widening chain of SAT formulas
+// over every state, which nearly all of a Direct synthesis of mmu1
+// spends its time in. It is the SAT-layer view of that end-to-end run.
+func BenchmarkSolveDirect(b *testing.B) {
+	spec, err := bench.Load("mmu1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := sg.FromSTG(spec, sg.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := len(g.StateSigs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.StateSigs = g.StateSigs[:base]
+		if _, err := Solve(context.Background(), g, SolveOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

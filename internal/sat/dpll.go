@@ -3,7 +3,6 @@ package sat
 import (
 	"context"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -82,11 +81,12 @@ type Limits struct {
 
 // Solve runs a conflict-driven DPLL procedure: two-watched-literal unit
 // propagation, first-UIP clause learning with non-chronological
-// backjumping, VSIDS-style activities, phase saving and geometric
-// restarts. This plays the role of the SIS branch-and-bound SAT program
-// in the paper's flow (which likewise backtracked non-chronologically);
-// exceeding the backtrack budget yields BacktrackLimit. The search is
-// deterministic.
+// backjumping, VSIDS-style activities with an order heap for the
+// decisions (see order.go), phase saving and geometric restarts. This
+// plays the role of the SIS branch-and-bound SAT program in the paper's
+// flow (which likewise backtracked non-chronologically); exceeding the
+// backtrack budget yields BacktrackLimit. The search is deterministic:
+// branching ties break by a fixed initial rank, never by heap layout.
 func Solve(f *Formula, lim Limits) Result {
 	if f.hasEmpty {
 		return Result{Status: Unsat}
@@ -113,7 +113,7 @@ type clause struct {
 
 type solver struct {
 	f       *Formula
-	assign  []int8 // -1 unknown, 0 false, 1 true
+	vals    []int8 // per literal: 1 true, 0 false, -1 unassigned
 	level   []int32
 	reason  []int32 // clause index or -1
 	watches [][]int32
@@ -125,8 +125,13 @@ type solver struct {
 	activity []float64
 	actInc   float64
 	phase    []bool
-	order    []int // heap-free: sorted scan with lazy skip
-	res      Result
+	// The branching order (order.go): heap holds variables, heapIdx[v]
+	// is v's position in it (or notInHeap, excluded), and act0 is the
+	// activity at setup, the tie-break between equal activities.
+	heap    []int32
+	heapIdx []int32
+	act0    []float64
+	res     Result
 
 	seen    []bool
 	tmpLits []Lit
@@ -146,18 +151,23 @@ func newSolver(f *Formula) *solver {
 	n := f.NumVars
 	s := &solver{
 		f:        f,
-		assign:   make([]int8, n),
+		vals:     make([]int8, 2*n),
 		level:    make([]int32, n),
 		reason:   make([]int32, n),
 		watches:  make([][]int32, 2*n),
 		activity: make([]float64, n),
 		actInc:   1,
 		phase:    make([]bool, n),
+		heap:     make([]int32, n),
+		heapIdx:  make([]int32, n),
+		act0:     make([]float64, n),
 		seen:     make([]bool, n),
 		stab0:    make([]bool, n),
 	}
-	for i := range s.assign {
-		s.assign[i] = -1
+	for i := range s.vals {
+		s.vals[i] = -1
+	}
+	for i := range s.reason {
 		s.reason[i] = -1
 	}
 	posScore := make([]float64, n)
@@ -216,9 +226,9 @@ func newSolver(f *Formula) *solver {
 			s.watches[cl.lits[1]] = append(s.watches[cl.lits[1]], ci)
 		}
 	}
-	s.order = make([]int, n)
-	for i := range s.order {
-		s.order[i] = i
+	for i := 0; i < n; i++ {
+		s.heap[i] = int32(i)
+		s.heapIdx[i] = int32(i)
 		s.activity[i] = posScore[i] + negScore[i]
 		switch f.Preferred(i) {
 		case 0:
@@ -229,26 +239,12 @@ func newSolver(f *Formula) *solver {
 			s.phase[i] = posScore[i] >= negScore[i]
 		}
 	}
-	sort.SliceStable(s.order, func(a, b int) bool {
-		va, vb := s.order[a], s.order[b]
-		if s.activity[va] != s.activity[vb] {
-			return s.activity[va] > s.activity[vb]
-		}
-		return va < vb
-	})
+	copy(s.act0, s.activity)
+	s.heapify()
 	return s
 }
 
-func (s *solver) value(l Lit) int8 {
-	v := s.assign[l.Var()]
-	if v < 0 {
-		return -1
-	}
-	if l.Sign() {
-		return 1 - v
-	}
-	return v
-}
+func (s *solver) value(l Lit) int8 { return s.vals[l] }
 
 func (s *solver) decisionLevel() int { return len(s.limits) }
 
@@ -259,12 +255,9 @@ func (s *solver) enqueue(l Lit, reason int32) bool {
 	case 0:
 		return false
 	}
+	s.vals[l] = 1
+	s.vals[l.Neg()] = 0
 	v := l.Var()
-	if l.Sign() {
-		s.assign[v] = 0
-	} else {
-		s.assign[v] = 1
-	}
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = reason
 	s.trail = append(s.trail, l)
@@ -337,6 +330,11 @@ func (s *solver) bump(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.actInc *= 1e-100
+		s.heapify()
+		return
+	}
+	if i := s.heapIdx[v]; i >= 0 {
+		s.siftUp(int(i))
 	}
 }
 
@@ -423,24 +421,17 @@ func (s *solver) cancelUntil(lvl int) {
 	}
 	lo := s.limits[lvl]
 	for i := len(s.trail) - 1; i >= lo; i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assign[v] == 1
-		s.assign[v] = -1
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = !l.Sign()
+		s.vals[l] = -1
+		s.vals[l.Neg()] = -1
 		s.reason[v] = -1
+		s.heapInsert(v)
 	}
 	s.trail = s.trail[:lo]
 	s.trailLo = lo
 	s.limits = s.limits[:lvl]
-}
-
-func (s *solver) pickVar() int {
-	best, bestAct := -1, -1.0
-	for _, v := range s.order {
-		if s.assign[v] < 0 && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
-		}
-	}
-	return best
 }
 
 func (s *solver) addLearned(lits []Lit) int32 {
@@ -557,8 +548,8 @@ func (s *solver) search(lim Limits) Result {
 		if v < 0 {
 			s.res.Status = Sat
 			s.res.Model = make([]bool, s.f.NumVars)
-			for i, a := range s.assign {
-				s.res.Model[i] = a == 1
+			for i := range s.res.Model {
+				s.res.Model[i] = s.vals[PosLit(i)] == 1
 			}
 			return s.res
 		}

@@ -3,7 +3,6 @@ package sat
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Incremental is an assumption-based incremental front end over the DPLL
@@ -30,13 +29,14 @@ import (
 // the standard search. The assembly reproduces, bit for bit, the solver
 // state newSolver would build for the guard-free re-encoded formula:
 // guard literals are excluded from branching scores (a guarded clause
-// scores by its core), the guard variable is excluded from the branching
-// order and placed on the trail with propagation starting past it, and
-// the unit scan treats a one-literal core as a unit clause. The search
-// trail, counters, learned clauses, stable exports and model are then
-// identical (modulo the caller's variable translation) to a fresh solve
-// — which is what lets the csc layer pin the incremental path against
-// the re-encode path in tests.
+// scores by its core), the guard variable and the inert variables never
+// enter the order heap, the guard is placed on the trail with
+// propagation starting past it, and the unit scan treats a one-literal
+// core as a unit clause. The search trail, counters, learned clauses,
+// stable exports and model are then identical (modulo the caller's
+// variable translation, which preserves index order and so the heap's
+// tie-break) to a fresh solve — which is what lets the csc layer pin the
+// incremental path against the re-encode path in tests.
 //
 // Learned clauses are NOT retained across steps. They persist only
 // through the caller's export/absorb/seed cycle (csc.WarmChain), so a
@@ -68,7 +68,6 @@ type Incremental struct {
 	occ       []int32
 	watchBack []int32
 	pos, neg  []float64
-	orderBuf  []int
 	normBuf   []Lit
 }
 
@@ -108,8 +107,8 @@ func (inc *Incremental) Prefer(v int, value bool) {
 }
 
 // SetInert marks v (not) inert. Inert variables take part in no active
-// clause and are excluded from the branching order, so a step behaves as
-// if they did not exist.
+// clause and never enter the order heap, so a step behaves as if they
+// did not exist.
 func (inc *Incremental) SetInert(v int, inert bool) { inc.inert[v] = inert }
 
 // norm applies Formula.Add's literal normalization: duplicates removed,
@@ -217,12 +216,25 @@ func grown[T any](s []T, n int) []T {
 // formula (the same clauses without guards, over only the non-inert
 // variables, in the same order, with the same seeds).
 func (inc *Incremental) SolveStep(activePerm int, lim Limits, w *Warm) Result {
-	if inc.grpEmpty {
+	s := inc.load(activePerm, w)
+	if s == nil {
 		return Result{Status: Unsat}
+	}
+	r := s.run(lim)
+	inc.arenaPtrs = s.clauses[:0]
+	return r
+}
+
+// load sets the reusable solver up for one step, as SolveStep describes,
+// and returns it ready to run; nil means an active clause is empty, so
+// the step is trivially unsatisfiable.
+func (inc *Incremental) load(activePerm int, w *Warm) *solver {
+	if inc.grpEmpty {
+		return nil
 	}
 	for _, i := range inc.emptyPerm {
 		if int(i) < activePerm {
-			return Result{Status: Unsat}
+			return nil
 		}
 	}
 
@@ -238,15 +250,20 @@ func (inc *Incremental) SolveStep(activePerm int, lim Limits, w *Warm) Result {
 	s.limits = s.limits[:0]
 	s.stableUnits = s.stableUnits[:0]
 
-	s.assign = grown(s.assign, n)
+	s.vals = grown(s.vals, 2*n)
 	s.level = grown(s.level, n)
 	s.reason = grown(s.reason, n)
 	s.activity = grown(s.activity, n)
 	s.phase = grown(s.phase, n)
+	s.heap = grown(s.heap, n)[:0]
+	s.heapIdx = grown(s.heapIdx, n)
+	s.act0 = grown(s.act0, n)
 	s.seen = grown(s.seen, n)
 	s.stab0 = grown(s.stab0, n)
+	for i := range s.vals {
+		s.vals[i] = -1
+	}
 	for v := 0; v < n; v++ {
-		s.assign[v] = -1
 		s.level[v] = 0
 		s.reason[v] = -1
 		s.activity[v] = 0
@@ -373,14 +390,15 @@ func (inc *Incremental) SolveStep(activePerm int, lim Limits, w *Warm) Result {
 		}
 	}
 
-	// Branching order over the live variables only — the image, under the
+	// The order heap holds the live variables only — the image, under the
 	// chain's variable translation, of the fresh formula's full order.
-	order := inc.orderBuf[:0]
 	for v := 0; v < n; v++ {
 		if inc.inert[v] || v == inc.guard {
+			s.heapIdx[v] = excluded
 			continue
 		}
-		order = append(order, v)
+		s.heapIdx[v] = int32(len(s.heap))
+		s.heap = append(s.heap, int32(v))
 		s.activity[v] = pos[v] + neg[v]
 		switch inc.prefer[v] {
 		case 0:
@@ -391,30 +409,21 @@ func (inc *Incremental) SolveStep(activePerm int, lim Limits, w *Warm) Result {
 			s.phase[v] = pos[v] >= neg[v]
 		}
 	}
-	inc.orderBuf = order
-	sort.SliceStable(order, func(a, b int) bool {
-		va, vb := order[a], order[b]
-		if s.activity[va] != s.activity[vb] {
-			return s.activity[va] > s.activity[vb]
-		}
-		return va < vb
-	})
-	s.order = order
+	copy(s.act0, s.activity)
+	s.heapify()
 
 	// Assume the guard at level 0 and start propagation past it, so the
 	// guard's (inert) watch list is never scanned and the trail beyond
 	// this point matches the fresh solve position for position.
 	if inc.guard >= 0 {
-		s.assign[inc.guard] = 1
+		s.vals[PosLit(inc.guard)] = 1
+		s.vals[NegLit(inc.guard)] = 0
 		s.level[inc.guard] = 0
 		s.reason[inc.guard] = -1
 		s.trail = append(s.trail, PosLit(inc.guard))
 		s.trailLo = len(s.trail)
 	}
-
-	r := s.run(lim)
-	inc.arenaPtrs = s.clauses[:0]
-	return r
+	return s
 }
 
 // seedUsable mirrors solver.seed's skip rules (empty or out-of-range
