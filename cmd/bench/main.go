@@ -119,6 +119,11 @@ func withProfiles(cpuPath, memPath string, run func() error) error {
 	return run()
 }
 
+// scalingMaxStates is the state cap of the scaling sweep and of a
+// single -scalingpoint run. The sweep exists to push past the library's
+// conservative default cap; k=7 alone is ~156k initial states.
+const scalingMaxStates = 1 << 20
+
 // doScalingPoint runs the modular method alone at one point of the
 // scaling sweep and prints the stage breakdown and peak heap. CI runs it
 // under a GOMEMLIMIT ceiling: a materialization regression (peak heap
@@ -141,7 +146,7 @@ func doScalingPoint(k int, maxBT int64, noStream, noSpec bool) error {
 	c, err := asyncsyn.Synthesize(g, asyncsyn.Options{
 		Method: asyncsyn.Modular, MaxBacktracks: maxBT, Workers: 4,
 		DisableStreaming: noStream, DisableSpeculation: noSpec,
-		Metrics: m,
+		MaxStates: scalingMaxStates, Metrics: m,
 	})
 	peak := watch.Stop()
 	if err != nil {
@@ -605,9 +610,7 @@ func scalingSweep(workers int, noSpec bool) ([]benchrec.ScalingRow, error) {
 		}
 		src := stg.Format(spec)
 		runCell := func(opt asyncsyn.Options) (benchrec.ScalCell, int, error) {
-			// The sweep exists to push past the library's conservative
-			// default state cap; k=7 alone is ~156k states.
-			opt.MaxStates = 1 << 20
+			opt.MaxStates = scalingMaxStates
 			g, err := asyncsyn.ParseSTGString(src)
 			if err != nil {
 				return benchrec.ScalCell{}, 0, err

@@ -78,24 +78,26 @@ func MinimizeContext(ctx context.Context, spec Spec, opt Options) (Cover, error)
 	}
 	// Both care sets are explicit minterm lists, so every pass below works
 	// on bit-sliced column views: one membership bitset per variable over
-	// the minterm index. EXPAND's blocking matrix, the greedy covering
-	// counts, the primality checks, and IRREDUNDANT/REDUCE's
+	// the minterm index. EXPAND's OFF-set counts and IRREDUNDANT/REDUCE's
 	// cube→minterm incidence all reduce to word-parallel AND/ANDNOT plus
 	// popcounts — the same counts and tie-breaks as the row-at-a-time
 	// scans, 64 minterms per operation.
 	off := newMintermMatrix(spec.NumVars, spec.Off)
 	on := newMintermMatrix(spec.NumVars, spec.On)
 
-	// Initial cover: one cube per ON minterm, expanded. One scratch
-	// buffer set serves every EXPAND call of this minimization (the
-	// measured hot path: the blocking matrix used to be rebuilt from
-	// fresh allocations for every cube of every pass).
-	sc := &expandScratch{}
+	// Initial cover: one cube per ON minterm, expanded. The minterm
+	// cubes of one function share most of their EXPAND work (on the k=5
+	// handshake, 12 096 minterms expand into 16 distinct primes through
+	// 37 distinct partial assignments), so one OFF-count memo serves
+	// every EXPAND call of this minimization.
+	oc := newOffCounts(off)
 	mc := metrics.From(ctx)
 	mc.Add(metrics.EspressoExpand, 1)
 	cover := make(Cover, 0, len(spec.On))
+	minterm := assignment{vars: 1<<spec.NumVars - 1}
 	for _, m := range spec.On {
-		cover = append(cover, expand(FromMinterm(spec.NumVars, m), off, 0, sc))
+		minterm.vals = m
+		cover = append(cover, expand(minterm, oc, 0).cube(spec.NumVars))
 	}
 	cover = irredundant(cover, on)
 
@@ -110,7 +112,7 @@ func MinimizeContext(ctx context.Context, spec Spec, opt Options) (Cover, error)
 		reduced := reduce(cover, on)
 		next := make(Cover, len(reduced))
 		for i, c := range reduced {
-			next[i] = expand(c, off, pass, sc)
+			next[i] = expand(literals(c), oc, pass).cube(spec.NumVars)
 		}
 		next = irredundant(next, on)
 		lits := next.Literals()
@@ -170,199 +172,220 @@ func (m *mintermMatrix) coverMask(c Cube, dst []uint64) {
 	}
 }
 
-// expandScratch holds the EXPAND working set so one allocation batch is
-// reused across every cube of every pass of a minimization: the conflict
-// columns (one OFF bitset per lowered literal, flat at word stride),
-// the covered-rows bitset, and the dense keep table.
-type expandScratch struct {
-	lowered []int
-	srcs    [][]uint64 // per lowered literal, its variable's OFF column
-	flips   []uint64   // per lowered literal, ^0 when the literal is positive
-	covered []uint64
-	cnts    []int
-	keep    []bool
+// assignment is a partial assignment of the variables: the variables
+// in vars, each with its bit of vals (vals is zero outside vars).
+type assignment struct{ vars, vals uint64 }
+
+// offCounts memoizes the one question EXPAND asks of the OFF-set: for a
+// partial assignment, how many OFF minterms agree with it, and how many
+// of those have each variable true. Entries live in a flat arena at
+// stride nvars+1 (agreeing rows first, then one true-count per
+// variable); a miss costs one AND/popcount pass over the OFF columns.
+type offCounts struct {
+	off    *mintermMatrix
+	index  map[assignment]int
+	counts []int32
+	mask   []uint64
 }
 
-// expand grows cube c into a prime not intersecting any OFF minterm. The
-// variables kept lowered are chosen by greedy column covering of the
-// blocking matrix (each OFF minterm must remain excluded by at least one
-// kept literal); `rot` rotates tie-breaking so successive passes explore
-// different primes. The blocking matrix is held column-wise: conflict
-// column li is the bitset of OFF minterms literal lowered[li] excludes,
-// so covering counts and primality checks are popcounts and word masks
-// rather than per-row scans.
-func expand(c Cube, off *mintermMatrix, rot int, sc *expandScratch) Cube {
-	n := c.N()
-	sc.lowered = sc.lowered[:0]
-	for v := 0; v < n; v++ {
-		if val := c.Var(v); val == VTrue || val == VFalse {
-			sc.lowered = append(sc.lowered, v)
-		}
+func newOffCounts(off *mintermMatrix) *offCounts {
+	return &offCounts{off: off, index: make(map[assignment]int, 64),
+		counts: make([]int32, 0, 64*(off.nvars+1)), mask: make([]uint64, off.words)}
+}
+
+// lookup returns a's entry. The slice aliases the arena, so it is only
+// valid until the next lookup.
+func (oc *offCounts) lookup(a assignment) []int32 {
+	m, stride := oc.off, oc.off.nvars+1
+	at, ok := oc.index[a]
+	if ok {
+		return oc.counts[at : at+stride]
 	}
-	lowered := sc.lowered
-	L, W := len(lowered), off.words
-	// The conflict column of literal li — the OFF minterms it excludes —
-	// is never materialized: word w is (srcs[li][w]^flips[li]) masked to
-	// the valid rows, computed on the fly wherever it is consumed. (A
-	// positive literal excludes the rows where its variable is 0, hence
-	// the full-word flip; the negative literal excludes the column
-	// as stored.)
-	if cap(sc.srcs) < L {
-		sc.srcs = make([][]uint64, L)
-		sc.flips = make([]uint64, L)
-	}
-	srcs, flips := sc.srcs[:L], sc.flips[:L]
-	for li, v := range lowered {
-		srcs[li] = off.cols[v]
-		if c.Var(v) == VTrue {
-			flips[li] = ^uint64(0)
+	mask := oc.mask
+	copy(mask, m.full)
+	for vs := a.vars; vs != 0; vs &= vs - 1 {
+		v := bits.TrailingZeros64(vs)
+		col := m.cols[v]
+		if a.vals&(1<<v) != 0 {
+			for w := range mask {
+				mask[w] &= col[w]
+			}
 		} else {
-			flips[li] = 0
-		}
-	}
-	if cap(sc.covered) < W {
-		sc.covered = make([]uint64, W)
-	}
-	covered := sc.covered[:W]
-	// A row no literal excludes intersects c — caller bug, keep the cube.
-	for w := 0; w < W; w++ {
-		acc := uint64(0)
-		for li := 0; li < L; li++ {
-			acc |= srcs[li][w] ^ flips[li]
-		}
-		if off.full[w]&^acc != 0 {
-			return c
-		}
-		covered[w] = 0
-	}
-
-	if cap(sc.keep) < n {
-		sc.keep = make([]bool, n)
-	}
-	keep := sc.keep[:n]
-	for i := 0; i < n; i++ {
-		keep[i] = false
-	}
-	if cap(sc.cnts) < L {
-		sc.cnts = make([]int, L)
-	}
-	cnts := sc.cnts[:L]
-
-	remaining := off.n
-	for remaining > 0 {
-		// Count uncovered rows per literal, skipping fully covered words —
-		// the totals (and so the greedy choice under the rotated
-		// tie-break) match a per-literal scan exactly.
-		for li := range cnts {
-			cnts[li] = 0
-		}
-		for w := 0; w < W; w++ {
-			cw := off.full[w] &^ covered[w]
-			if cw == 0 {
-				continue
-			}
-			for li := 0; li < L; li++ {
-				cnts[li] += bits.OnesCount64((srcs[li][w] ^ flips[li]) & cw)
+			for w := range mask {
+				mask[w] &^= col[w]
 			}
 		}
-		bestLi, bestC := -1, -1
-		for i := 0; i < L; i++ {
-			li := (i + rot) % L
-			if cnt := cnts[li]; cnt > bestC {
-				bestLi, bestC = li, cnt
-			}
-		}
-		keep[lowered[bestLi]] = true
-		src, flip := srcs[bestLi], flips[bestLi]
-		remaining = 0
-		for w := 0; w < W; w++ {
-			covered[w] |= (src[w] ^ flip) & off.full[w]
-			remaining += bits.OnesCount64(off.full[w] &^ covered[w])
-		}
 	}
-	// Primality pass: try raising each kept literal individually. The
-	// lowered cube excludes OFF minterm i through the kept literals whose
-	// conflict columns contain i, so raising v preserves exclusion exactly
-	// when v's column is within the union of the other kept columns — the
-	// same verdict the cube-intersection test gave, without rescanning the
-	// OFF set.
-	for li, v := range lowered {
-		if !keep[v] {
+	at = len(oc.counts)
+	oc.index[a] = at
+	oc.counts = append(oc.counts, make([]int32, stride)...)
+	cnt := oc.counts[at : at+stride]
+	for w, mw := range mask {
+		if mw == 0 {
 			continue
 		}
-		raisable := true
-		for w := 0; w < W && raisable; w++ {
-			other := uint64(0)
-			for lj, u := range lowered {
-				if u != v && keep[u] {
-					other |= srcs[lj][w] ^ flips[lj]
-				}
-			}
-			if (srcs[li][w]^flips[li])&off.full[w]&^other != 0 {
-				raisable = false
-			}
-		}
-		if raisable {
-			keep[v] = false
+		cnt[0] += int32(bits.OnesCount64(mw))
+		for v, col := range m.cols {
+			cnt[1+v] += int32(bits.OnesCount64(mw & col[w]))
 		}
 	}
-	out := c.Clone()
+	return cnt
+}
+
+// expand grows the cube with literals a into a prime not intersecting
+// any OFF minterm and returns the prime's literals. The literals kept
+// are chosen by greedy column covering of the blocking matrix: each step
+// keeps the literal that excludes the most OFF minterms not yet
+// excluded, `rot` rotating the tie-break so successive passes explore
+// different primes, until every OFF minterm is excluded.
+//
+// The minterms still to exclude after keeping the literals of S are
+// exactly the OFF minterms that agree with a on S, and literal v
+// excludes those among them whose value of v differs from a's. So every
+// count the covering needs is an offCounts entry keyed by a restricted
+// to S, and those keys repeat across cubes: the many minterm cubes of
+// one minimization walk the same few prefixes. The primality pass asks
+// the same memo: with S excluding every OFF minterm, raising kept
+// literal v keeps the cube OFF-free exactly when no OFF minterm agrees
+// with a on S \ {v}.
+func expand(a assignment, oc *offCounts, rot int) assignment {
+	var buf, rbuf [64]int
+	lowered := buf[:0]
+	for vs := a.vars; vs != 0; vs &= vs - 1 {
+		lowered = append(lowered, bits.TrailingZeros64(vs))
+	}
+	// The greedy scan runs over the literals rotated by rot, the first
+	// of equal counts winning.
+	rotated := rbuf[:0]
+	if L := len(lowered); L > 0 {
+		rotated = append(append(rotated, lowered[rot%L:]...), lowered[:rot%L]...)
+	}
+	var kept assignment
+	// The literal kept last is needed: the ones kept before it left OFF
+	// minterms, and primality only ever takes literals away.
+	last := -1
+	for cnt := oc.lookup(kept); cnt[0] > 0; cnt = oc.lookup(kept) {
+		best, bestC := -1, int32(0)
+		for _, v := range rotated {
+			excl := cnt[1+v] // agreeing rows with v true: what v' excludes
+			if a.vals&(1<<v) != 0 {
+				excl = cnt[0] - excl
+			}
+			if excl > bestC {
+				best, bestC = v, excl
+			}
+		}
+		if bestC == 0 {
+			// An OFF minterm agrees with every literal: the cube meets
+			// the OFF-set (a caller bug), so keep it as it is.
+			return a
+		}
+		last = best
+		kept.vars |= 1 << last
+		kept.vals |= a.vals & (1 << last)
+		if bestC == cnt[0] { // it excludes every remaining minterm
+			break
+		}
+	}
 	for _, v := range lowered {
-		if !keep[v] {
-			out.SetVar(v, VDash)
+		if kept.vars&(1<<v) == 0 || v == last {
+			continue
+		}
+		raised := assignment{kept.vars &^ (1 << v), kept.vals &^ (1 << v)}
+		if oc.lookup(raised)[0] == 0 {
+			kept = raised
 		}
 	}
-	return out
+	return kept
+}
+
+// literals returns the literals of c as an assignment.
+func literals(c Cube) assignment {
+	var a assignment
+	for v := 0; v < c.N(); v++ {
+		switch c.Var(v) {
+		case VTrue:
+			a.vars |= 1 << v
+			a.vals |= 1 << v
+		case VFalse:
+			a.vars |= 1 << v
+		}
+	}
+	return a
+}
+
+// cube returns the n-variable cube with a's literals.
+func (a assignment) cube(n int) Cube {
+	c := NewCube(n)
+	for vs := a.vars; vs != 0; vs &= vs - 1 {
+		v := bits.TrailingZeros64(vs)
+		if a.vals&(1<<v) != 0 {
+			c.SetVar(v, VTrue)
+		} else {
+			c.SetVar(v, VFalse)
+		}
+	}
+	return c
 }
 
 // irredundant removes cubes until every remaining cube is needed to cover
 // some ON minterm: essential cubes (sole cover of a minterm) are kept,
-// then the rest are dropped greedily, largest-literal-count first.
+// then the rest are dropped greedily in a fixed order: most literals
+// first, so the kept cover is cheap; then fewest covered minterms; then
+// lowest index. A cube is dropped when every minterm it covers has
+// another live cover.
+//
+// The initial cover holds one expanded cube per ON minterm, mostly
+// copies of a few primes, so the drop loop runs over distinct cubes.
+// Copies of a cube share their literal and cover counts, so they meet
+// in the drop order by index, the highest last. Every copy before the
+// last is dropped, since the last still covers its minterms. At the
+// last copy the others are gone, and the test asks whether some other
+// cube still covers each of its minterms, however many copies that
+// cube has left. So each distinct cube counts once, its test runs at
+// its last copy's place in the order, and the result is the surviving
+// last copies in index order, exactly what dropping copy by copy keeps.
 //
 // The cube→minterm incidence is deliberately NOT materialized: on dense
 // instances it is quadratic in |cover|·|on| and dominated the whole
 // pipeline's peak heap (a gigabyte on the k=5 scaling point). Each
 // candidate instead recomputes its covered-minterm bitset from the
 // column view into one shared buffer and tests it against the bitset of
-// minterms with at most one cover left. Decisions, and therefore the
-// returned cover, are bit-identical to the materialized form.
+// minterms with at most one cover left.
 func irredundant(cover Cover, on *mintermMatrix) Cover {
-	W := on.words
-	coverCnt := make([]int, len(cover)) // cube → #covered ON minterms
-	lits := make([]int, len(cover))
-	vc := &vertCounter{W: W} // minterm → #covering cubes, bit-planed
-	mask := make([]uint64, W)
+	// Spec.Validate caps NumVars at 63, so a cube is at most two words.
+	last := make(map[[2]uint64]int, 64) // cube → index of its last copy
 	for ci, c := range cover {
+		var k [2]uint64
+		copy(k[:], c.words)
+		last[k] = ci
+	}
+	type cand struct{ ci, lits, covered int }
+	cands := make([]cand, 0, len(last))
+	for _, ci := range last {
+		cands = append(cands, cand{ci: ci})
+	}
+	W := on.words
+	vc := &vertCounter{W: W} // minterm → #covering distinct cubes, bit-planed
+	mask := make([]uint64, W)
+	for i := range cands {
+		c := cover[cands[i].ci]
 		on.coverMask(c, mask)
-		cnt := 0
 		for _, mw := range mask {
-			cnt += bits.OnesCount64(mw)
+			cands[i].covered += bits.OnesCount64(mw)
 		}
-		coverCnt[ci] = cnt
-		lits[ci] = c.Literals()
+		cands[i].lits = c.Literals()
 		vc.add(mask)
 	}
-	alive := make([]bool, len(cover))
-	for i := range alive {
-		alive[i] = true
-	}
-	// Drop order: most literals first (prefer keeping big cubes out?
-	// no — keeping FEWER literals total means dropping costly cubes first),
-	// ties by fewer covered minterms, then by index for determinism.
-	order := make([]int, len(cover))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		la, lb := lits[order[a]], lits[order[b]]
-		if la != lb {
-			return la > lb
+	sort.Slice(cands, func(a, b int) bool {
+		x, y := cands[a], cands[b]
+		if x.lits != y.lits {
+			return x.lits > y.lits
 		}
-		ca, cb := coverCnt[order[a]], coverCnt[order[b]]
-		if ca != cb {
-			return ca < cb
+		if x.covered != y.covered {
+			return x.covered < y.covered
 		}
-		return order[a] < order[b]
+		return x.ci < y.ci
 	})
 	// atMost marks minterms with a single remaining cover: a cube is
 	// removable exactly when its mask avoids all of them.
@@ -370,8 +393,9 @@ func irredundant(cover Cover, on *mintermMatrix) Cover {
 	for w := 0; w < W; w++ {
 		atMost[w] = on.full[w] &^ vc.atLeast2(w)
 	}
-	for _, ci := range order {
-		on.coverMask(cover[ci], mask)
+	keep := make([]int, 0, len(cands))
+	for _, cd := range cands {
+		on.coverMask(cover[cd.ci], mask)
 		removable := true
 		for w := range mask {
 			if mask[w]&atMost[w] != 0 {
@@ -379,21 +403,21 @@ func irredundant(cover Cover, on *mintermMatrix) Cover {
 				break
 			}
 		}
-		if removable {
-			alive[ci] = false
-			vc.sub(mask)
-			for w, mw := range mask {
-				if mw != 0 {
-					atMost[w] = on.full[w] &^ vc.atLeast2(w)
-				}
+		if !removable {
+			keep = append(keep, cd.ci)
+			continue
+		}
+		vc.sub(mask)
+		for w, mw := range mask {
+			if mw != 0 {
+				atMost[w] = on.full[w] &^ vc.atLeast2(w)
 			}
 		}
 	}
-	out := make(Cover, 0, len(cover))
-	for ci, a := range alive {
-		if a {
-			out = append(out, cover[ci])
-		}
+	sort.Ints(keep)
+	out := make(Cover, len(keep))
+	for i, ci := range keep {
+		out[i] = cover[ci]
 	}
 	return out
 }
