@@ -124,17 +124,6 @@ func NewSolveCache() *SolveCache { return modcache.New() }
 // instance across every run.
 func NewDiskSolveCache(dir string) (*SolveCache, error) { return modcache.NewDisk(dir) }
 
-// storeOf adapts a possibly nil concrete cache to the modcache.Store
-// interface the pipeline consumes. The explicit nil check matters: a
-// typed nil *SolveCache assigned straight into the interface would not
-// compare equal to nil downstream.
-func storeOf(c *SolveCache) modcache.Store {
-	if c == nil {
-		return nil
-	}
-	return c
-}
-
 // solveCacheFor resolves the cache configuration of one run.
 func solveCacheFor(opt Options) (*SolveCache, error) {
 	switch {
@@ -304,12 +293,14 @@ type Options struct {
 	// TokenBound is the per-place token bound (default 1: safe nets).
 	TokenBound int
 	// Workers bounds the worker pool used by the pipeline's independent
-	// stages — pre-sort conflict scans, whole-graph CSC analysis, and
-	// per-output logic derivation. 0 means GOMAXPROCS, 1 runs
-	// sequentially. The synthesized circuit (areas, covers, inserted
-	// signal names, clause counts) is bit-for-bit identical for every
-	// value: parallel stages always merge their results in a fixed
-	// order, never first-write-wins.
+	// scans — the module stage's conflict counts and scans, whole-graph
+	// CSC analysis, and per-output logic derivation. 0 means GOMAXPROCS,
+	// 1 runs sequentially. The per-output module solves always run one
+	// after another, most-conflicted first, because each module sees the
+	// state signals the earlier ones inserted. The synthesized circuit
+	// (areas, covers, inserted signal names, clause counts) is
+	// bit-for-bit identical for every value: parallel stages always
+	// merge their results in a fixed order, never first-write-wins.
 	Workers int
 	// Timeout bounds the wall-clock time of a run (0 = none). An expired
 	// timeout surfaces as an error matching ErrCanceled and
@@ -342,15 +333,6 @@ type Options struct {
 	// with or without the cache (pinned by TestCacheBitIdentical) —
 	// this exists for measurement and debugging.
 	DisableSolveCache bool
-	// DisableSpeculation runs the modular method's per-output module
-	// solves strictly sequentially even when Workers > 1. By default the
-	// module stage solves outputs speculatively in parallel — each
-	// against a copy-on-write snapshot of the state-signal columns —
-	// and commits results in the canonical most-conflicted-first order,
-	// discarding and re-solving any speculation a committed predecessor
-	// invalidated. Results are bit-identical either way (pinned by
-	// TestSpeculationParity); this exists for measurement and debugging.
-	DisableSpeculation bool
 	// DisableIncrementalSAT forces each SAT formula of a widening chain
 	// to be re-encoded and solved from scratch instead of as an
 	// assumption-guarded step of one persistent incremental solver.
@@ -358,18 +340,6 @@ type Options struct {
 	// TestIncrementalMatchesFresh) — this exists for measurement and
 	// debugging.
 	DisableIncrementalSAT bool
-	// DisableStreaming reverts the expansion→analysis→verification spine
-	// to the materializing paths: Expand builds the whole expanded state
-	// graph in memory before conflict scanning and logic derivation
-	// consume it, and Verify explores the closed-loop product one scalar
-	// configuration at a time. The default streams the expansion in
-	// topological waves (peak heap bounded by frontier width, not total
-	// state count) and simulates 64 configurations per word. Results are
-	// bit-identical either way — digests, counters and violations are
-	// pinned equal by TestStreamingMatchesLegacy — this exists for
-	// measurement, debugging, and callers that need the materialized
-	// graph (see core.Result.Expanded).
-	DisableStreaming bool
 }
 
 // FormulaStat describes one SAT instance solved during synthesis.
@@ -471,10 +441,6 @@ type Circuit struct {
 	// initialLevels records the reset level of every signal (including
 	// inserted state signals) for closed-loop verification.
 	initialLevels map[string]bool
-	// scalarSim records Options.DisableStreaming at synthesis time so
-	// Verify picks the matching simulation runner (scalar walker under
-	// the legacy materializing mode, bit-sliced otherwise).
-	scalarSim bool
 }
 
 // setStateSignals fixes the single source of truth for the inserted
@@ -558,11 +524,8 @@ func SynthesizeContext(ctx context.Context, s *STG, opt Options) (*Circuit, erro
 	}
 	if c != nil {
 		// The collector may be shared across runs; the circuit reports
-		// only this run's delta — restricted to the deterministic
-		// counters, so the map is identical for every Workers value
-		// (speculation telemetry stays visible on the collector itself
-		// and in the Prometheus exposition).
-		c.Counters = opt.Metrics.Snapshot().DeterministicDelta(before)
+		// only this run's delta.
+		c.Counters = opt.Metrics.Snapshot().Delta(before)
 	}
 	return c, err
 }
@@ -594,15 +557,13 @@ func synthesizeModular(ctx context.Context, s *STG, opt Options, cache *SolveCac
 			Engine:        cscEngine(opt.Engine),
 			Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
 			MaxBacktracks: opt.MaxBacktracks,
-			Cache:         storeOf(cache),
+			Cache:         cache,
 			NoIncremental: opt.DisableIncrementalSAT,
 		},
-		StateGraph:         sgOptions(opt),
-		FullSupport:        opt.FullSupport,
-		ExactLogic:         opt.ExactMinimize,
-		Workers:            opt.Workers,
-		DisableStreaming:   opt.DisableStreaming,
-		DisableSpeculation: opt.DisableSpeculation,
+		StateGraph:  sgOptions(opt),
+		FullSupport: opt.FullSupport,
+		ExactLogic:  opt.ExactMinimize,
+		Workers:     opt.Workers,
 	})
 	if res == nil {
 		return nil, err
@@ -631,7 +592,6 @@ func synthesizeModular(ctx context.Context, s *STG, opt Options, cache *SolveCac
 		c.Functions = append(c.Functions, newFunction(f))
 	}
 	c.initialLevels = initialLevelsOf(res.View)
-	c.scalarSim = opt.DisableStreaming
 	c, err, _ = finishAborted(c, err, start)
 	return c, err
 }
@@ -644,15 +604,13 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, opt Options, cache *Solve
 		Engine:        cscEngine(opt.Engine),
 		Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
 		MaxBacktracks: opt.MaxBacktracks,
-		Cache:         storeOf(cache),
+		Cache:         cache,
 		NoIncremental: opt.DisableIncrementalSAT,
-	}, ExactLogic: opt.ExactMinimize, Workers: opt.Workers,
-		DisableStreaming: opt.DisableStreaming}
+	}, ExactLogic: opt.ExactMinimize, Workers: opt.Workers}
 
 	var (
 		full     *sg.Graph
 		view     *sg.Stream
-		expanded *sg.Graph
 		inserted int
 	)
 	stages := []pipeline.Stage{
@@ -673,7 +631,7 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, opt Options, cache *Solve
 					Engine:        cscEngine(opt.Engine),
 					Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
 					MaxBacktracks: opt.MaxBacktracks,
-					Cache:         storeOf(cache),
+					Cache:         cache,
 					NoIncremental: opt.DisableIncrementalSAT,
 				})
 				if dr != nil {
@@ -695,24 +653,20 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, opt Options, cache *Solve
 			}
 		}},
 		{Name: "expand", Run: func(ctx context.Context) error {
-			v, exp, _, fallback, err := core.ExpandToCSC(ctx, full, coreOpt)
+			v, _, fallback, err := core.ExpandToCSC(ctx, full, coreOpt)
 			for _, f := range fallback {
 				c.Formulas = append(c.Formulas, formulaStat("", f))
 			}
 			if err != nil {
 				return err
 			}
-			view, expanded = v, exp
+			view = v
 			c.FinalStates = view.NumStates()
 			c.FinalSignals = len(view.Base)
 			return nil
 		}},
 		{Name: "logic", Run: func(ctx context.Context) error {
-			var src core.LogicSource = view
-			if expanded != nil {
-				src = expanded
-			}
-			fns, err := core.DeriveLogic(ctx, src, full, nil, nil, coreOpt)
+			fns, err := core.DeriveLogic(ctx, view, full, nil, nil, coreOpt)
 			if err != nil {
 				return err
 			}
@@ -722,7 +676,6 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, opt Options, cache *Solve
 				c.Area += nf.Literals()
 			}
 			c.initialLevels = initialLevelsOf(view)
-			c.scalarSim = opt.DisableStreaming
 			return nil
 		}},
 	}

@@ -28,10 +28,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -60,21 +62,19 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the suite run to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the suite run) to this path")
 	noIncr := flag.Bool("noincremental", false, "ablation: re-encode every SAT formula instead of incremental solving (results are bit-identical; timings move)")
-	noStream := flag.Bool("nostreaming", false, "ablation: materialize the expanded graph and use the scalar simulator (results are bit-identical; memory and timings move)")
-	noSpec := flag.Bool("nospeculation", false, "ablation: disable the speculative partition-parallel module scheduler (results are bit-identical; timings move)")
-	scalingPoint := flag.Int("scalingpoint", 0, "run only the modular method at this scaling-sweep point (k) and print its stage breakdown; used by the memory-ceiling CI smoke")
+	scalingPoint := flag.Int("scalingpoint", 0, "run only the modular method at this scaling-sweep point (k) and print its stage breakdown; fails when the peak heap exceeds GOMEMLIMIT")
 	flag.Parse()
 
 	err := withProfiles(*cpuProfile, *memProfile, func() error {
 		switch {
 		case *scalingPoint > 0:
-			return doScalingPoint(*scalingPoint, *maxBT, *noStream, *noSpec)
+			return doScalingPoint(*scalingPoint, *maxBT)
 		case *render != "":
 			return doRender(*render, *doc, *check)
 		case *against != "":
-			return doCompare(*against, flag.Arg(0), *out, *quick, *workers, *maxBT, *cacheDir, *noIncr, *noStream, *noSpec, *requireHits)
+			return doCompare(*against, flag.Arg(0), *out, *quick, *workers, *maxBT, *cacheDir, *noIncr, *requireHits)
 		default:
-			return doRun(*out, *quick, *workers, *maxBT, *cacheDir, *noIncr, *noStream, *noSpec)
+			return doRun(*out, *quick, *workers, *maxBT, *cacheDir, *noIncr)
 		}
 	})
 	if err != nil {
@@ -125,14 +125,11 @@ func withProfiles(cpuPath, memPath string, run func() error) error {
 const scalingMaxStates = 1 << 20
 
 // doScalingPoint runs the modular method alone at one point of the
-// scaling sweep and prints the stage breakdown and peak heap. CI runs it
-// under a GOMEMLIMIT ceiling: a materialization regression (peak heap
-// proportional to total expanded states instead of frontier width) blows
-// the ceiling and fails the step long before the full sweep would. The
-// default arm runs at Workers=4 so the speculative module scheduler's
-// lane snapshots are inside the ceiling too; -nospeculation keeps the
-// Workers but ablates the scheduler, isolating its footprint.
-func doScalingPoint(k int, maxBT int64, noStream, noSpec bool) error {
+// scaling sweep and prints the stage breakdown and peak heap. When a
+// memory limit is set (GOMEMLIMIT) it then fails if the sampled peak
+// heap exceeded it: the limit is only a soft target for the garbage
+// collector, so without this check a run over the ceiling still exits 0.
+func doScalingPoint(k int, maxBT int64) error {
 	spec, err := stg.Handshakes("", k, 2)
 	if err != nil {
 		return err
@@ -145,7 +142,6 @@ func doScalingPoint(k int, maxBT int64, noStream, noSpec bool) error {
 	watch := metrics.WatchHeap(5 * time.Millisecond)
 	c, err := asyncsyn.Synthesize(g, asyncsyn.Options{
 		Method: asyncsyn.Modular, MaxBacktracks: maxBT, Workers: 4,
-		DisableStreaming: noStream, DisableSpeculation: noSpec,
 		MaxStates: scalingMaxStates, Metrics: m,
 	})
 	peak := watch.Stop()
@@ -160,11 +156,9 @@ func doScalingPoint(k int, maxBT int64, noStream, noSpec bool) error {
 	for _, k := range []string{"sg_states", "sg_states_streamed", "sg_peak_frontier"} {
 		fmt.Printf("  counter %-20s %d\n", k, c.Counters[k])
 	}
-	// Scheduling-dependent, so filtered from c.Counters; read them off
-	// the raw collector to show whether speculation engaged.
-	raw := m.Map()
-	for _, k := range []string{"modspec_commits", "modspec_aborts", "modspec_resolves"} {
-		fmt.Printf("  counter %-20s %d\n", k, raw[k])
+	if limit := debug.SetMemoryLimit(-1); limit != math.MaxInt64 && int64(peak) > limit {
+		return fmt.Errorf("scaling k=%d: peak heap %.1f MiB exceeds the memory limit %.1f MiB",
+			k, float64(peak)/(1<<20), float64(limit)/(1<<20))
 	}
 	if c.Aborted {
 		return fmt.Errorf("scaling k=%d: aborted (backtrack budget)", k)
@@ -172,8 +166,8 @@ func doScalingPoint(k int, maxBT int64, noStream, noSpec bool) error {
 	return nil
 }
 
-func doRun(out string, quick bool, workers int, maxBT int64, cacheDir string, noIncr, noStream, noSpec bool) error {
-	rec, err := runSuite(quick, workers, maxBT, cacheDir, noIncr, noStream, noSpec)
+func doRun(out string, quick bool, workers int, maxBT int64, cacheDir string, noIncr bool) error {
+	rec, err := runSuite(quick, workers, maxBT, cacheDir, noIncr)
 	if err != nil {
 		return err
 	}
@@ -188,7 +182,7 @@ func doRun(out string, quick bool, workers int, maxBT int64, cacheDir string, no
 	return nil
 }
 
-func doCompare(baseline, freshPath, out string, quick bool, workers int, maxBT int64, cacheDir string, noIncr, noStream, noSpec, requireHits bool) error {
+func doCompare(baseline, freshPath, out string, quick bool, workers int, maxBT int64, cacheDir string, noIncr, requireHits bool) error {
 	baseline, err := resolveBaseline(baseline)
 	if err != nil {
 		return err
@@ -203,7 +197,7 @@ func doCompare(baseline, freshPath, out string, quick bool, workers int, maxBT i
 			return err
 		}
 	} else {
-		if fresh, err = runSuite(quick, workers, maxBT, cacheDir, noIncr, noStream, noSpec); err != nil {
+		if fresh, err = runSuite(quick, workers, maxBT, cacheDir, noIncr); err != nil {
 			return err
 		}
 		if out != "" {
@@ -323,10 +317,10 @@ func doRender(recPath, docPath string, check bool) error {
 
 // runSuite measures the record: every Table-1 row across the three
 // methods, the cache-effectiveness sweep, then (full mode) the clause
-// and scaling sweeps. noIncr ablates the incremental SAT solver and
-// noStream the streaming expansion spine, on the Table-1 rows (the
-// sweeps keep the default paths — they measure their own effects).
-func runSuite(quick bool, workers int, maxBT int64, cacheDir string, noIncr, noStream, noSpec bool) (*benchrec.Record, error) {
+// and scaling sweeps. noIncr ablates the incremental SAT solver on the
+// Table-1 rows (the sweeps keep the default path — they measure their
+// own effects).
+func runSuite(quick bool, workers int, maxBT int64, cacheDir string, noIncr bool) (*benchrec.Record, error) {
 	names := bench.Names()
 	if quick {
 		var small []string
@@ -350,7 +344,6 @@ func runSuite(quick bool, workers int, maxBT int64, cacheDir string, noIncr, noS
 			Workers:       workers,
 			MaxBacktracks: maxBT,
 			Quick:         quick,
-			NoSpeculation: noSpec,
 		},
 	}
 
@@ -375,7 +368,6 @@ func runSuite(quick bool, workers int, maxBT int64, cacheDir string, noIncr, noS
 			res, init, initSig := runOne(name, asyncsyn.Options{
 				Method: m.method, MaxBacktracks: maxBT, Workers: inner,
 				CacheDir: cacheDir, DisableIncrementalSAT: noIncr,
-				DisableStreaming: noStream, DisableSpeculation: noSpec,
 			})
 			*m.dst = res
 			if init > 0 {
@@ -398,7 +390,7 @@ func runSuite(quick bool, workers int, maxBT int64, cacheDir string, noIncr, noS
 		if rec.Clauses, err = clauseSweep(maxBT, workers); err != nil {
 			return nil, err
 		}
-		if rec.Scaling, err = scalingSweep(workers, noSpec); err != nil {
+		if rec.Scaling, err = scalingSweep(workers); err != nil {
 			return nil, err
 		}
 	}
@@ -592,12 +584,8 @@ func clauseSweep(maxBT int64, workers int) ([]benchrec.ClauseRow, error) {
 // record can be produced on hosts where the ~156k-state point does not
 // finish. Every cell also records its sampled peak heap (the k=6 point
 // only became recordable with the frontier-bounded streaming expansion)
-// and, for the modular cells, the module-stage seconds. When the
-// sequential modular cell completes and noSpec is off, the point is
-// re-run with the speculative module scheduler at Workers=4
-// (ScalingRow.ModularSpec) — the speedup the scheduler buys on the
-// stage it parallelizes.
-func scalingSweep(workers int, noSpec bool) ([]benchrec.ScalingRow, error) {
+// and, for the modular cells, the module-stage seconds.
+func scalingSweep(workers int) ([]benchrec.ScalingRow, error) {
 	const points = 7
 	const baselineBudget = 2 * time.Minute
 	const attemptBudget = 10 * time.Minute
@@ -657,17 +645,6 @@ func scalingSweep(workers int, noSpec bool) ([]benchrec.ScalingRow, error) {
 			if row.States == 0 && init > 0 {
 				row.States = init
 			}
-		}
-		if !noSpec && !row.Modular.Aborted && row.Modular.Area > 0 {
-			opt := asyncsyn.Options{Method: asyncsyn.Modular, MaxBacktracks: 300000, Workers: 4}
-			if k >= 7 {
-				opt.Timeout = attemptBudget
-			}
-			cell, _, err := runCell(opt)
-			if err != nil {
-				return row, fmt.Errorf("scaling k=%d modular-spec: %w", k, err)
-			}
-			row.ModularSpec = &cell
 		}
 		fmt.Fprintf(os.Stderr, "bench: scaling k=%d (%d states) done\n", k, row.States)
 		return row, nil

@@ -22,13 +22,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Hazard checking walks the expanded graph's edge structure, which
-	// only the materializing expansion builds.
-	res, err := core.Synthesize(context.Background(), spec, core.Options{DisableStreaming: true})
+	res, err := core.Synthesize(context.Background(), spec, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ex := res.Expanded
+	// Hazard checking walks the expanded graph's edge structure, which
+	// the synthesis pipeline streams without keeping; rebuild it from
+	// the final phase-annotated graph.
+	ex, err := res.Full.Expand()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("model %s: %d functions, area %d literals\n\n", res.Name, len(res.Functions), res.Area)
 	totalViolations, totalAdded := 0, 0

@@ -44,14 +44,13 @@ import (
 //
 // Version 5: added the speculative partition-parallel module scheduler's
 // scaling cells — ScalCell.ModuleSeconds (module-stage time, the part
-// speculation parallelizes) and ScalingRow.ModularSpec (the modular
+// speculation parallelized) and ScalingRow.ModularSpec (the modular
 // method re-run at Workers=4 with speculation on) — plus
-// Env.NoSpeculation for ablation records and the modspec_* counters in
-// the raw collector. Digests and the deterministic counters in
-// MethodResult.Counters are unchanged relative to version 4 (the
-// speculative scheduler is pinned bit-identical to the sequential loop,
-// and scheduling-dependent modspec counters are filtered out of
-// Circuit.Counters); timings move.
+// Env.NoSpeculation for ablation records. Digests and the counters in
+// MethodResult.Counters are unchanged relative to version 4; timings
+// move. The scheduler has since been deleted: cmd/bench no longer
+// fills ModularSpec or NoSpeculation, which stay so BENCH_3.json still
+// reads and renders.
 const SchemaVersion = 5
 
 // Env describes the machine and configuration that produced a record.
@@ -65,8 +64,8 @@ type Env struct {
 	Workers       int    `json:"workers"`
 	MaxBacktracks int64  `json:"max_backtracks"`
 	Quick         bool   `json:"quick,omitempty"`
-	// NoSpeculation marks an ablation record: the speculative
-	// partition-parallel module scheduler was disabled for every run.
+	// NoSpeculation marks an ablation record: the (since deleted)
+	// speculative module scheduler was disabled for every run.
 	NoSpeculation bool `json:"no_speculation,omitempty"`
 }
 
@@ -159,10 +158,8 @@ type ScalCell struct {
 	// point's run (see MethodResult.PeakHeapBytes); the scaling sweep is
 	// where the frontier-bounded streaming expansion shows up.
 	PeakHeapBytes uint64 `json:"peak_heap_bytes,omitempty"`
-	// ModuleSeconds isolates the modules pipeline stage — the part the
-	// speculative scheduler parallelizes; the expansion and quotient
-	// stages are outside its reach. Zero in pre-schema-5 records and in
-	// aborted cells.
+	// ModuleSeconds isolates the modules pipeline stage. Zero in
+	// pre-schema-5 records and in aborted cells.
 	ModuleSeconds float64 `json:"module_seconds,omitempty"`
 }
 
@@ -173,10 +170,10 @@ type ScalingRow struct {
 	Modular ScalCell `json:"modular"`
 	Direct  ScalCell `json:"direct"`
 	Lavagno ScalCell `json:"lavagno"`
-	// ModularSpec is the modular method re-run with the speculative
-	// partition-parallel module scheduler engaged (Workers=4). Its digest
-	// equivalence with the sequential cell is enforced by the test suite;
-	// the record keeps only the timings. Nil in pre-schema-5 records.
+	// ModularSpec is the modular method re-run with the (since deleted)
+	// speculative module scheduler engaged (Workers=4); the record keeps
+	// only the timings. Nil in pre-schema-5 records and in records
+	// written after the scheduler's removal.
 	ModularSpec *ScalCell `json:"modular_spec,omitempty"`
 }
 

@@ -212,9 +212,9 @@ func ClausesSection(rec *Record) string {
 }
 
 // ScalingSection renders the parametric handshake sweep. The spec
-// columns are the schema-5 speculative re-run of the modular method
-// (module-stage time sequential vs speculative at Workers=4); records
-// without ModularSpec cells render dashes there.
+// columns are the schema-5 re-run of the modular method under the
+// since-deleted speculative scheduler (Workers=4); records without
+// ModularSpec cells render dashes there.
 func ScalingSection(rec *Record) string {
 	var b strings.Builder
 	b.WriteString("```\n")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"asyncsyn/internal/bench"
@@ -139,15 +140,30 @@ func TestOracleSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The edge-consistency check below needs the expanded edge
-			// structure, which only the materializing path builds; the
-			// streaming path is pinned bit-identical to it by
-			// TestStreamingMatchesLegacy.
-			res, err := Synthesize(context.Background(), spec, Options{DisableStreaming: true})
+			res, err := Synthesize(context.Background(), spec, Options{})
 			if err != nil {
 				t.Fatalf("synthesize: %v", err)
 			}
-			ex := res.Expanded
+			// The pipeline streams the expansion and keeps only its
+			// column view; the edge-consistency check below needs the
+			// edge structure, so rebuild it from the final graph. First
+			// pin that the rebuilt graph is the one the logic was derived
+			// from, or the checks would validate a different graph.
+			ex, err := res.Full.Expand()
+			if err != nil {
+				t.Fatalf("expand: %v", err)
+			}
+			v := res.View
+			if !reflect.DeepEqual(ex.Base, v.Base) || ex.NumStates() != v.NumStates() {
+				t.Fatalf("Full.Expand() has %d states over %d signals, View has %d over %d",
+					ex.NumStates(), len(ex.Base), v.NumStates(), len(v.Base))
+			}
+			for s := range ex.States {
+				if ex.States[s].Code != v.Codes[s] || ex.Origin[s] != v.Origin[s] {
+					t.Fatalf("state %d: Full.Expand() code %b origin %d, View code %b origin %d",
+						s, ex.States[s].Code, ex.Origin[s], v.Codes[s], v.Origin[s])
+				}
+			}
 			for _, fn := range res.Functions {
 				sigIdx, ok := ex.SignalIndex(fn.Name)
 				if !ok {

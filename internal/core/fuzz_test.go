@@ -7,8 +7,8 @@ import (
 
 	"asyncsyn/internal/csc"
 	"asyncsyn/internal/sg"
-	"asyncsyn/internal/synerr"
 	"asyncsyn/internal/stg"
+	"asyncsyn/internal/synerr"
 )
 
 // TestFuzzSynthesize runs the full modular pipeline over randomly
@@ -96,7 +96,7 @@ func TestFuzzDirect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: direct solve: %v", seed, err)
 		}
-		view, _, _, _, err := ExpandToCSC(context.Background(), full, Options{})
+		view, _, _, err := ExpandToCSC(context.Background(), full, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: expansion: %v", seed, err)
 		}

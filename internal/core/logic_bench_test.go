@@ -35,7 +35,7 @@ func BenchmarkDeriveLogic(b *testing.B) {
 		b.Fatalf("%d residual conflicts: the benchmark input needs the residual solve", n)
 	}
 	csc.Prune(full)
-	view, _, _, _, err := ExpandToCSC(ctx, full, opt)
+	view, _, _, err := ExpandToCSC(ctx, full, opt)
 	if err != nil {
 		b.Fatal(err)
 	}

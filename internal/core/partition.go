@@ -28,11 +28,8 @@ type SATOptions struct {
 	Workers int
 	// Cache, when non-nil, is the module solve cache shared across
 	// modules (and runs): signature-equal solves are answered by
-	// bit-identical replays instead of fresh searches. Speculative
-	// module solving replaces it per lane with a *modcache.Overlay over
-	// the shared cache; callers holding a possibly nil *modcache.Cache
-	// must pass a nil interface, not a typed nil.
-	Cache modcache.Store
+	// bit-identical replays instead of fresh searches.
+	Cache *modcache.Cache
 	// Chain, when non-nil, carries reusable learned clauses across the
 	// related SAT formulas of one module's solve chain. PartitionSAT
 	// creates one per call when unset; solveModule shares one across

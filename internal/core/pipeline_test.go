@@ -7,8 +7,8 @@ import (
 
 	"asyncsyn/internal/bench"
 	"asyncsyn/internal/sg"
-	"asyncsyn/internal/synerr"
 	"asyncsyn/internal/stg"
+	"asyncsyn/internal/synerr"
 )
 
 // twoPulseCore: the canonical CSC-violating STG (codes 10 and 00 recur
@@ -49,12 +49,12 @@ func TestExpandToCSCConflictsPersistIters(t *testing.T) {
 	g := twoPulseGraph(t)
 	// The graph's CSC conflicts are unresolved: with a single round
 	// allowed, no refinement may be attempted and expansion must fail.
-	view, expanded, iters, fallback, err := ExpandToCSC(context.Background(), g, Options{MaxExpandIters: 1})
+	view, iters, fallback, err := ExpandToCSC(context.Background(), g, Options{MaxExpandIters: 1})
 	if !errors.Is(err, synerr.ErrConflictsPersist) {
 		t.Fatalf("conflicted graph must fail with ErrConflictsPersist, got %v", err)
 	}
-	if view != nil || expanded != nil {
-		t.Fatalf("failed expansion returned a view or graph")
+	if view != nil {
+		t.Fatalf("failed expansion returned a view")
 	}
 	if iters != 1 {
 		t.Fatalf("iters = %d, want exactly MaxExpandIters (1)", iters)
@@ -72,7 +72,7 @@ func TestExpandToCSCConflictsPersistIters(t *testing.T) {
 // reported iteration count covers the rounds actually run.
 func TestExpandToCSCRefinementResolves(t *testing.T) {
 	g := twoPulseGraph(t)
-	view, _, iters, fallback, err := ExpandToCSC(context.Background(), g, Options{})
+	view, iters, fallback, err := ExpandToCSC(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,31 +38,15 @@ type Options struct {
 	// back to the heuristic when prime enumeration explodes.
 	ExactLogic bool
 	// Workers bounds the worker pool used by the pipeline's independent
-	// stages (pre-sort conflict scans, whole-graph CSC analysis, and
-	// per-signal logic derivation). 0 means GOMAXPROCS; 1 runs
-	// sequentially. The synthesized circuit is bit-for-bit identical for
-	// every value — parallel stages always reduce in a fixed order
-	// (DESIGN.md §3.8).
+	// scans: the pre-sort conflict counts of the module stage, the
+	// partition passes' conflict scans, the residual and expanded-graph
+	// CSC analyses, and per-signal logic derivation. 0 means GOMAXPROCS;
+	// 1 runs sequentially. The module solves themselves always run one
+	// after another in the paper's most-conflicted-first order, since
+	// each module sees the state signals earlier ones inserted. The
+	// synthesized circuit is bit-for-bit identical for every value —
+	// parallel stages always reduce in a fixed order (DESIGN.md §3.8).
 	Workers int
-	// DisableSpeculation forces the per-output module solves to run
-	// strictly sequentially even when Workers > 1. By default the module
-	// stage speculates: workers solve outputs in parallel against
-	// copy-on-write snapshots of the state-signal columns and results
-	// commit strictly in the canonical most-conflicted-first order,
-	// discarding (and re-solving) any speculation a committed
-	// predecessor invalidated (DESIGN.md §3.15). Results are
-	// bit-identical either way; this exists for measurement and
-	// debugging.
-	DisableSpeculation bool
-	// DisableStreaming materializes the expanded state graph (Expand)
-	// instead of streaming it in topological waves (ExpandStream): the
-	// whole graph — states, edges, adjacency — is built in memory before
-	// conflict scanning and logic derivation consume it, and
-	// Result.Expanded carries it out. Results are bit-identical either
-	// way (the streaming view reproduces the materializing path's
-	// interning order, codes and implied values); this exists for
-	// measurement and for callers that need the expanded edge structure.
-	DisableStreaming bool
 }
 
 func (o Options) withDefaults() Options {
@@ -139,13 +123,9 @@ type Result struct {
 	// Full is the complete state graph with inserted phase columns.
 	Full *sg.Graph
 	// View is the column view of the final binary state graph the logic
-	// was derived from — always populated on success, whether the
-	// expansion streamed (the default) or materialized.
+	// was derived from; populated on success. Callers that need the
+	// expanded edge structure rebuild it with Full.Expand().
 	View *sg.Stream
-	// Expanded is the materialized final state graph; populated only
-	// under Options.DisableStreaming (the streaming path never builds
-	// it — that is the point).
-	Expanded *sg.Graph
 }
 
 // Synthesize runs the paper's modular_synthesis (Figure 6) on an STG:
@@ -215,28 +195,19 @@ func Synthesize(ctx context.Context, spec *stg.G, opt Options) (*Result, error) 
 			return nil
 		}},
 		{Name: "expand", Run: func(ctx context.Context) error {
-			view, expanded, iters, fallback, err := ExpandToCSC(ctx, full, opt)
+			view, iters, fallback, err := ExpandToCSC(ctx, full, opt)
 			res.Fallback = append(res.Fallback, fallback...)
 			res.ExpandIters = iters
 			if err != nil {
 				return err
 			}
 			res.View = view
-			res.Expanded = expanded
 			res.FinalStates = view.NumStates()
 			res.FinalSignals = len(view.Base)
 			return nil
 		}},
 		{Name: "logic", Run: func(ctx context.Context) error {
-			// The materializing path derives logic off the graph it built;
-			// the streaming path only ever has the column view. Both run
-			// the same table extraction (sg's shared tableOver), so the
-			// covers are bit-identical.
-			var src LogicSource = res.View
-			if res.Expanded != nil {
-				src = res.Expanded
-			}
-			fns, err := DeriveLogic(ctx, src, full, supports, passSigs, opt)
+			fns, err := DeriveLogic(ctx, res.View, full, supports, passSigs, opt)
 			if err != nil {
 				return err
 			}
@@ -301,56 +272,40 @@ func runModules(ctx context.Context, full *sg.Graph, spec *stg.G, opt Options, r
 	outs = sorted
 	supports := make(map[int]InputSet)
 	passSigs := make(map[int][]string) // output → state-signal names kept or added in its pass
-	if useSpeculation(opt, len(outs)) {
-		err := runModulesSpeculative(ctx, full, spec, opt, res, outs, supports, passSigs)
-		return supports, passSigs, err
-	}
 	for _, o := range outs {
 		octx := trace.WithOutput(ctx, full.Base[o].Name)
 		before := len(full.StateSigs)
 		is, pr, widened, err := solveModule(octx, full, DetermineInputSet(full, spec, o), opt.SAT)
-		recordModulePass(full, o, before, is, pr, widened, supports, passSigs, res)
+		supports[o] = is
+		for _, k := range is.StateSigs {
+			passSigs[o] = append(passSigs[o], full.StateSigs[k].Name)
+		}
+		for k := before; k < len(full.StateSigs); k++ {
+			passSigs[o] = append(passSigs[o], full.StateSigs[k].Name)
+		}
+		rep := OutputReport{
+			Output:   full.Base[o].Name,
+			InputSet: full.SignalNamesIn(is.Mask),
+			Widened:  widened,
+		}
+		if pr != nil {
+			rep.MergedStates = pr.MergedStates
+			rep.MergedEdges = pr.MergedEdges
+			rep.Ncsc = pr.Ncsc
+			rep.Lb = pr.Lb
+			rep.NewSignals = pr.NewSignals
+			rep.Formulas = pr.Formulas
+			res.Inserted += pr.NewSignals
+		}
+		for _, k := range is.StateSigs {
+			rep.StateSigs = append(rep.StateSigs, full.StateSigs[k].Name)
+		}
+		res.Outputs = append(res.Outputs, rep)
 		if err != nil {
 			return supports, passSigs, fmt.Errorf("output %q: %w", full.Base[o].Name, err)
 		}
 	}
 	return supports, passSigs, nil
-}
-
-// recordModulePass appends the bookkeeping of one completed module pass
-// — the support map, the pass signal names (kept plus the ones inserted
-// from index before on), and the output report. It is shared verbatim
-// by the sequential loop and the speculative committer, so the two
-// paths cannot drift.
-func recordModulePass(full *sg.Graph, o, before int, is InputSet, pr *PartitionResult, widened bool,
-	supports map[int]InputSet, passSigs map[int][]string, res *Result) {
-	supports[o] = is
-	for _, k := range is.StateSigs {
-		passSigs[o] = append(passSigs[o], full.StateSigs[k].Name)
-	}
-	for k := before; k < len(full.StateSigs); k++ {
-		passSigs[o] = append(passSigs[o], full.StateSigs[k].Name)
-	}
-	rep := OutputReport{
-		Output:   full.Base[o].Name,
-		InputSet: full.SignalNamesIn(is.Mask),
-		Widened:  widened,
-	}
-	if pr != nil {
-		rep.MergedStates = pr.MergedStates
-		rep.MergedEdges = pr.MergedEdges
-		rep.Ncsc = pr.Ncsc
-		rep.Lb = pr.Lb
-		rep.NewSignals = pr.NewSignals
-		rep.Formulas = pr.Formulas
-	}
-	for _, k := range is.StateSigs {
-		rep.StateSigs = append(rep.StateSigs, full.StateSigs[k].Name)
-	}
-	res.Outputs = append(res.Outputs, rep)
-	if pr != nil {
-		res.Inserted += pr.NewSignals
-	}
 }
 
 // solveModule runs partition_sat on the output's input set, widening the
@@ -398,21 +353,17 @@ func solveModule(ctx context.Context, full *sg.Graph, is InputSet, opt SATOption
 // small graph the solver), up to opt.MaxExpandIters rounds. g is
 // modified in place when refinement signals are added.
 //
-// By default each round streams the expansion (sg.ExpandStream): only
-// the per-state columns the conflict scan and logic derivation need are
+// Each round streams the expansion (sg.ExpandStream): only the
+// per-state columns the conflict scan and logic derivation need are
 // retained, never the expanded edge structure, so peak heap scales with
-// the state count times a few words instead of the full graph. Under
-// opt.DisableStreaming the round materializes the graph exactly as the
-// pre-streaming pipeline did and additionally returns it as expanded
-// (nil otherwise); view is populated either way and is bit-identical
-// between the two modes.
+// the state count times a few words instead of the full graph.
 //
 // iters reports the number of expansion rounds actually run; when
 // conflicts survive every round the returned error matches
 // synerr.ErrConflictsPersist and iters equals opt.MaxExpandIters (no
 // refinement is attempted after the final expansion — its result could
 // never be checked).
-func ExpandToCSC(ctx context.Context, g *sg.Graph, opt Options) (view *sg.Stream, expanded *sg.Graph, iters int, fallback []csc.FormulaStats, err error) {
+func ExpandToCSC(ctx context.Context, g *sg.Graph, opt Options) (view *sg.Stream, iters int, fallback []csc.FormulaStats, err error) {
 	opt = opt.withDefaults()
 	// Every refinement round solves formulas on the same graph g (only
 	// phase columns are appended between rounds), so one warm chain
@@ -424,57 +375,35 @@ func ExpandToCSC(ctx context.Context, g *sg.Graph, opt Options) (view *sg.Stream
 	}
 	mc := metrics.From(ctx)
 	for iters = 1; ; iters++ {
-		var conf *sg.Conflicts
-		if opt.DisableStreaming {
-			expanded, err = g.Expand()
-			if err != nil {
-				return nil, nil, iters, fallback, err
-			}
-			mc.Add(metrics.SGStates, int64(expanded.NumStates()))
-			// The expanded graph is the largest object in the pipeline; its
-			// conflict scan fans out over the code groups.
-			conf = sg.AnalyzeWorkers(expanded, opt.Workers)
-			if conf.N() == 0 {
-				view, err = sg.StreamOf(expanded)
-				return view, expanded, iters, fallback, err
-			}
-		} else {
-			view, err = g.ExpandStream()
-			if err != nil {
-				return nil, nil, iters, fallback, err
-			}
-			mc.Add(metrics.SGStates, int64(view.NumStates()))
-			mc.Add(metrics.SGStatesStreamed, int64(view.NumStates()))
-			mc.Max(metrics.SGPeakFrontier, int64(view.PeakFrontier))
-			conf = sg.AnalyzeStream(view, opt.Workers)
-			if conf.N() == 0 {
-				return view, nil, iters, fallback, nil
-			}
+		view, err = g.ExpandStream()
+		if err != nil {
+			return nil, iters, fallback, err
+		}
+		mc.Add(metrics.SGStates, int64(view.NumStates()))
+		mc.Add(metrics.SGStatesStreamed, int64(view.NumStates()))
+		mc.Max(metrics.SGPeakFrontier, int64(view.PeakFrontier))
+		conf := sg.AnalyzeStream(view, opt.Workers)
+		if conf.N() == 0 {
+			return view, iters, fallback, nil
 		}
 		if iters >= opt.MaxExpandIters {
-			return nil, nil, iters, fallback, fmt.Errorf("core: CSC conflicts persist after %d expansion rounds: %w",
+			return nil, iters, fallback, fmt.Errorf("core: CSC conflicts persist after %d expansion rounds: %w",
 				opt.MaxExpandIters, synerr.ErrConflictsPersist)
 		}
-		var origin []int
-		if opt.DisableStreaming {
-			origin = expanded.Origin
-		} else {
-			origin = view.Origin
-		}
-		refined := refinementConflicts(g, origin, conf)
+		refined := refinementConflicts(g, view.Origin, conf)
 		stats, rerr := solveRefinement(ctx, g, refined, opt, iters)
 		fallback = append(fallback, stats...)
 		if rerr != nil {
-			return nil, nil, iters, fallback, rerr
+			return nil, iters, fallback, rerr
 		}
 	}
 }
 
 // refinementConflicts maps expanded-graph conflict pairs back to g's
 // states through the origin column (expanded state → originating state
-// of g, from either the materialized graph or the streamed view) and
-// widens the USC side to every pair of g whose expansions could still
-// collide (equal base codes with overlapping state-signal level sets).
+// of g) and widens the USC side to every pair of g whose expansions
+// could still collide (equal base codes with overlapping state-signal
+// level sets).
 func refinementConflicts(g *sg.Graph, origin []int, conf *sg.Conflicts) *sg.Conflicts {
 	mustSep := make(map[sg.Pair]bool)
 	for _, p := range conf.CSC {
@@ -604,32 +533,20 @@ func overlapUSC(g *sg.Graph, cscPairs []sg.Pair) []sg.Pair {
 	return out
 }
 
-// LogicSource is the read surface logic derivation needs from the
-// expanded state space. Both the materialized *sg.Graph and the
-// streamed *sg.Stream implement it; their FunctionTable methods share
-// one extraction core, so the derived covers are bit-identical whichever
-// backs the derivation.
-type LogicSource interface {
-	BaseSignals() []sg.SignalInfo
-	SignalIndex(name string) (int, bool)
-	FunctionTable(sig int, supportMask uint64) (*sg.Table, error)
-}
-
 // DeriveLogic extracts and minimizes the logic of every non-input signal
-// of the expanded state space (a materialized graph or a streamed view).
-// Original outputs use their recorded input-set support (plus the state
-// signals, identified by name, kept or created in their pass), falling
-// back to wider supports if the restricted table is ill defined;
-// inserted state signals and any signal without a record use the full
-// support.
+// of the expanded state space. Original outputs use their recorded
+// input-set support (plus the state signals, identified by name, kept
+// or created in their pass), falling back to wider supports if the
+// restricted table is ill defined; inserted state signals and any
+// signal without a record use the full support.
 //
 // Every signal's cover is independent of the others, so the table
 // extraction and ESPRESSO minimization fan out over the worker pool and
 // the functions are collected in sorted-name order — the same order the
 // sequential loop produced.
-func DeriveLogic(ctx context.Context, expanded LogicSource, full *sg.Graph, supports map[int]InputSet, passSigs map[int][]string, opt Options) ([]Function, error) {
+func DeriveLogic(ctx context.Context, expanded *sg.Stream, full *sg.Graph, supports map[int]InputSet, passSigs map[int][]string, opt Options) ([]Function, error) {
 	nb := len(full.Base)
-	base := expanded.BaseSignals()
+	base := expanded.Base
 	fullMask := uint64(0)
 	for i := range base {
 		fullMask |= 1 << i

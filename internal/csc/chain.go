@@ -58,21 +58,6 @@ type ChainSolver struct {
 // NewChainSolver returns an empty, unbound chain solver.
 func NewChainSolver() *ChainSolver { return &ChainSolver{} }
 
-// Reset unbinds the solver so its next use rebuilds from scratch,
-// releasing the persistent incremental solver's clause state. Pooled
-// solvers (one per speculative worker) Reset between modules so a
-// reused solver is indistinguishable from the fresh one the sequential
-// path constructs per module — an incremental solver carrying learned
-// state across structurally identical modules would diverge from the
-// fresh-per-module search.
-func (c *ChainSolver) Reset() {
-	if c == nil {
-		return
-	}
-	c.fp = ""
-	c.inc = nil
-}
-
 // rebind attaches the solver to g's structure, resetting it when the
 // chain moves to a structurally different graph (same fingerprint as
 // WarmChain.Rebind: appending phase columns does not invalidate it).

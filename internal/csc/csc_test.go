@@ -9,8 +9,8 @@ import (
 	"asyncsyn/internal/bench"
 	"asyncsyn/internal/sat"
 	"asyncsyn/internal/sg"
-	"asyncsyn/internal/synerr"
 	"asyncsyn/internal/stg"
+	"asyncsyn/internal/synerr"
 )
 
 // twoPulse: the canonical CSC-violating STG (codes 10 and 00 recur with

@@ -54,12 +54,8 @@ type SolveOptions struct {
 	BDDNodeLimit int
 	// Cache, when non-nil, answers repeated solves of signature-equal
 	// problems from the module solve cache (see modcache). Hits are
-	// bit-identical replays of the producing solve. The Store is the
-	// shared *modcache.Cache in sequential runs and a per-lane
-	// *modcache.Overlay inside speculative module solves; callers
-	// holding a possibly nil *Cache must pass a nil interface, not a
-	// typed nil.
-	Cache modcache.Store
+	// bit-identical replays of the producing solve.
+	Cache *modcache.Cache
 	// Chain, when non-nil, carries reusable learned clauses across the
 	// related formulas of one solve chain: DPLL searches are seeded
 	// with the chain's clauses and export their own stable learnings

@@ -61,22 +61,6 @@ func (c *WarmChain) Rebind(g *sg.Graph) {
 	clear(c.seen)
 }
 
-// Reset returns the chain to its just-constructed state — unbound, no
-// clauses — while keeping its allocations for reuse. Speculative lanes
-// pool one chain per worker and Reset it before every module, so a
-// pooled chain behaves exactly like the fresh chain the sequential
-// path constructs per module (parity-critical: carried clauses would
-// change warm hashes, cache keys, and models whenever two modules'
-// quotients share a fingerprint).
-func (c *WarmChain) Reset() {
-	if c == nil {
-		return
-	}
-	c.fp = ""
-	c.clauses = c.clauses[:0]
-	clear(c.seen)
-}
-
 // graphFingerprint hashes the inputs of the edge-compatibility clauses.
 func graphFingerprint(g *sg.Graph) string {
 	h := sha256.New()

@@ -7,8 +7,8 @@ import (
 
 	"asyncsyn/internal/bench"
 	"asyncsyn/internal/sg"
-	"asyncsyn/internal/synerr"
 	"asyncsyn/internal/stg"
+	"asyncsyn/internal/synerr"
 )
 
 const twoPulse = `

@@ -82,71 +82,35 @@ const (
 	// CachePeerMisses counts remote-tier lookups that found no peer
 	// record and fell through to a local solve.
 	CachePeerMisses
-	// ModspecCommits counts speculative module solves committed as-is by
-	// the deterministic commit loop (the snapshot was still fresh and the
-	// lane's cache view revalidated).
-	ModspecCommits
-	// ModspecAborts counts speculative module solves discarded because a
-	// canonically earlier commit inserted state signals (or published
-	// cache entries) the lane did not see.
-	ModspecAborts
-	// ModspecResolves counts modules re-solved inline on the live graph
-	// after their speculative result was discarded at the commit front.
-	ModspecResolves
 
 	numKinds
 )
 
 var kindNames = [numKinds]string{
-	SATDecisions:    "sat_decisions",
-	SATConflicts:    "sat_conflicts",
-	SATPropagations: "sat_propagations",
-	SATLearned:      "sat_learned",
-	SATRestarts:     "sat_restarts",
-	SATFormulas:     "sat_formulas",
-	SATClauses:      "sat_clauses",
-	SATVars:         "sat_vars",
-	WalkSATFlips:    "walksat_flips",
-	BDDNodes:        "bdd_nodes",
-	SGStates:        "sg_states",
-	SGStatesMerged:  "sg_states_merged",
-	EspressoExpand:  "espresso_expand",
-	EspressoReduce:  "espresso_reduce",
-	Modules:         "modules",
-	CacheHits:       "modcache_hits",
-	CacheMisses:     "modcache_misses",
-	CacheInflight:   "modcache_inflight",
+	SATDecisions:     "sat_decisions",
+	SATConflicts:     "sat_conflicts",
+	SATPropagations:  "sat_propagations",
+	SATLearned:       "sat_learned",
+	SATRestarts:      "sat_restarts",
+	SATFormulas:      "sat_formulas",
+	SATClauses:       "sat_clauses",
+	SATVars:          "sat_vars",
+	WalkSATFlips:     "walksat_flips",
+	BDDNodes:         "bdd_nodes",
+	SGStates:         "sg_states",
+	SGStatesMerged:   "sg_states_merged",
+	EspressoExpand:   "espresso_expand",
+	EspressoReduce:   "espresso_reduce",
+	Modules:          "modules",
+	CacheHits:        "modcache_hits",
+	CacheMisses:      "modcache_misses",
+	CacheInflight:    "modcache_inflight",
 	SATWarmClauses:   "sat_warm_clauses",
 	SATAssumptions:   "sat_assumptions",
 	SGStatesStreamed: "sg_states_streamed",
 	SGPeakFrontier:   "sg_peak_frontier",
 	CachePeerHits:    "modcache_peer_hits",
 	CachePeerMisses:  "modcache_peer_misses",
-	ModspecCommits:   "modspec_commits",
-	ModspecAborts:    "modspec_aborts",
-	ModspecResolves:  "modspec_resolves",
-}
-
-// schedulingDependent marks the counters whose values depend on
-// goroutine timing (how often speculation went stale) rather than on
-// the problem: everything else is bit-identical for every Workers
-// value, and only that deterministic subset participates in the per-run
-// and per-stage deltas compared across worker counts and recorded in
-// BENCH_*.json. The raw collector (and the Prometheus exposition) still
-// carries them.
-var schedulingDependent = [numKinds]bool{
-	ModspecCommits:  true,
-	ModspecAborts:   true,
-	ModspecResolves: true,
-}
-
-// Deterministic reports whether the counter is independent of goroutine
-// scheduling (see schedulingDependent).
-func (k Kind) Deterministic() bool {
-	if k < 0 || k >= numKinds {
-		return false
-	}
-	return !schedulingDependent[k]
 }
 
 // String returns the counter's stable schema name.
@@ -250,49 +214,6 @@ func (s Snapshot) Delta(prev Snapshot) map[string]int64 {
 		}
 	}
 	return out
-}
-
-// DeterministicDelta is Delta restricted to the scheduling-independent
-// counters: the per-run and per-stage deltas surfaced in
-// Circuit.Counters and StageStat.Counters use it, so those maps stay
-// bit-identical for every Workers value even when speculation telemetry
-// (modspec_*) varies run to run.
-func (s Snapshot) DeterministicDelta(prev Snapshot) map[string]int64 {
-	var out map[string]int64
-	for i := range s {
-		if schedulingDependent[i] {
-			continue
-		}
-		if d := s[i] - prev[i]; d != 0 {
-			if out == nil {
-				out = make(map[string]int64)
-			}
-			out[Kind(i).String()] = d
-		}
-	}
-	return out
-}
-
-// Merge folds a staged snapshot into the collector: every counter is
-// added except the high-water marks (SGPeakFrontier), which are raised
-// with Max. Speculative lanes accumulate into a private collector and
-// merge it here only when their result commits, so a discarded lane
-// leaves no trace in the run's counters.
-func (c *Collector) Merge(s Snapshot) {
-	if c == nil {
-		return
-	}
-	for i := range s {
-		if s[i] == 0 {
-			continue
-		}
-		k := Kind(i)
-		if k == SGPeakFrontier {
-			c.Max(k, s[i])
-		} else {
-			c.Add(k, s[i])
-		}
-	}
 }
 
 type ctxKey struct{}

@@ -57,7 +57,6 @@ func TestKindNamesStable(t *testing.T) {
 		"sat_warm_clauses", "sat_assumptions",
 		"sg_states_streamed", "sg_peak_frontier",
 		"modcache_peer_hits", "modcache_peer_misses",
-		"modspec_commits", "modspec_aborts", "modspec_resolves",
 	}
 	kinds := Kinds()
 	if len(kinds) != len(want) {

@@ -8,33 +8,30 @@ import (
 // kindHelp is the one-line HELP text exposed for each counter; indexed
 // like kindNames.
 var kindHelp = [numKinds]string{
-	SATDecisions:    "Branching decisions of the DPLL engine.",
-	SATConflicts:    "Conflicts (backtracks) of the DPLL engine.",
-	SATPropagations: "Unit propagations of the DPLL engine.",
-	SATLearned:      "Clauses learned by conflict analysis.",
-	SATRestarts:     "DPLL restarts.",
-	SATFormulas:     "Solved SAT/BDD constraint instances.",
-	SATClauses:      "Total clause count of all encoded formulas.",
-	SATVars:         "Total variable count of all encoded formulas.",
-	WalkSATFlips:    "Variable flips of the local-search engine.",
-	BDDNodes:        "Node counts of BDD constraint solves.",
-	SGStates:        "State-graph states constructed.",
-	SGStatesMerged:  "States of the quotiented modular graphs.",
-	EspressoExpand:  "EXPAND passes of the two-level minimizer.",
-	EspressoReduce:  "REDUCE passes of the two-level minimizer.",
-	Modules:         "Per-output modular partition passes.",
-	CacheHits:       "Module solves answered from the solve cache.",
-	CacheMisses:     "Module solves the cache had to compute.",
-	CacheInflight:   "Solves deduplicated against an in-flight solve.",
-	SATWarmClauses:  "Learned clauses re-seeded into warm-started searches.",
-	SATAssumptions:  "Formulas solved as assumption-guarded incremental steps.",
+	SATDecisions:     "Branching decisions of the DPLL engine.",
+	SATConflicts:     "Conflicts (backtracks) of the DPLL engine.",
+	SATPropagations:  "Unit propagations of the DPLL engine.",
+	SATLearned:       "Clauses learned by conflict analysis.",
+	SATRestarts:      "DPLL restarts.",
+	SATFormulas:      "Solved SAT/BDD constraint instances.",
+	SATClauses:       "Total clause count of all encoded formulas.",
+	SATVars:          "Total variable count of all encoded formulas.",
+	WalkSATFlips:     "Variable flips of the local-search engine.",
+	BDDNodes:         "Node counts of BDD constraint solves.",
+	SGStates:         "State-graph states constructed.",
+	SGStatesMerged:   "States of the quotiented modular graphs.",
+	EspressoExpand:   "EXPAND passes of the two-level minimizer.",
+	EspressoReduce:   "REDUCE passes of the two-level minimizer.",
+	Modules:          "Per-output modular partition passes.",
+	CacheHits:        "Module solves answered from the solve cache.",
+	CacheMisses:      "Module solves the cache had to compute.",
+	CacheInflight:    "Solves deduplicated against an in-flight solve.",
+	SATWarmClauses:   "Learned clauses re-seeded into warm-started searches.",
+	SATAssumptions:   "Formulas solved as assumption-guarded incremental steps.",
 	SGStatesStreamed: "Expanded states emitted by the streaming wave expansion.",
 	SGPeakFrontier:   "Widest BFS wave reached by any streaming expansion.",
 	CachePeerHits:    "Module solves answered by a peer node's cache.",
 	CachePeerMisses:  "Remote-tier lookups that found no peer record.",
-	ModspecCommits:   "Speculative module solves committed as computed.",
-	ModspecAborts:    "Speculative module solves discarded as stale.",
-	ModspecResolves:  "Modules re-solved inline after a stale speculation.",
 }
 
 // WriteProm renders the collector's counters in the Prometheus text

@@ -135,25 +135,6 @@ type Remote interface {
 	Fetch(ctx context.Context, key Key) (*Entry, error)
 }
 
-// Store is the lookup surface the SAT layer solves through: Do with
-// singleflight-or-equivalent semantics. *Cache is the shared
-// implementation; *Overlay is the speculative per-lane view layered
-// over it. A nil Store means "no cache" — callers that hold a possibly
-// nil *Cache must convert it to a nil interface themselves (a typed nil
-// would defeat the nil check).
-type Store interface {
-	Do(ctx context.Context, key Key, solve func() (*Entry, error)) (entry *Entry, hit bool, err error)
-}
-
-// BaseOf returns the concrete shared cache behind a Store, when there
-// is one. Speculative module solving needs the concrete type to build
-// per-lane overlays; an unknown Store implementation reads as "no
-// speculation support" rather than an error.
-func BaseOf(s Store) (*Cache, bool) {
-	c, ok := s.(*Cache)
-	return c, ok && c != nil
-}
-
 // Cache is the solve cache. The zero value is not usable; construct
 // with New or NewDisk. All methods are safe for concurrent use.
 type Cache struct {
@@ -279,65 +260,6 @@ func (c *Cache) Do(ctx context.Context, key Key, solve func() (*Entry, error)) (
 		close(fl.done)
 		return val, false, solveErr
 	}
-}
-
-// peek returns a copy of the entry for key from the local tiers
-// (memory, then disk, promoting a disk hit to memory exactly as Do
-// does), or nil. Unlike Do it records no counters, joins no
-// singleflight, and never solves — the overlay's read path, which must
-// observe the shared tiers without perturbing them.
-func (c *Cache) peek(key Key) *Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		return e.clone()
-	}
-	if c.dir != "" {
-		if e := c.loadDisk(key); e != nil {
-			c.entries[key] = e
-			c.byDigest[RecordDigest(key)] = key
-			return e.clone()
-		}
-	}
-	return nil
-}
-
-// contains reports whether key is resolvable from the local tiers
-// (promoting a disk hit), without copying the entry.
-func (c *Cache) contains(key Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return true
-	}
-	if c.dir != "" {
-		if e := c.loadDisk(key); e != nil {
-			c.entries[key] = e
-			c.byDigest[RecordDigest(key)] = key
-			return true
-		}
-	}
-	return false
-}
-
-// putIfAbsent stores e (which must be a private copy the cache may own)
-// under key unless the key is already present — first write wins, and
-// entries for one key are byte-identical by construction, so there is
-// nothing to reconcile.
-func (c *Cache) putIfAbsent(key Key, e *Entry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return
-	}
-	c.store(key, e)
-}
-
-// remoteTier snapshots the attached peer tier (nil when none).
-func (c *Cache) remoteTier() Remote {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.remote
 }
 
 // store inserts e (which must be a private copy the cache owns) under

@@ -79,27 +79,6 @@ func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	return out, err
 }
 
-// Spawn starts workers goroutines running worker(0..workers-1) and
-// returns a function that blocks until all of them have returned.
-// Unlike ForEachIndexed there is no work partitioning and no error
-// plumbing: the workers coordinate through their own shared queue.
-// This is the substrate of schedulers that overlap a consuming loop on
-// the caller's goroutine with producing workers (the speculative
-// module scheduler: workers race ahead while the caller commits in
-// canonical order). Callers that can block a worker indefinitely must
-// unblock them (e.g. cancel a shared context) before calling wait.
-func Spawn(workers int, worker func(w int)) (wait func()) {
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			worker(w)
-		}(w)
-	}
-	return wg.Wait
-}
-
 // Pool is a reusable bounded worker pool. The zero value runs
 // sequentially; NewPool resolves the worker count once so callers can
 // report it.

@@ -62,11 +62,8 @@ func Run(ctx context.Context, stages []Stage) ([]StageStat, error) {
 		start := time.Now()
 		err := st.Run(sctx)
 		d := time.Since(start)
-		// Stage deltas use the same deterministic restriction as the
-		// facade's per-run delta, so the per-stage counters always sum
-		// to the run's (and both stay Workers-independent).
 		stat := StageStat{Name: st.Name, Duration: d,
-			Counters: collector.Snapshot().DeterministicDelta(before)}
+			Counters: collector.Snapshot().Delta(before)}
 		if err != nil {
 			stat.Err = err.Error()
 		}

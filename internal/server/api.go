@@ -248,7 +248,7 @@ func (s *Server) synthesize(ctx context.Context, j *job) (*Response, int) {
 // recordRun banks one completed synthesis in the run database and
 // returns the record id (empty when the write failed — history is
 // best-effort, the response is not). A digest that diverged from the
-/// banked record under an unchanged key is a determinism regression:
+// / banked record under an unchanged key is a determinism regression:
 // it stays flagged on the record and bumps the divergence counter so
 // a scrape catches it the moment it appears.
 func (s *Server) recordRun(c *asyncsyn.Circuit, j *job) string {
@@ -264,7 +264,7 @@ func (s *Server) recordRun(c *asyncsyn.Circuit, j *job) string {
 	return rec.ID
 }
 
-/// buildResponse maps a facade outcome to the wire: errors classify
+// / buildResponse maps a facade outcome to the wire: errors classify
 // through synerr.ClassOf; a budget abort (Circuit.Aborted) answers 422
 // with the partial statistics, mirroring the paper's Table 1 rows that
 // print aborted runs.

@@ -9,7 +9,7 @@ import (
 
 // TestAPIDocCoversRoutes diffs the live route tables against
 // docs/API.md: every pattern a shard or the router registers must have
-// a `### `METHOD /path`` heading, and the doc must not describe routes
+// a `### `METHOD /path“ heading, and the doc must not describe routes
 // that no longer exist. This keeps the operator reference from
 // drifting as endpoints are added or renamed.
 func TestAPIDocCoversRoutes(t *testing.T) {

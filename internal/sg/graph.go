@@ -343,10 +343,6 @@ func inferValues(g *stg.G, sgr *Graph) ([][]int8, error) {
 }
 
 // SignalIndex finds a base signal by name.
-// BaseSignals returns the base signal list (the core.LogicSource
-// surface shared with Stream).
-func (g *Graph) BaseSignals() []SignalInfo { return g.Base }
-
 func (g *Graph) SignalIndex(name string) (int, bool) {
 	for i, b := range g.Base {
 		if b.Name == name {
@@ -392,22 +388,6 @@ func (g *Graph) Clone() *Graph {
 		c.Origin = append([]int(nil), g.Origin...)
 	}
 	return c
-}
-
-// Snapshot returns a copy-on-write view of the graph for speculative
-// module solving: every structural slice (states, edges, adjacency,
-// base signals) is shared with g, and StateSigs is re-sliced with its
-// capacity capped at the current length, so an append on the snapshot
-// always reallocates instead of writing into g's backing array. The
-// snapshot is safe to extend with new state-signal columns while other
-// goroutines read g, as long as nothing mutates the shared structure —
-// which nothing in the module stage does (quotients build fresh graphs
-// and propagation only appends StateSigs).
-func (g *Graph) Snapshot() *Graph {
-	out := *g
-	n := len(g.StateSigs)
-	out.StateSigs = g.StateSigs[:n:n]
-	return &out
 }
 
 // InputEdge reports whether edge e is driven by the environment (an

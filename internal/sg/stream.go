@@ -28,18 +28,13 @@ type Stream struct {
 	Origin  []int    // originating state in the pre-expansion graph
 
 	// Waves is the number of BFS waves the expansion emitted and
-	// PeakFrontier the widest single wave; both are zero for a Stream
-	// built from an already-materialized graph (StreamOf).
+	// PeakFrontier the widest single wave.
 	Waves        int
 	PeakFrontier int
 }
 
 // NumStates returns the number of expanded states.
 func (st *Stream) NumStates() int { return len(st.Codes) }
-
-// BaseSignals returns the base signal list (the core.LogicSource
-// surface shared with Graph).
-func (st *Stream) BaseSignals() []SignalInfo { return st.Base }
 
 // InitialCode returns the code of the initial state.
 func (st *Stream) InitialCode() uint64 { return st.Codes[st.Initial] }
@@ -335,36 +330,4 @@ func (g *Graph) impliedMask(s int) uint64 {
 		}
 	}
 	return vals | (g.States[s].Code &^ decided)
-}
-
-// StreamOf builds the column view of an already-materialized phase-free
-// graph (typically the result of Expand). It exists so consumers can be
-// written against Stream alone and still serve the legacy materializing
-// path; Waves and PeakFrontier are zero since nothing was streamed.
-func StreamOf(g *Graph) (*Stream, error) {
-	if len(g.StateSigs) > 0 {
-		return nil, fmt.Errorf("sg: StreamOf requires an expanded, phase-free graph")
-	}
-	n := len(g.States)
-	st := &Stream{
-		Name:    g.Name,
-		Base:    g.Base,
-		Active:  g.Active,
-		Initial: g.Initial,
-		Codes:   make([]uint64, n),
-		Enabled: make([]uint64, n),
-		Implied: make([]uint64, n),
-		Origin:  make([]int, n),
-	}
-	for s := 0; s < n; s++ {
-		st.Codes[s] = g.States[s].Code
-		st.Enabled[s] = g.EnabledNonInputs(s)
-		st.Implied[s] = g.impliedMask(s)
-		if g.Origin != nil {
-			st.Origin[s] = g.Origin[s]
-		} else {
-			st.Origin[s] = s
-		}
-	}
-	return st, nil
 }

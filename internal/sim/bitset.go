@@ -31,9 +31,9 @@ type bitLit struct {
 // bitGate is a gate compiled against the runner's signal indexing.
 type bitGate struct {
 	name   string
-	out    int       // column of the driven signal
-	inSpec bool      // specification knows this signal
-	dead   bool      // a support input is unknown: gate never fires
+	out    int  // column of the driven signal
+	inSpec bool // specification knows this signal
+	dead   bool // a support input is unknown: gate never fires
 	cubes  [][]bitLit
 }
 

@@ -9,8 +9,9 @@
 // bounded depth (exhaustive) or along random trajectories (Monte Carlo).
 // Exhaustive exploration is bit-sliced: 64 product configurations
 // advance per step, with gate covers evaluated as word-wide AND/OR over
-// per-signal lane columns (see bitset.go); Options.Scalar reverts to
-// the one-configuration-at-a-time depth-first walker.
+// per-signal lane columns (see bitset.go); products wider than 64
+// signals fall back to the one-configuration-at-a-time depth-first
+// walker.
 package sim
 
 import (
@@ -206,12 +207,6 @@ type Options struct {
 	RandomWalks int
 	RandomSteps int
 	Seed        int64
-	// Scalar reverts exhaustive exploration to the depth-first scalar
-	// walker (one product configuration at a time) instead of the
-	// 64-lane bit-sliced breadth-first runner. Verdicts agree either way
-	// (pinned by TestBitsetMatchesScalar); this exists for measurement
-	// and as the fallback when the product has more than 64 signals.
-	Scalar bool
 }
 
 // Run exhaustively explores the closed-loop product of specification and
@@ -232,7 +227,10 @@ func Run(spec *stg.G, c *Circuit, initialLevels map[string]bool, opt Options) []
 	if opt.RandomWalks > 0 {
 		return canonicalize(r.randomWalks(opt))
 	}
-	if opt.Scalar || len(r.levels) > 64 {
+	if len(r.levels) > 64 {
+		// The bit-sliced runner packs one bit per signal; wider products
+		// take the scalar walker, whose verdicts agree with it
+		// (TestBitsetMatchesScalar).
 		return canonicalize(r.exhaustive(opt))
 	}
 	return canonicalize(r.bitExhaustive(opt))

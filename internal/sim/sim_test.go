@@ -81,6 +81,22 @@ func TestRandomWalkAgreesWithExhaustive(t *testing.T) {
 	}
 }
 
+// runScalar is Run with exhaustive exploration forced onto the
+// depth-first scalar walker, which Run itself takes only for products
+// wider than 64 signals.
+func runScalar(spec *stg.G, c *Circuit, levels map[string]bool, opt Options) []Violation {
+	if opt.MaxDepth == 0 {
+		opt.MaxDepth = 20000
+	}
+	r, err := newRunner(spec, c)
+	if err != nil {
+		return []Violation{{Kind: "setup", Signal: err.Error()}}
+	}
+	r.marking = spec.Net.Initial.Clone()
+	r.initLevels(levels)
+	return canonicalize(r.exhaustive(opt))
+}
+
 // TestBitsetMatchesScalar pins the bit-sliced breadth-first runner to
 // the scalar depth-first walker: on conforming circuits both return
 // nothing, and on broken circuits both report the same canonical
@@ -102,7 +118,7 @@ func TestBitsetMatchesScalar(t *testing.T) {
 	levels := map[string]bool{"req": false, "ack": false}
 	for _, tc := range cases {
 		bit := Run(spec, tc.circuit, levels, Options{})
-		sca := Run(spec, tc.circuit, levels, Options{Scalar: true})
+		sca := runScalar(spec, tc.circuit, levels, Options{})
 		if !reflect.DeepEqual(bit, sca) {
 			t.Errorf("%s: bitset %v != scalar %v", tc.name, bit, sca)
 		}
@@ -124,7 +140,7 @@ func TestBitsetMatchesScalarSynthesized(t *testing.T) {
 		}
 		c, levels := circuitOf(res)
 		bit := Run(spec, c, levels, Options{MaxDepth: 50000})
-		sca := Run(spec, c, levels, Options{MaxDepth: 50000, Scalar: true})
+		sca := runScalar(spec, c, levels, Options{MaxDepth: 50000})
 		if !reflect.DeepEqual(bit, sca) {
 			t.Errorf("%s: bitset %v != scalar %v", name, bit, sca)
 		}
@@ -234,7 +250,7 @@ func BenchmarkSimScalar(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v := Run(spec, c, levels, Options{MaxDepth: 50000, Scalar: true}); len(v) != 0 {
+		if v := runScalar(spec, c, levels, Options{MaxDepth: 50000}); len(v) != 0 {
 			b.Fatalf("violations: %v", v)
 		}
 	}

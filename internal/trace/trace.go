@@ -130,73 +130,6 @@ func Formula(ctx context.Context, e FormulaEvent) {
 	}
 }
 
-// Recording buffers the events a speculative computation emits so they
-// can be replayed into the real tracer — in emission order — only if
-// the computation commits. A discarded recording is simply dropped, so
-// an aborted speculation leaves no trace events, exactly like work that
-// never ran. Safe for concurrent use (a lane's portfolio race emits
-// from multiple goroutines).
-type Recording struct {
-	mu     sync.Mutex
-	parent Tracer
-	events []recordedEvent
-}
-
-type recordedEvent struct {
-	kind    int // 0 = StageStart, 1 = StageEnd, 2 = FormulaSolved
-	stage   StageEvent
-	formula FormulaEvent
-}
-
-// Record swaps the context's tracer for a Recording, keeping the scope
-// labels (model, method, stage, output) so recorded events are
-// indistinguishable from directly emitted ones. When ctx carries no
-// tracer it is returned unchanged with a nil Recording — nil-safe to
-// Replay.
-func Record(ctx context.Context) (context.Context, *Recording) {
-	s, ok := scopeOf(ctx)
-	if !ok {
-		return ctx, nil
-	}
-	rec := &Recording{parent: s.tracer}
-	s.tracer = rec
-	return context.WithValue(ctx, ctxKey{}, s), rec
-}
-
-// Replay emits the recorded events into the tracer that was attached
-// when Record was called, in emission order. No-op on nil.
-func (r *Recording) Replay() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	events := r.events
-	r.events = nil
-	r.mu.Unlock()
-	for _, e := range events {
-		switch e.kind {
-		case 0:
-			r.parent.StageStart(e.stage)
-		case 1:
-			r.parent.StageEnd(e.stage)
-		case 2:
-			r.parent.FormulaSolved(e.formula)
-		}
-	}
-}
-
-func (r *Recording) add(e recordedEvent) {
-	r.mu.Lock()
-	r.events = append(r.events, e)
-	r.mu.Unlock()
-}
-
-func (r *Recording) StageStart(e StageEvent) { r.add(recordedEvent{kind: 0, stage: e}) }
-func (r *Recording) StageEnd(e StageEvent)   { r.add(recordedEvent{kind: 1, stage: e}) }
-func (r *Recording) FormulaSolved(e FormulaEvent) {
-	r.add(recordedEvent{kind: 2, formula: e})
-}
-
 // jsonEvent is the wire form of every event: one JSON object per line.
 type jsonEvent struct {
 	Type     string  `json:"type"`

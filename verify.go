@@ -20,7 +20,7 @@ func (c *Circuit) Verify(s *STG, maxStates, walks int) []string {
 	for _, f := range c.Functions {
 		circuit.Gates = append(circuit.Gates, sim.Gate{Name: f.Name, Inputs: f.Inputs, Cover: f.cover})
 	}
-	opt := sim.Options{MaxDepth: maxStates, Scalar: c.scalarSim}
+	opt := sim.Options{MaxDepth: maxStates}
 	if walks > 0 {
 		opt.RandomWalks = walks
 		opt.RandomSteps = 400
