@@ -31,12 +31,9 @@ import (
 	"math"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -183,9 +180,13 @@ func doRun(out string, quick bool, workers int, maxBT int64, cacheDir string, no
 }
 
 func doCompare(baseline, freshPath, out string, quick bool, workers int, maxBT int64, cacheDir string, noIncr, requireHits bool) error {
-	baseline, err := resolveBaseline(baseline)
+	resolved, err := benchrec.ResolveBaseline(baseline)
 	if err != nil {
-		return err
+		return fmt.Errorf("-against: %w", err)
+	}
+	if resolved != baseline {
+		fmt.Fprintf(os.Stderr, "bench: -against %s resolved to %s\n", baseline, resolved)
+		baseline = resolved
 	}
 	old, err := benchrec.ReadFile(baseline)
 	if err != nil {
@@ -226,47 +227,6 @@ func doCompare(baseline, freshPath, out string, quick bool, workers int, maxBT i
 		fmt.Printf("bench: fresh record shows %d solve-cache hits\n", hits)
 	}
 	return nil
-}
-
-// resolveBaseline turns a -against directory into its highest-numbered
-// BENCH_*.json record — the conventional "latest committed baseline" —
-// so CI can point at the baselines directory without editing the
-// workflow every time a new record lands. Numbers compare numerically
-// (BENCH_10 beats BENCH_9); ties and unnumbered records fall back to
-// lexical order. A file path passes through untouched.
-func resolveBaseline(path string) (string, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return "", err
-	}
-	if !fi.IsDir() {
-		return path, nil
-	}
-	matches, err := filepath.Glob(filepath.Join(path, "BENCH_*.json"))
-	if err != nil {
-		return "", err
-	}
-	if len(matches) == 0 {
-		return "", fmt.Errorf("-against %s: no BENCH_*.json records in directory", path)
-	}
-	num := func(p string) int {
-		base := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json")
-		n, err := strconv.Atoi(base)
-		if err != nil {
-			return -1
-		}
-		return n
-	}
-	sort.Slice(matches, func(i, j int) bool {
-		ni, nj := num(matches[i]), num(matches[j])
-		if ni != nj {
-			return ni < nj
-		}
-		return matches[i] < matches[j]
-	})
-	best := matches[len(matches)-1]
-	fmt.Fprintf(os.Stderr, "bench: -against %s resolved to %s\n", path, best)
-	return best, nil
 }
 
 // cacheHits totals every modcache_hits counter in a record, across the

@@ -2,6 +2,8 @@ package benchrec
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -255,5 +257,28 @@ func TestDigestStable(t *testing.T) {
 	}
 	if Digest([]string{"b = a"}) == a {
 		t.Fatal("different inputs produced equal digests")
+	}
+}
+
+// TestResolveBaseline: a directory resolves to its highest-numbered
+// record, numbers comparing numerically; a file passes through; a
+// directory without records is an error.
+func TestResolveBaseline(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"BENCH_2.json", "BENCH_10.json", "BENCH_9.json", "BENCH_x.json", "other.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := ResolveBaseline(dir)
+	if err != nil || got != filepath.Join(dir, "BENCH_10.json") {
+		t.Fatalf("ResolveBaseline(dir) = %q, %v; want BENCH_10.json", got, err)
+	}
+	file := filepath.Join(dir, "other.json")
+	if got, err := ResolveBaseline(file); err != nil || got != file {
+		t.Fatalf("ResolveBaseline(file) = %q, %v; want the file itself", got, err)
+	}
+	if _, err := ResolveBaseline(t.TempDir()); err == nil {
+		t.Fatal("an empty directory resolved to a record")
 	}
 }

@@ -17,7 +17,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // SchemaVersion identifies the record layout. Any breaking change to
@@ -288,6 +291,46 @@ func ReadFile(path string) (*Record, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return r, nil
+}
+
+// ResolveBaseline turns a directory into its highest-numbered
+// BENCH_*.json record — the conventional "latest committed baseline" —
+// so CI can point at the baselines directory without editing the
+// workflow every time a new record lands, and tests pin the same record
+// cmd/bench -against compares with. Numbers compare numerically
+// (BENCH_10 beats BENCH_9); ties and unnumbered records fall back to
+// lexical order. A file path passes through untouched.
+func ResolveBaseline(path string) (string, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return "", err
+	}
+	if !fi.IsDir() {
+		return path, nil
+	}
+	matches, err := filepath.Glob(filepath.Join(path, "BENCH_*.json"))
+	if err != nil {
+		return "", err
+	}
+	if len(matches) == 0 {
+		return "", fmt.Errorf("benchrec: no BENCH_*.json records in directory %s", path)
+	}
+	num := func(p string) int {
+		base := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json")
+		n, err := strconv.Atoi(base)
+		if err != nil {
+			return -1
+		}
+		return n
+	}
+	sort.Slice(matches, func(i, j int) bool {
+		ni, nj := num(matches[i]), num(matches[j])
+		if ni != nj {
+			return ni < nj
+		}
+		return matches[i] < matches[j]
+	})
+	return matches[len(matches)-1], nil
 }
 
 // Digest hashes the machine-independent outputs of a run into a short

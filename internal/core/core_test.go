@@ -40,7 +40,7 @@ func TestDetermineInputSetInvariants(t *testing.T) {
 			}
 			// The paper's guarantee: merging never increases the conflict
 			// count beyond the unmerged graph.
-			n0, _ := outputStats(full, nil, o)
+			n0, _ := outputStats(full, o)
 			if is.Ncsc > n0 {
 				t.Errorf("%s/%s: modular conflicts %d > full-graph %d", name, full.Base[o].Name, is.Ncsc, n0)
 			}
@@ -121,7 +121,7 @@ func TestPartitionSATInsertsAndPropagates(t *testing.T) {
 		t.Fatalf("propagated phases inconsistent: %v", bad)
 	}
 	// The output's conflicts are gone on the full graph.
-	n, _ := outputStats(full, nil, o)
+	n, _ := outputStats(full, o)
 	if n != 0 {
 		t.Fatalf("%d output conflicts remain after partition_sat", n)
 	}

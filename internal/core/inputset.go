@@ -36,6 +36,13 @@ type InputSet struct {
 	Lb   int
 }
 
+// keepOutputs retains every non-input signal in each module. Removing an
+// output signal removes its edges — the only places an inserted signal's
+// transitions may complete under the input-properness restriction — and
+// measurably degrades the regularity (and hence the area) of the
+// solutions found on concurrency-heavy graphs.
+const keepOutputs = true
+
 // DetermineInputSet computes the input signal set of output o (a base
 // signal index of g), following the paper's Figure 2: start from the
 // immediate input set (signals with a direct causal arc to a transition
@@ -44,18 +51,13 @@ type InputSet struct {
 // bound and does not break any state-signal phase join; finally drop the
 // inserted state signals whose removal does not increase conflicts.
 //
-// The STG is needed only for the trigger relation; spec may be nil, in
-// which case every signal is a removal candidate (the immediate input set
-// is approximated by the signals labelling edges into o-transition
-// predecessor states — a weaker but STG-free criterion is not available,
-// so we simply start from the empty immediate set).
-// keepOutputs retains every non-input signal in each module. Removing an
-// output signal removes its edges — the only places an inserted signal's
-// transitions may complete under the input-properness restriction — and
-// measurably degrades the regularity (and hence the area) of the
-// solutions found on concurrency-heavy graphs.
-const keepOutputs = true
-
+// Each candidate removal is judged by counts on the ε-classes it would
+// merge (sg.Graph.QuotientCounts): no quotient graph or conflict-pair
+// list is built until PartitionSAT builds the one module.
+//
+// The STG is needed only for the trigger relation. spec may be nil: the
+// immediate input set is then empty, so every active input signal is a
+// removal candidate (keepOutputs keeps the non-inputs).
 func DetermineInputSet(g *sg.Graph, spec *stg.G, o int) InputSet {
 	is := InputSet{Output: o}
 
@@ -72,7 +74,8 @@ func DetermineInputSet(g *sg.Graph, spec *stg.G, o int) InputSet {
 	}
 
 	// Baseline conflict stats on the full graph (no merging).
-	nCSC, lb := outputStats(g, nil, o)
+	implied1 := impliedOnes(g, o)
+	nCSC, lb := g.OutputCounts(implied1)
 
 	// Candidate removal order: by signal name, inputs considered before
 	// non-inputs so environment signals are shed first when possible.
@@ -94,18 +97,13 @@ func DetermineInputSet(g *sg.Graph, spec *stg.G, o int) InputSet {
 		return g.Base[ca].Name < g.Base[cb].Name
 	})
 
+	// A trial is rejected when a phase join fails (the signal carries a
+	// state-signal edge) or a class implies both values of o (n2 < 0).
 	var silenced uint64
 	for _, si := range candidates {
 		try := silenced | 1<<si
-		merged, ok := g.Quotient(try)
-		if !ok {
-			continue // phase join failed: si carries a state-signal edge
-		}
-		n2, lb2 := outputStatsMerged(merged, o)
-		if n2 < 0 {
-			continue // removal created a self-conflicting class
-		}
-		if n2 <= nCSC && lb2 <= lb {
+		n2, lb2, ok := g.QuotientCounts(try, implied1)
+		if ok && n2 >= 0 && n2 <= nCSC && lb2 <= lb {
 			silenced = try
 			nCSC, lb = n2, lb2
 		}
@@ -126,13 +124,8 @@ func DetermineInputSet(g *sg.Graph, spec *stg.G, o int) InputSet {
 				without = append(without, j)
 			}
 		}
-		gw := withStateSigs(g, without)
-		merged, ok := gw.Quotient(silenced)
-		if !ok {
-			continue
-		}
-		n2, lb2 := outputStatsMerged(merged, o)
-		if n2 >= 0 && n2 <= nCSC && lb2 <= lb {
+		n2, lb2, ok := withStateSigs(g, without).QuotientCounts(silenced, implied1)
+		if ok && n2 >= 0 && n2 <= nCSC && lb2 <= lb {
 			kept = without
 			nCSC, lb = n2, lb2
 		}
@@ -153,23 +146,17 @@ func withStateSigs(g *sg.Graph, keep []int) *sg.Graph {
 	return &c
 }
 
-// outputStats computes (N_csc, L_b) for output o directly on graph g.
-func outputStats(g *sg.Graph, _ []int, o int) (int, int) {
-	conf := sg.OutputConflicts(g, func(s int) (bool, bool) {
-		return g.ImpliedValue(s, o) == 0, g.ImpliedValue(s, o) == 1
-	})
-	return conf.N(), conf.LowerBound
+// impliedOnes returns output o's implied-value column on g: whether o's
+// next value is 1 in each state.
+func impliedOnes(g *sg.Graph, o int) []bool {
+	col := make([]bool, len(g.States))
+	for s := range col {
+		col[s] = g.ImpliedValue(s, o) == 1
+	}
+	return col
 }
 
-// outputStatsMerged computes (N_csc, L_b) for output o on a merged graph;
-// it returns N_csc = -1 when some merged class implies both values of o
-// (a self-conflict that no state-signal assignment can repair).
-func outputStatsMerged(m *sg.Merged, o int) (int, int) {
-	conf := sg.OutputConflicts(m.Graph, m.ImpliedOf(o))
-	for _, p := range conf.CSC {
-		if p.A == p.B {
-			return -1, 0
-		}
-	}
-	return conf.N(), conf.LowerBound
+// outputStats computes (N_csc, L_b) for output o directly on graph g.
+func outputStats(g *sg.Graph, o int) (int, int) {
+	return g.OutputCounts(impliedOnes(g, o))
 }

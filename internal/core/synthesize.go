@@ -240,16 +240,17 @@ func runModules(ctx context.Context, full *sg.Graph, spec *stg.G, opt Options, r
 	// module to invent several entangled signals at once, which measurably
 	// degrades area.
 	//
-	// Each output's conflict count is computed exactly once, with the
-	// independent full-graph scans fanned out over the worker pool (the
-	// comparator itself must stay cheap: it runs O(n log n) times).
+	// Each output's conflict count is computed exactly once, by the
+	// counting evaluator on the unmerged graph, with the independent
+	// outputs fanned out over the worker pool (the comparator itself must
+	// stay cheap: it runs O(n log n) times).
 	outs := nonInputsByName(full)
 	counts, err := par.Map(len(outs), opt.Workers, func(i int) (int, error) {
 		// outputStats is a pure scan with no failure mode (its second
 		// return is a count, not an error), so the closure can only
 		// return nil here; the outer error is still propagated so a
 		// future failure mode cannot be silently dropped.
-		n, _ := outputStats(full, nil, outs[i])
+		n, _ := outputStats(full, outs[i])
 		return n, nil
 	})
 	if err != nil {

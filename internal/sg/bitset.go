@@ -41,46 +41,55 @@ type scratch struct {
 	ints  []int
 	ints2 []int
 	u64s  []uint64
+	u64s2 []uint64
 	bits  bitset
 	bits2 bitset
 	dirs  []int8
+	flags []uint8
+	sets  []PhaseSet
 }
 
-// intsFor returns s.ints resized to n (contents undefined).
-func (s *scratch) intsFor(n int) []int {
-	if cap(s.ints) < n {
-		s.ints = make([]int, n)
+// resize returns *buf resized to n, reallocating only when its capacity
+// is short (contents undefined).
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	s.ints = s.ints[:n]
-	return s.ints
+	*buf = (*buf)[:n]
+	return *buf
 }
 
-// ints2For returns s.ints2 resized to n (contents undefined).
-func (s *scratch) ints2For(n int) []int {
-	if cap(s.ints2) < n {
-		s.ints2 = make([]int, n)
-	}
-	s.ints2 = s.ints2[:n]
-	return s.ints2
-}
-
-// u64sFor returns s.u64s resized to n (contents undefined).
-func (s *scratch) u64sFor(n int) []uint64 {
-	if cap(s.u64s) < n {
-		s.u64s = make([]uint64, n)
-	}
-	s.u64s = s.u64s[:n]
-	return s.u64s
-}
+func (s *scratch) intsFor(n int) []int      { return resize(&s.ints, n) }
+func (s *scratch) ints2For(n int) []int     { return resize(&s.ints2, n) }
+func (s *scratch) u64sFor(n int) []uint64   { return resize(&s.u64s, n) }
+func (s *scratch) u64s2For(n int) []uint64  { return resize(&s.u64s2, n) }
+func (s *scratch) flagsFor(n int) []uint8   { return resize(&s.flags, n) }
+func (s *scratch) setsFor(n int) []PhaseSet { return resize(&s.sets, n) }
 
 // dirsFor returns s.dirs resized to n and filled with fill.
 func (s *scratch) dirsFor(n int, fill int8) []int8 {
-	if cap(s.dirs) < n {
-		s.dirs = make([]int8, n)
+	d := resize(&s.dirs, n)
+	for i := range d {
+		d[i] = fill
 	}
-	s.dirs = s.dirs[:n]
-	for i := range s.dirs {
-		s.dirs[i] = fill
+	return d
+}
+
+// scratchFor returns a scratch bundle for a pass over an n-state graph:
+// a pooled one, or above quotientSpillStates a fresh one that
+// releaseScratch leaves to the GC. Pooled scratch never shrinks, so one
+// huge graph would otherwise pin arenas of its size in the pool for the
+// life of the process.
+func scratchFor(n int) *scratch {
+	if n > quotientSpillStates {
+		return new(scratch)
 	}
-	return s.dirs
+	return scratchPool.Get().(*scratch)
+}
+
+// releaseScratch returns a bundle obtained from scratchFor(n).
+func releaseScratch(n int, sc *scratch) {
+	if n <= quotientSpillStates {
+		scratchPool.Put(sc)
+	}
 }

@@ -264,6 +264,10 @@ func analyzeGroups(groups [][]int, enabled []uint64, workers int) *Conflicts {
 // graphs: o's logic function must be well defined on the visible code.
 // impliedOf gives the set of implied values for a state (a merged state
 // may carry both from its members; such a state conflicts with itself).
+//
+// This one-worker form is the test oracle of the counting evaluator
+// (QuotientCounts, OutputCounts), which input-set determination uses;
+// the module stage lists a module's pairs with OutputConflictsWorkers.
 func OutputConflicts(g *Graph, impliedOf func(state int) (has0, has1 bool)) *Conflicts {
 	return OutputConflictsWorkers(g, impliedOf, 1)
 }

@@ -25,87 +25,31 @@ type Merged struct {
 // inconsistent phase join (the paper's guard: a signal whose removal puts
 // an Up and a Down of some state signal in one class cannot be removed).
 func (g *Graph) Quotient(silencedMask uint64) (m *Merged, ok bool) {
-	isEps := func(e Edge) bool {
-		return e.Sig < 0 || silencedMask&(1<<e.Sig) != 0
-	}
-
-	// Union-find over ε-connected states. The parent and numbering
-	// arrays are pooled: input-set determination quotients the same
-	// graph dozens of times in a row, and none of this scratch escapes.
-	// Above the spill threshold the arrays are plain heap allocations
-	// instead — pooled scratch never shrinks, so quotienting one huge
-	// graph would otherwise pin an arena of its size in the pool for the
-	// life of the process.
+	// The union-find parent array and the member counts are pooled
+	// scratch (scratchFor): one quotient is built per module, about 90
+	// per Table-1 pass, and none of this scratch escapes.
 	n := len(g.States)
-	var sc *scratch
-	var parent, index []int
-	if n > quotientSpillStates {
-		parent = make([]int, n)
-		index = make([]int, n)
-	} else {
-		sc = scratchPool.Get().(*scratch)
-		parent = sc.intsFor(n)
-		index = sc.ints2For(n)
-	}
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
-	}
-	for _, e := range g.Edges {
-		if isEps(e) {
-			union(e.From, e.To)
-		}
-	}
-
-	// Number merged states in order of their smallest member. Roots are
-	// state indices, so a slice (-1 = unnumbered) replaces the map, and
-	// the member lists are carved out of one backing array sized by a
-	// counting pass instead of growing per append.
-	size := make([]int, 0, n)
+	sc := scratchFor(n)
 	cover := make([]int, n)
-	for i := range index {
-		index[i] = -1
-	}
-	for s := 0; s < n; s++ {
-		r := find(s)
-		mi := index[r]
-		if mi < 0 {
-			mi = len(size)
-			index[r] = mi
-			size = append(size, 0)
-		}
-		cover[s] = mi
+	nm := g.epsClasses(silencedMask, sc.intsFor(n), cover)
+
+	// Member lists in ascending state order, carved out of one backing
+	// array sized by a counting pass instead of growing per append.
+	size := sc.ints2For(nm)
+	clear(size)
+	for _, mi := range cover {
 		size[mi]++
 	}
-	members := make([][]int, len(size))
+	members := make([][]int, nm)
 	backing := make([]int, n)
 	off := 0
 	for mi, sz := range size {
 		members[mi] = backing[off : off : off+sz]
 		off += sz
 	}
-	for s := 0; s < n; s++ {
-		mi := cover[s]
+	releaseScratch(n, sc)
+	for s, mi := range cover {
 		members[mi] = append(members[mi], s)
-	}
-	if sc != nil {
-		scratchPool.Put(sc)
 	}
 
 	active := g.Active &^ silencedMask
@@ -143,24 +87,22 @@ func (g *Graph) Quotient(silencedMask uint64) (m *Merged, ok bool) {
 		mg.StateSigs = append(mg.StateSigs, StateSignal{Name: ss.Name, Phases: joined})
 	}
 
-	// Edges: keep non-ε edges, re-pointed and deduplicated. The dedup
-	// key packs (from, to, sig, dir) into a uint64 — from and to index
-	// merged states (< n) and sig indexes base signals (< MaxSignals) —
-	// and the set itself is pooled across calls: input-set determination
-	// quotients the same graph dozens of times in a row.
+	// Edges: keep the edges between classes, re-pointed and
+	// deduplicated. An ε edge lies inside its class; every other edge
+	// flips an active bit, on which a class's members agree, so it joins
+	// two classes. The dedup key packs (from, to, sig, dir) into a
+	// uint64 — from and to index merged states (< n) and sig indexes
+	// base signals (< MaxSignals) — and the set itself is pooled across
+	// calls, one per module.
 	seen := edgeSeenPool.Get().(map[uint64]struct{})
-	nm := uint64(len(members))
+	nm64 := uint64(nm)
 	mg.Edges = make([]Edge, 0, len(g.Edges))
 	for _, e := range g.Edges {
-		if isEps(e) {
-			continue
-		}
 		ne := Edge{From: cover[e.From], To: cover[e.To], Sig: e.Sig, Dir: e.Dir}
 		if ne.From == ne.To {
-			// Impossible for active signals (the bit flips); defensive.
 			continue
 		}
-		k := (uint64(ne.From)*nm+uint64(ne.To))<<7 | uint64(ne.Sig)<<1 | uint64(ne.Dir)
+		k := (uint64(ne.From)*nm64+uint64(ne.To))<<7 | uint64(ne.Sig)<<1 | uint64(ne.Dir)
 		if _, dup := seen[k]; dup {
 			continue
 		}
@@ -173,11 +115,57 @@ func (g *Graph) Quotient(silencedMask uint64) (m *Merged, ok bool) {
 	return &Merged{Graph: mg, Orig: g, Cover: cover, Members: members}, allOK
 }
 
-// quotientSpillStates is the spill threshold for the Quotient scratch
-// arenas: graphs above this state count bypass scratchPool entirely so
-// their arenas are released to the GC when the quotient finishes,
-// keeping the pool's resident footprint bounded by typical module sizes
-// rather than the largest expanded graph of the run.
+// epsClasses computes the ε-classes of g with the signals in silenced
+// removed: the sets of states joined by ε edges, which are the dummy
+// edges (Sig < 0) and the edges of silenced signals. cls[s] receives
+// the class of state s, classes numbered 0, 1, ... in order of their
+// smallest member; parent is union-find scratch. Both slices have one
+// entry per state. It returns the number of classes. Quotient and
+// QuotientCounts both merge through here, so the class rule is written
+// once.
+func (g *Graph) epsClasses(silenced uint64, parent, cls []int) int {
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, e := range g.Edges {
+		if e.Sig >= 0 && silenced&(1<<e.Sig) == 0 {
+			continue
+		}
+		// The smaller root wins, so every root is its class's smallest
+		// member.
+		ra, rb := find(e.From), find(e.To)
+		if ra > rb {
+			ra, rb = rb, ra
+		}
+		parent[rb] = ra
+	}
+	// A root is numbered when the scan reaches it, before any other
+	// member of its class, which then takes the root's number.
+	nc := 0
+	for s := range cls {
+		if r := find(s); r != s {
+			cls[s] = cls[r]
+			continue
+		}
+		cls[s] = nc
+		nc++
+	}
+	return nc
+}
+
+// quotientSpillStates is the spill threshold of scratchFor, which gives
+// Quotient and the counting evaluator their scratch: graphs above this
+// state count bypass scratchPool entirely so their arenas are released
+// to the GC when the call finishes, keeping the pool's resident
+// footprint bounded by typical module sizes rather than the largest
+// graph of the run.
 const quotientSpillStates = 1 << 16
 
 // edgeSeenPool recycles the Quotient edge-dedup sets. Sets are cleared

@@ -154,8 +154,9 @@ func identityPerm(n int) []int {
 }
 
 // BenchmarkQuotient measures the ε-quotient on a random state graph,
-// silencing half the signals — the hot construction of modular
-// synthesis (one quotient per output per input-set probe).
+// silencing half the signals — the construction behind every module
+// (one quotient per module; input-set probes only count, see
+// QuotientCounts).
 func BenchmarkQuotient(b *testing.B) {
 	spec, err := stg.Random(11, stg.RandomOptions{})
 	if err != nil {

@@ -36,7 +36,10 @@ func (e ParseError) Error() string { return fmt.Sprintf("stg: line %d: %s", e.Li
 // directives (.capacity, .slowenv, ...) are skipped.
 func Parse(r io.Reader) (*G, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines may be up to 1 MiB long. The buffer starts small and grows
+	// only as long lines need it, so a typical spec never allocates the
+	// limit.
+	sc.Buffer(nil, 1<<20)
 
 	g := New("")
 	var (

@@ -1,6 +1,8 @@
 package stg
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -196,6 +198,12 @@ func TestParseErrors(t *testing.T) {
 			}
 		})
 	}
+	t.Run("line over 1 MiB", func(t *testing.T) {
+		src := strings.Replace(simpleSrc, "# four-phase handshake", "# "+strings.Repeat("x", 1<<20), 1)
+		if _, err := ParseString(src); !errors.Is(err, bufio.ErrTooLong) {
+			t.Fatalf("want bufio.ErrTooLong, got %v", err)
+		}
+	})
 }
 
 func TestImmediateInputs(t *testing.T) {
@@ -260,7 +268,10 @@ func TestSplitEdge(t *testing.T) {
 // TestRoundTrip checks that Format output reparses to a structurally
 // identical STG for a variety of constructs.
 func TestRoundTrip(t *testing.T) {
-	for _, src := range []string{simpleSrc, `
+	// A 100 KiB comment line: far longer than the scanner's initial
+	// buffer, within the 1 MiB line limit.
+	longLine := strings.Replace(simpleSrc, "# four-phase handshake", "# "+strings.Repeat("x", 100<<10), 1)
+	for _, src := range []string{simpleSrc, longLine, `
 .model rt
 .inputs a b
 .outputs c
