@@ -6,6 +6,7 @@ import (
 
 	"asyncsyn/internal/bench"
 	"asyncsyn/internal/sg"
+	"asyncsyn/internal/stg"
 )
 
 // BenchmarkRunModules measures the module-solve stage on mmu1 at
@@ -19,6 +20,30 @@ func BenchmarkRunModules(b *testing.B) {
 		b.Fatal(err)
 	}
 	opt := Options{Workers: 4}.withDefaults()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		full, err := sg.FromSTG(spec, sg.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := runModules(context.Background(), full, spec, opt, &Result{Name: spec.Name}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunModulesHandshake measures the module-solve stage on the
+// handshake design with k=5 at Workers 1: five module formulas of 1.8k
+// to 5.6k variables and 24k to 57k clauses, large enough that the SAT
+// layer's memory layout shows, where mmu1's formulas fit in cache. The
+// graph build is inside the loop, as in BenchmarkRunModules;
+// cmd/allocheck gates its allocs/op.
+func BenchmarkRunModulesHandshake(b *testing.B) {
+	spec, err := stg.Handshakes("", 5, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := Options{Workers: 1}.withDefaults()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		full, err := sg.FromSTG(spec, sg.Options{})

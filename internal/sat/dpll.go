@@ -95,29 +95,44 @@ func Solve(f *Formula, lim Limits) Result {
 	return s.run(lim)
 }
 
-type clause struct {
-	lits    []Lit
-	learned bool
-	// stable: the clause is part of the formula's stable prefix, a warm
+// The clause arena. Every clause of a search, original, warm seed or
+// learned, lives in one []Lit as a header word followed by its literals,
+// and a clause is referenced by the offset of its header: reasons and
+// watch lists hold offsets. The header holds the literal count above
+// hdrShift and the flags below it. Clauses stay in the order they were
+// added, which is the order the unit scan and the stable export walk.
+const (
+	// flagLearned marks a learned clause or a warm seed.
+	flagLearned Lit = 1 << iota
+	// flagStable marks a clause of the formula's stable prefix, a warm
 	// seed derived from it, or a learned clause whose entire derivation
 	// (conflict clause, reason clauses, level-0 antecedents) is stable.
-	stable bool
-	// guarded: the clause's last literal is a group assumption guard
-	// (incremental solving, see Incremental). The guard is appended
+	flagStable
+	// flagGuarded marks a clause whose last literal is a group assumption
+	// guard (incremental solving, see Incremental). The guard is appended
 	// after the core literals and its variable is assumed true at level
 	// 0, so the literal is permanently false and inert in propagation;
-	// only the unit scan must look through it (a one-literal core behaves
-	// as a unit clause, exactly as its unguarded twin would).
-	guarded bool
+	// only the unit scan and the branching scores look through it (a
+	// one-literal core behaves as a unit clause, exactly as its unguarded
+	// twin would).
+	flagGuarded
+
+	hdrShift = 3
+)
+
+// appendClause appends lits to arena as one clause with the given flags.
+func appendClause(arena, lits []Lit, flags Lit) []Lit {
+	arena = append(arena, Lit(len(lits))<<hdrShift|flags)
+	return append(arena, lits...)
 }
 
 type solver struct {
 	f       *Formula
 	vals    []int8 // per literal: 1 true, 0 false, -1 unassigned
 	level   []int32
-	reason  []int32 // clause index or -1
+	reason  []int32 // clause reference or -1
 	watches [][]int32
-	clauses []*clause
+	arena   []Lit
 	trail   []Lit
 	trailLo int
 	limits  []int // trail index where each decision level starts
@@ -125,12 +140,13 @@ type solver struct {
 	activity []float64
 	actInc   float64
 	phase    []bool
-	// The branching order (order.go): heap holds variables, heapIdx[v]
-	// is v's position in it (or notInHeap, excluded), and act0 is the
-	// activity at setup, the tie-break between equal activities.
-	heap    []int32
+	// The branching order (order.go): heap holds one slot per variable in
+	// it, heapIdx[v] is v's position (or notInHeap, excluded), and rank[v]
+	// is v's place in the initial order, the tie-break between equal
+	// activities.
+	heap    []slot
 	heapIdx []int32
-	act0    []float64
+	rank    []int32
 	res     Result
 
 	seen    []bool
@@ -145,103 +161,162 @@ type solver struct {
 	// stableUnits collects stable learned unit clauses, which are
 	// enqueued directly rather than added to the clause list.
 	stableUnits []Lit
+
+	// Setup scratch, kept so an Incremental step reuses it: branching
+	// scores per variable, watch counts per literal and the watch lists'
+	// shared backing array.
+	pos, neg  []float64
+	occ       []int32
+	watchBack []int32
 }
 
+// newSolver builds a solver for f: f's clauses are copied into the
+// arena, the first StablePrefix of them flagged stable, and setup scores
+// them and builds the watch lists and the branching order.
 func newSolver(f *Formula) *solver {
-	n := f.NumVars
-	s := &solver{
-		f:        f,
-		vals:     make([]int8, 2*n),
-		level:    make([]int32, n),
-		reason:   make([]int32, n),
-		watches:  make([][]int32, 2*n),
-		activity: make([]float64, n),
-		actInc:   1,
-		phase:    make([]bool, n),
-		heap:     make([]int32, n),
-		heapIdx:  make([]int32, n),
-		act0:     make([]float64, n),
-		seen:     make([]bool, n),
-		stab0:    make([]bool, n),
+	s := &solver{f: f}
+	s.arena = make([]Lit, 0, len(f.Clauses)+f.NumLiterals())
+	stablePrefix := f.StablePrefix()
+	for i, c := range f.Clauses {
+		flags := Lit(0)
+		if i < stablePrefix {
+			flags = flagStable
+		}
+		s.arena = appendClause(s.arena, c, flags)
 	}
+	s.setup(f.NumVars, f.prefer, nil, -1)
+	return s
+}
+
+// grown returns s resized to n elements, reusing its backing array when
+// large enough. Contents are unspecified; callers overwrite.
+func grown[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// setup readies the solver to search the clauses in its arena over n
+// variables, reusing its buffers: no variable is assigned, each clause
+// adds 2^-k to the branching score of every literal of its k-literal
+// core (a guard is not core), the watch lists are carved out of one
+// backing array with exact capacities and filled in clause order, and
+// the order heap holds every variable but the guard and those marked in
+// inert. A variable's initial activity is its score sum; its phase is
+// its prefer hint, or the sign it scored higher with.
+func (s *solver) setup(n int, prefer []int8, inert []bool, guard int) {
+	s.res = Result{}
+	s.actInc = 1
+	s.analyzeStable = false
+	s.trail = s.trail[:0]
+	s.trailLo = 0
+	s.limits = s.limits[:0]
+	s.stableUnits = s.stableUnits[:0]
+
+	s.vals = grown(s.vals, 2*n)
+	s.level = grown(s.level, n)
+	s.reason = grown(s.reason, n)
+	s.activity = grown(s.activity, n)
+	s.phase = grown(s.phase, n)
+	s.heapIdx = grown(s.heapIdx, n)
+	s.rank = grown(s.rank, n)
+	s.seen = grown(s.seen, n)
+	s.stab0 = grown(s.stab0, n)
+	pos := grown(s.pos, n)
+	neg := grown(s.neg, n)
+	s.pos, s.neg = pos, neg
 	for i := range s.vals {
 		s.vals[i] = -1
 	}
-	for i := range s.reason {
-		s.reason[i] = -1
+	for v := 0; v < n; v++ {
+		s.level[v] = 0
+		s.reason[v] = -1
+		s.seen[v] = false
+		s.stab0[v] = false
+		pos[v], neg[v] = 0, 0
 	}
-	posScore := make([]float64, n)
-	negScore := make([]float64, n)
-	// First pass: branching scores plus a per-literal watch count, so the
-	// watch lists can be carved out of one backing array with exact
-	// capacities instead of growing by repeated append in the hot loop.
-	occ := make([]int32, 2*n)
-	totalLits := 0
-	for _, c := range f.Clauses {
-		totalLits += len(c)
-		w := math.Pow(2, -float64(len(c)))
-		for _, l := range c {
+
+	// One pass for the branching scores and the per-literal watch counts,
+	// so the watch lists can be carved out of one backing array with
+	// exact capacities instead of growing by repeated append.
+	occ := grown(s.occ, 2*n)
+	for i := range occ {
+		occ[i] = 0
+	}
+	s.occ = occ
+	a := s.arena
+	for cr := 0; cr < len(a); {
+		h := a[cr]
+		k := int(h >> hdrShift)
+		lits := a[cr+1 : cr+1+k]
+		cr += 1 + k
+		if k >= 2 {
+			occ[lits[0]]++
+			occ[lits[1]]++
+		}
+		if h&flagGuarded != 0 {
+			lits = lits[:k-1]
+		}
+		w := math.Ldexp(1, -len(lits))
+		for _, l := range lits {
 			if l.Sign() {
-				negScore[l.Var()] += w
+				neg[l.Var()] += w
 			} else {
-				posScore[l.Var()] += w
+				pos[l.Var()] += w
 			}
 		}
-		if len(c) >= 2 {
-			occ[c[0]]++
-			occ[c[1]]++
-		}
 	}
-	total := int32(0)
+	total := 0
 	for _, o := range occ {
-		total += o
+		total += int(o)
 	}
-	backing := make([]int32, total)
+	s.watchBack = grown(s.watchBack, total)
+	s.watches = grown(s.watches, 2*n)
 	off := int32(0)
 	for l, o := range occ {
 		// Full slice expressions cap each list at its initial count: a
 		// list that later outgrows it (watch migration, learned clauses)
 		// reallocates on append instead of clobbering its neighbor.
-		s.watches[l] = backing[off : off : off+o]
+		s.watches[l] = s.watchBack[off : off : off+o]
 		off += o
 	}
-	s.clauses = make([]*clause, 0, len(f.Clauses))
-	stablePrefix := f.StablePrefix()
-	// Two batch allocations instead of two per clause: propagation swaps
-	// literals in place, so each clause needs its own copy, but the copies
-	// can all live in one backing array (exact capacity: append never
-	// reallocates, so the carved sub-slices stay valid).
-	clBack := make([]clause, len(f.Clauses))
-	litBack := make([]Lit, 0, totalLits)
-	for i, c := range f.Clauses {
-		cl := &clBack[i]
-		lo := len(litBack)
-		litBack = append(litBack, c...)
-		cl.lits = litBack[lo:len(litBack):len(litBack)]
-		cl.stable = i < stablePrefix
-		ci := int32(len(s.clauses))
-		s.clauses = append(s.clauses, cl)
-		if len(cl.lits) >= 2 {
-			s.watches[cl.lits[0]] = append(s.watches[cl.lits[0]], ci)
-			s.watches[cl.lits[1]] = append(s.watches[cl.lits[1]], ci)
-		}
+	for cr := int32(0); cr < int32(len(a)); cr += 1 + int32(a[cr]>>hdrShift) {
+		s.watch(cr)
 	}
-	for i := 0; i < n; i++ {
-		s.heap[i] = int32(i)
-		s.heapIdx[i] = int32(i)
-		s.activity[i] = posScore[i] + negScore[i]
-		switch f.Preferred(i) {
+
+	s.heap = grown(s.heap, n)[:0]
+	for v := 0; v < n; v++ {
+		s.activity[v] = pos[v] + neg[v]
+		if v == guard || inert != nil && inert[v] {
+			s.heapIdx[v] = excluded
+			continue
+		}
+		p := int8(-1)
+		if v < len(prefer) {
+			p = prefer[v]
+		}
+		switch p {
 		case 0:
-			s.phase[i] = false
+			s.phase[v] = false
 		case 1:
-			s.phase[i] = true
+			s.phase[v] = true
 		default:
-			s.phase[i] = posScore[i] >= negScore[i]
+			s.phase[v] = pos[v] >= neg[v]
 		}
+		s.heap = append(s.heap, slot{act: s.activity[v], v: int32(v)})
 	}
-	copy(s.act0, s.activity)
-	s.heapify()
-	return s
+	s.rankHeap()
+}
+
+// watch adds the clause at cr to the watch lists of its first two
+// literals; a unit clause is watched by none.
+func (s *solver) watch(cr int32) {
+	if s.arena[cr]>>hdrShift >= 2 {
+		l0, l1 := s.arena[cr+1], s.arena[cr+2]
+		s.watches[l0] = append(s.watches[l0], cr)
+		s.watches[l1] = append(s.watches[l1], cr)
+	}
 }
 
 func (s *solver) value(l Lit) int8 { return s.vals[l] }
@@ -264,10 +339,10 @@ func (s *solver) enqueue(l Lit, reason int32) bool {
 	if s.decisionLevel() == 0 && reason >= 0 {
 		// Level-0 assignments are permanent and invisible to analyze();
 		// record whether this one rests entirely on stable clauses.
-		cl := s.clauses[reason]
-		st := cl.stable
+		h := s.arena[reason]
+		st := h&flagStable != 0
 		if st {
-			for _, q := range cl.lits {
+			for _, q := range s.arena[reason+1 : reason+1+int32(h>>hdrShift)] {
 				if q.Var() != v && !s.stab0[q.Var()] {
 					st = false
 					break
@@ -279,9 +354,13 @@ func (s *solver) enqueue(l Lit, reason int32) bool {
 	return true
 }
 
-// propagate runs unit propagation; returns the conflicting clause index
-// or -1.
+// propagate runs unit propagation; returns the conflicting clause's
+// reference or -1. A visited clause always gets its falsified watch in
+// second place, even when the other watch is already true: the literal
+// order is part of the search's output (the stable export hands learned
+// clauses on verbatim).
 func (s *solver) propagate() int32 {
+	arena, vals := s.arena, s.vals
 	for s.trailLo < len(s.trail) {
 		l := s.trail[s.trailLo]
 		s.trailLo++
@@ -289,33 +368,31 @@ func (s *solver) propagate() int32 {
 		falsified := l.Neg()
 		ws := s.watches[falsified]
 		kept := ws[:0]
+	visit:
 		for i := 0; i < len(ws); i++ {
-			ci := ws[i]
-			cl := s.clauses[ci].lits
-			if cl[0] == falsified {
-				cl[0], cl[1] = cl[1], cl[0]
+			cr := ws[i]
+			c := cr + 1 // the first watched literal
+			if arena[c] == falsified {
+				arena[c], arena[c+1] = arena[c+1], falsified
 			}
-			if s.value(cl[0]) == 1 {
-				kept = append(kept, ci)
+			first := arena[c]
+			if vals[first] == 1 {
+				kept = append(kept, cr)
 				continue
 			}
-			moved := false
-			for k := 2; k < len(cl); k++ {
-				if s.value(cl[k]) != 0 {
-					cl[1], cl[k] = cl[k], cl[1]
-					s.watches[cl[1]] = append(s.watches[cl[1]], ci)
-					moved = true
-					break
+			end := c + int32(arena[cr]>>hdrShift)
+			for k := c + 2; k < end; k++ {
+				if q := arena[k]; vals[q] != 0 {
+					arena[c+1], arena[k] = q, falsified
+					s.watches[q] = append(s.watches[q], cr)
+					continue visit
 				}
 			}
-			if moved {
-				continue
-			}
-			kept = append(kept, ci)
-			if !s.enqueue(cl[0], ci) {
+			kept = append(kept, cr)
+			if !s.enqueue(first, cr) {
 				kept = append(kept, ws[i+1:]...)
 				s.watches[falsified] = kept
-				return ci
+				return cr
 			}
 		}
 		s.watches[falsified] = kept
@@ -334,6 +411,7 @@ func (s *solver) bump(v int) {
 		return
 	}
 	if i := s.heapIdx[v]; i >= 0 {
+		s.heap[i].act = s.activity[v]
 		s.siftUp(int(i))
 	}
 }
@@ -350,9 +428,9 @@ func (s *solver) analyze(confl int32) ([]Lit, int) {
 	stable := true
 
 	for {
-		rc := s.clauses[reason]
-		stable = stable && rc.stable
-		cl := rc.lits
+		h := s.arena[reason]
+		stable = stable && h&flagStable != 0
+		cl := s.arena[reason+1 : reason+1+int32(h>>hdrShift)]
 		start := 0
 		if p != -1 {
 			// Skip the asserting literal of the reason clause.
@@ -434,31 +512,60 @@ func (s *solver) cancelUntil(lvl int) {
 	s.limits = s.limits[:lvl]
 }
 
+// addLearned appends a learned clause of two or more literals, flagged
+// with analyze's stability verdict, and watches it.
 func (s *solver) addLearned(lits []Lit) int32 {
-	cl := &clause{lits: append([]Lit(nil), lits...), learned: true, stable: s.analyzeStable}
-	ci := int32(len(s.clauses))
-	s.clauses = append(s.clauses, cl)
-	if len(cl.lits) >= 2 {
-		s.watches[cl.lits[0]] = append(s.watches[cl.lits[0]], ci)
-		s.watches[cl.lits[1]] = append(s.watches[cl.lits[1]], ci)
+	flags := flagLearned
+	if s.analyzeStable {
+		flags |= flagStable
 	}
+	cr := int32(len(s.arena))
+	s.arena = appendClause(s.arena, lits, flags)
+	s.watch(cr)
 	s.res.Learned++
-	return ci
+	return cr
 }
 
 func (s *solver) run(lim Limits) Result {
 	res := s.search(lim)
 	if lim.ExportStable && res.Status != Canceled {
-		for _, cl := range s.clauses {
-			if cl.learned && cl.stable {
-				res.StableLearned = append(res.StableLearned, append([]Lit(nil), cl.lits...))
-			}
-		}
-		for _, l := range s.stableUnits {
-			res.StableLearned = append(res.StableLearned, []Lit{l})
-		}
+		res.StableLearned = s.exportStable()
 	}
 	return res
+}
+
+// exportStable copies the stable learned clauses out of the arena, in
+// clause order, followed by the stable learned units. The copies share
+// one backing array; each is capped at its own length.
+func (s *solver) exportStable() [][]Lit {
+	const stable = flagLearned | flagStable
+	a := s.arena
+	n, size := len(s.stableUnits), len(s.stableUnits)
+	for cr := 0; cr < len(a); cr += 1 + int(a[cr]>>hdrShift) {
+		if a[cr]&stable == stable {
+			n++
+			size += int(a[cr] >> hdrShift)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([][]Lit, 0, n)
+	back := make([]Lit, 0, size)
+	keep := func(lits ...Lit) {
+		lo := len(back)
+		back = append(back, lits...)
+		out = append(out, back[lo:len(back):len(back)])
+	}
+	for cr := 0; cr < len(a); cr += 1 + int(a[cr]>>hdrShift) {
+		if a[cr]&stable == stable {
+			keep(a[cr+1 : cr+1+int(a[cr]>>hdrShift)]...)
+		}
+	}
+	for _, l := range s.stableUnits {
+		keep(l)
+	}
+	return out
 }
 
 func (s *solver) search(lim Limits) Result {
@@ -469,19 +576,20 @@ func (s *solver) search(lim Limits) Result {
 		return s.res
 	}
 	// Level-0 units.
-	for ci, c := range s.clauses {
-		u := len(c.lits)
-		if c.guarded {
+	for cr := int32(0); cr < int32(len(s.arena)); {
+		h := s.arena[cr]
+		k := int32(h >> hdrShift)
+		u := k
+		if h&flagGuarded != 0 {
 			// The trailing guard literal is already false under the level-0
 			// assumption, so the core alone decides unit-ness.
 			u--
 		}
-		if u == 1 {
-			if !s.enqueue(c.lits[0], int32(ci)) {
-				s.res.Status = Unsat
-				return s.res
-			}
+		if u == 1 && !s.enqueue(s.arena[cr+1], cr) {
+			s.res.Status = Unsat
+			return s.res
 		}
+		cr += 1 + k
 	}
 	if s.propagate() >= 0 {
 		s.res.Status = Unsat

@@ -61,13 +61,28 @@ func lockstepCompare(t *testing.T, fr, ir Result, nPrefix int, incAux []int) {
 // from-scratch re-encode of the same formula. The two paths must agree
 // bit for bit: same verdict, same decision/backtrack/propagation/learned
 // /restart counters, same stable exports, same model.
+//
+// The first trials are small chains. The last ones are hard chains:
+// 3-SAT near the satisfiability threshold in every block, so each step
+// runs hundreds of conflicts, grows the clause arena with hundreds of
+// learned clauses during the search and installs the previous step's
+// exports as seeds.
 func TestIncrementalLockstep(t *testing.T) {
-	for trial := 0; trial < 24; trial++ {
+	const small, hard = 24, 4
+	hardSteps, minConflicts, seeded := 0, int64(-1), 0
+	for trial := 0; trial < small+hard; trial++ {
 		trial := trial
+		hardChain := trial >= small
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7001 + 37*trial)))
-			c0 := 4 + rng.Intn(5) // column-0 prefix vars
-			c1 := 3 + rng.Intn(5) // column-1 prefix vars
+			c0 := 4 + rng.Intn(5)  // column-0 prefix vars
+			c1 := 3 + rng.Intn(5)  // column-1 prefix vars
+			cl0, cl1 := 2*c0, 2*c1 // column-block clause counts
+			if hardChain {
+				// Four clauses per variable, just under the 3-SAT threshold.
+				c0, c1 = 150, 100
+				cl0, cl1 = 4*c0, 4*c1
+			}
 			n1 := c0 + c1
 			pref := make([]int8, n1)
 			for v := range pref {
@@ -86,13 +101,20 @@ func TestIncrementalLockstep(t *testing.T) {
 				}
 				return lits // duplicates and tautologies allowed: both paths must normalize alike
 			}
-			col0 := make([][]Lit, 0, 2*c0)
-			for i := 0; i < 2*c0; i++ {
-				col0 = append(col0, randClause(c0, 2, 3))
+			// A hard chain's clauses have three distinct variables.
+			blockClause := func(nv int) []Lit {
+				if hardChain {
+					return randomClause(rng, nv, 3)
+				}
+				return randClause(nv, 2, 3)
 			}
-			col1 := make([][]Lit, 0, 2*c1)
-			for i := 0; i < 2*c1; i++ {
-				col1 = append(col1, randClause(n1, 2, 3))
+			col0 := make([][]Lit, 0, cl0)
+			for i := 0; i < cl0; i++ {
+				col0 = append(col0, blockClause(c0))
+			}
+			col1 := make([][]Lit, 0, cl1)
+			for i := 0; i < cl1; i++ {
+				col1 = append(col1, blockClause(n1))
 			}
 
 			inc := NewIncremental()
@@ -131,9 +153,13 @@ func TestIncrementalLockstep(t *testing.T) {
 				nGrpCl := 3 + rng.Intn(6)
 				grp := make([][]Lit, 0, nGrpCl+2)
 				for i := 0; i < nGrpCl; i++ {
-					grp = append(grp, randClause(nPrefix+nAux, 2, 4))
+					if hardChain {
+						grp = append(grp, randomClause(rng, nPrefix+nAux, 3))
+					} else {
+						grp = append(grp, randClause(nPrefix+nAux, 2, 4))
+					}
 				}
-				if si == 1 {
+				if si == 1 && !hardChain {
 					// Force a likely-UNSAT step so the chain exercises both
 					// verdicts: a contradictory unit pair over a prefix var.
 					v := rng.Intn(nPrefix)
@@ -206,10 +232,25 @@ func TestIncrementalLockstep(t *testing.T) {
 
 				lockstepCompare(t, fr, ir, nPrefix, incAux)
 				prevExports = fr.StableLearned
-				_ = si
+				if hardChain {
+					hardSteps++
+					if minConflicts < 0 || fr.Backtracks < minConflicts {
+						minConflicts = fr.Backtracks
+					}
+					if len(seeds) > 0 {
+						seeded++
+					}
+				}
 			}
 		})
 	}
+	if hardSteps == 0 {
+		return // a -run filter left the hard chains out
+	}
+	if minConflicts < 100 || seeded == 0 {
+		t.Fatalf("hard chains: fewest conflicts in a step %d (want at least 100), %d seeded steps (want some)", minConflicts, seeded)
+	}
+	t.Logf("hard chains: %d steps, at least %d conflicts each, %d seeded", hardSteps, minConflicts, seeded)
 }
 
 // TestIncrementalLockstepBacktrackLimit pins counter parity on the abort

@@ -40,8 +40,9 @@ func legacyPickVar(s *solver, order []int) int {
 type orderHarness struct {
 	t     *testing.T
 	s     *solver
-	vars  []int // the branching variables
-	order []int // legacyOrder at setup
+	vars  []int     // the branching variables
+	order []int     // legacyOrder at setup
+	act0  []float64 // the activities at setup
 }
 
 // newOrderHarness sets up a fresh solver on a random 3-CNF (kind
@@ -59,7 +60,8 @@ func newOrderHarness(t *testing.T, kind string, rng *rand.Rand) *orderHarness {
 	} else {
 		s, vars = orderIncremental(t, rng)
 	}
-	return &orderHarness{t: t, s: s, vars: vars, order: legacyOrder(s, vars)}
+	return &orderHarness{t: t, s: s, vars: vars, order: legacyOrder(s, vars),
+		act0: append([]float64(nil), s.activity...)}
 }
 
 // check compares the heap's pick with the legacy scan's and verifies the
@@ -77,13 +79,17 @@ func (h *orderHarness) check(step string) {
 		s.heapInsert(got)
 	}
 	for i := 1; i < len(s.heap); i++ {
-		if s.before(s.heap[i], s.heap[(i-1)/2]) {
+		if before(s.heap[i], s.heap[(i-1)/2]) {
 			h.t.Fatalf("%s: heap property broken at %d", step, i)
 		}
 	}
-	for i, v := range s.heap {
-		if s.heapIdx[v] != int32(i) {
+	for i, sl := range s.heap {
+		if v := sl.v; s.heapIdx[v] != int32(i) {
 			h.t.Fatalf("%s: heapIdx[%d] = %d, want %d", step, v, s.heapIdx[v], i)
+		}
+		if sl.act != s.activity[sl.v] || sl.rank != s.rank[sl.v] {
+			h.t.Fatalf("%s: slot of variable %d holds key (%g, %d), want (%g, %d)",
+				step, sl.v, sl.act, sl.rank, s.activity[sl.v], s.rank[sl.v])
 		}
 	}
 	live := make([]bool, len(s.heapIdx))
@@ -241,7 +247,7 @@ func TestOrderHeapRescaleTie(t *testing.T) {
 			a, b := -1, -1
 			for i := 1; i < len(h.order) && a < 0; i++ {
 				for _, w := range h.order[i+1:] {
-					if v := h.order[i]; s.act0[v] > s.act0[w] && v > w {
+					if v := h.order[i]; h.act0[v] > h.act0[w] && v > w {
 						a, b = v, w
 						break
 					}

@@ -56,11 +56,7 @@ func (s *solver) seed(lits []Lit) {
 			return
 		}
 	}
-	cl := &clause{lits: append([]Lit(nil), lits...), learned: true, stable: true}
-	ci := int32(len(s.clauses))
-	s.clauses = append(s.clauses, cl)
-	if len(cl.lits) >= 2 {
-		s.watches[cl.lits[0]] = append(s.watches[cl.lits[0]], ci)
-		s.watches[cl.lits[1]] = append(s.watches[cl.lits[1]], ci)
-	}
+	cr := int32(len(s.arena))
+	s.arena = appendClause(s.arena, lits, flagLearned|flagStable)
+	s.watch(cr)
 }

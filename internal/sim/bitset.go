@@ -149,8 +149,8 @@ func (r *runner) bitExhaustive(opt Options) []Violation {
 
 	cols := make([]uint64, nsig)
 	excited := make([]uint64, len(gates))
-	processed := 0
-	for head := 0; head < len(states) && processed < opt.MaxDepth && len(violations) == 0; {
+	head, processed := 0, 0
+	for head < len(states) && processed < opt.MaxDepth && len(violations) == 0 {
 		b := len(states) - head
 		if b > 64 {
 			b = 64
@@ -232,6 +232,9 @@ func (r *runner) bitExhaustive(opt Options) []Violation {
 			processed++
 		}
 		head += b
+	}
+	if len(violations) == 0 && head < len(states) {
+		violations = append(violations, truncated(processed, len(states)))
 	}
 	return violations
 }

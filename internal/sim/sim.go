@@ -37,15 +37,30 @@ type Circuit struct {
 	Gates []Gate
 }
 
-// Violation describes a conformance failure.
+// Violation describes a conformance failure, or an exhaustive run that
+// MaxDepth cut short.
 type Violation struct {
-	Kind   string // "unexpected-output" or "deadlock"
+	Kind   string // "unexpected-output", "deadlock" or "truncated"
 	Signal string
 	Trace  []string
+	// Explored and Reached count product states for a "truncated"
+	// violation: the states checked before the run stopped, and those
+	// checked plus those discovered but never checked.
+	Explored, Reached int
 }
 
 func (v Violation) String() string {
+	if v.Kind == "truncated" {
+		return fmt.Sprintf("truncated after %d of %d reached product states", v.Explored, v.Reached)
+	}
 	return fmt.Sprintf("%s on %q after [%s]", v.Kind, v.Signal, strings.Join(v.Trace, " "))
+}
+
+// truncated is the violation of an exhaustive run that stopped at
+// MaxDepth with states still unexplored: the unexplored part could hide
+// any failure, so the run cannot count as conforming.
+func truncated(explored, reached int) Violation {
+	return Violation{Kind: "truncated", Explored: explored, Reached: reached}
 }
 
 // state is a point of the closed-loop product: the specification marking
@@ -198,7 +213,8 @@ func (r *runner) initLevels(initial map[string]bool) {
 // Options configures a simulation run.
 type Options struct {
 	// MaxDepth bounds the exhaustive exploration (default 20,000 product
-	// states).
+	// states). A run that reaches it with states left unexplored reports
+	// a "truncated" violation.
 	MaxDepth int
 	// RandomWalks runs Monte-Carlo trajectories instead of exhaustive
 	// search when positive; each walk takes RandomSteps steps. Walks are
@@ -212,7 +228,9 @@ type Options struct {
 // Run exhaustively explores the closed-loop product of specification and
 // circuit from the initial state, checking conformance. initialLevels
 // gives the starting level of every signal (from the synthesized state
-// graph's initial code).
+// graph's initial code). When the product has more than opt.MaxDepth
+// states and no failure turns up among the explored ones, the result is
+// a single "truncated" violation, never an empty list.
 func Run(spec *stg.G, c *Circuit, initialLevels map[string]bool, opt Options) []Violation {
 	if opt.MaxDepth == 0 {
 		opt.MaxDepth = 20000
@@ -318,6 +336,20 @@ func (r *runner) exhaustive(opt Options) []Violation {
 		}
 		if moves == 0 {
 			report("deadlock", "", f.trace)
+		}
+	}
+	if len(violations) == 0 {
+		// The stack may hold states seen since they were pushed; only
+		// the others are unexplored.
+		pending := map[state]bool{}
+		for _, f := range stack {
+			r.restore(f.levels, f.marking)
+			if k := r.key(); !seen[k] {
+				pending[k] = true
+			}
+		}
+		if len(pending) > 0 {
+			violations = append(violations, truncated(len(seen), len(seen)+len(pending)))
 		}
 	}
 	return violations

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,6 +144,42 @@ func TestBitsetMatchesScalarSynthesized(t *testing.T) {
 		sca := runScalar(spec, c, levels, Options{MaxDepth: 50000})
 		if !reflect.DeepEqual(bit, sca) {
 			t.Errorf("%s: bitset %v != scalar %v", name, bit, sca)
+		}
+	}
+}
+
+// TestTruncatedRunReports pins that an exhaustive run cut short by
+// MaxDepth does not pass: a conforming circuit whose closed-loop product
+// is larger than MaxDepth must get one "truncated" violation, with the
+// explored count at MaxDepth and more states reached, from both the
+// bit-sliced runner and the scalar walker.
+func TestTruncatedRunReports(t *testing.T) {
+	spec, err := bench.Load("vbe-ex1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Synthesize(context.Background(), spec, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, levels := circuitOf(res)
+	if v := Run(spec, c, levels, Options{MaxDepth: 50000}); len(v) != 0 {
+		t.Fatalf("full run flags the circuit: %v", v)
+	}
+	const maxDepth = 5
+	for _, run := range []struct {
+		name string
+		fn   func(*stg.G, *Circuit, map[string]bool, Options) []Violation
+	}{{"bitset", Run}, {"scalar", runScalar}} {
+		v := run.fn(spec, c, levels, Options{MaxDepth: maxDepth})
+		if len(v) != 1 || v[0].Kind != "truncated" {
+			t.Fatalf("%s: %v, want one truncated violation", run.name, v)
+		}
+		if v[0].Explored != maxDepth || v[0].Reached <= maxDepth {
+			t.Fatalf("%s: explored %d of %d reached states, want %d of more", run.name, v[0].Explored, v[0].Reached, maxDepth)
+		}
+		if !strings.Contains(v[0].String(), "truncated") {
+			t.Fatalf("%s: description %q does not say truncated", run.name, v[0].String())
 		}
 	}
 }

@@ -14,7 +14,11 @@ import (
 // must never deadlock. With walks == 0 the product is explored
 // exhaustively up to maxStates; otherwise `walks` random trajectories
 // are sampled. The returned slice describes violations (empty = the
-// circuit conforms).
+// circuit conforms). An exhaustive run that stops at maxStates with
+// product states left unexplored returns one "truncated" entry giving
+// the explored and reached counts, so a product larger than maxStates
+// never reads as conforming. The check covers unexpected outputs and
+// deadlock only, not output persistency.
 func (c *Circuit) Verify(s *STG, maxStates, walks int) []string {
 	circuit := &sim.Circuit{}
 	for _, f := range c.Functions {
