@@ -106,11 +106,11 @@ type Metrics = metrics.Collector
 func NewMetrics() *Metrics { return metrics.New() }
 
 // SolveCache is a concurrency-safe module solve cache (see
-// Options.Cache): it maps canonical module-problem signatures to solved
-// state-signal phase columns, answering repeated solves — across
-// outputs, benchmarks, or whole runs — with bit-identical replays. The
-// name is an alias for the internal implementation, so the facade and
-// the pipeline share one type.
+// Options.Cache): it maps the exact layout of a module problem, with
+// every solver-visible option, to solved state-signal phase columns,
+// answering exact repeats — in practice across whole runs — with
+// bit-identical replays. The name is an alias for the internal
+// implementation, so the facade and the pipeline share one type.
 type SolveCache = modcache.Cache
 
 // NewSolveCache returns an empty in-memory solve cache, suitable for
@@ -317,11 +317,11 @@ type Options struct {
 	// SAT search statistics) are identical for every Workers value.
 	Metrics *Metrics
 	// Cache, when non-nil, is a module solve cache shared across runs:
-	// module CSC problems whose canonical signatures (and solver
-	// options) match a previous solve are answered by bit-identical
-	// replays instead of fresh SAT searches. Create one with
-	// NewSolveCache. When nil, each run uses its own in-memory cache,
-	// which still deduplicates isomorphic modules within the run.
+	// a module CSC problem laid out byte for byte like a previous one
+	// and solved under the same solver options is answered by a
+	// bit-identical replay instead of a fresh SAT search. Create one
+	// with NewSolveCache. When nil, each run uses its own in-memory
+	// cache, which answers only exact repeats within the run.
 	Cache *SolveCache
 	// CacheDir, when non-empty (and Cache is nil), backs the run's
 	// solve cache with content-addressed JSON records under this

@@ -4,8 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"asyncsyn/internal/csc"
-	"asyncsyn/internal/sg"
 	"asyncsyn/internal/stg"
 )
 
@@ -23,22 +21,7 @@ func BenchmarkDeriveLogic(b *testing.B) {
 	}
 	opt := Options{Workers: 1}.withDefaults()
 	ctx := context.Background()
-	full, err := sg.FromSTG(spec, opt.StateGraph)
-	if err != nil {
-		b.Fatal(err)
-	}
-	supports, passSigs, err := runModules(ctx, full, spec, opt, &Result{Name: spec.Name})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if n := sg.AnalyzeWorkers(full, 1).N(); n > 0 {
-		b.Fatalf("%d residual conflicts: the benchmark input needs the residual solve", n)
-	}
-	csc.Prune(full)
-	view, _, _, err := ExpandToCSC(ctx, full, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
+	view, full, supports, passSigs := logicInputs(b, spec, opt)
 	want, err := Synthesize(ctx, spec, opt)
 	if err != nil {
 		b.Fatal(err)

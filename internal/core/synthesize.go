@@ -546,38 +546,12 @@ func overlapUSC(g *sg.Graph, cscPairs []sg.Pair) []sg.Pair {
 // the functions are collected in sorted-name order — the same order the
 // sequential loop produced.
 func DeriveLogic(ctx context.Context, expanded *sg.Stream, full *sg.Graph, supports map[int]InputSet, passSigs map[int][]string, opt Options) ([]Function, error) {
-	nb := len(full.Base)
-	base := expanded.Base
-	fullMask := uint64(0)
-	for i := range base {
-		fullMask |= 1 << i
-	}
-
-	sigs := nonInputsOf(base)
+	sigs := nonInputsOf(expanded.Base)
 	fns, err := par.Map(len(sigs), opt.Workers, func(si int) (Function, error) {
 		sigIdx := sigs[si]
-		var masks []uint64
-		if is, ok := supportFor(full, sigIdx, supports); ok && !opt.FullSupport {
-			restricted := is.Mask | 1<<uint(sigIdx)
-			for _, name := range passSigs[is.Output] {
-				if bi, ok := expanded.SignalIndex(name); ok {
-					restricted |= 1 << bi
-				}
-				// Pruned signals simply drop out of the support.
-			}
-			// Fallback chain: restricted → restricted + all state signals → full.
-			withAll := restricted
-			for k := nb; k < len(base); k++ {
-				withAll |= 1 << k
-			}
-			masks = []uint64{restricted, withAll, fullMask}
-		} else {
-			masks = []uint64{fullMask}
-		}
-
 		var tbl *sg.Table
 		var err error
-		for _, m := range masks {
+		for _, m := range supportMasks(expanded, full, sigIdx, supports, passSigs, opt) {
 			tbl, err = expanded.FunctionTable(sigIdx, m)
 			if err == nil {
 				break
@@ -608,6 +582,35 @@ func DeriveLogic(ctx context.Context, expanded *sg.Stream, full *sg.Graph, suppo
 		return nil, err
 	}
 	return fns, nil
+}
+
+// supportMasks returns the supports, over the expanded signals, that
+// DeriveLogic tries in turn for signal sigIdx until its table is well
+// defined: for an original output with a recorded input set, the input
+// set plus the signal itself and its passes' state signals, then that
+// plus every state signal, then every signal; otherwise every signal.
+func supportMasks(expanded *sg.Stream, full *sg.Graph, sigIdx int, supports map[int]InputSet, passSigs map[int][]string, opt Options) []uint64 {
+	base := expanded.Base
+	fullMask := uint64(0)
+	for i := range base {
+		fullMask |= 1 << i
+	}
+	is, ok := supportFor(full, sigIdx, supports)
+	if !ok || opt.FullSupport {
+		return []uint64{fullMask}
+	}
+	restricted := is.Mask | 1<<uint(sigIdx)
+	for _, name := range passSigs[is.Output] {
+		if bi, ok := expanded.SignalIndex(name); ok {
+			restricted |= 1 << bi
+		}
+		// Pruned signals simply drop out of the support.
+	}
+	withAll := restricted
+	for k := len(full.Base); k < len(base); k++ {
+		withAll |= 1 << k
+	}
+	return []uint64{restricted, withAll, fullMask}
 }
 
 // supportFor maps an expanded-graph signal index back to its recorded

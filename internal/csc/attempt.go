@@ -44,14 +44,11 @@ func Attempt(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, opt So
 		return cols, stats, err
 	}
 
-	sig := sg.SignatureOf(g, conf)
 	key := modcache.Key{
-		Canon:         sig.Canon,
-		Layout:        sig.Layout,
+		Layout:        sg.SignatureOf(g, conf),
 		M:             m,
 		Engine:        int(opt.Engine),
 		ExpandXor:     opt.Encoding.ExpandXor,
-		SkipUSC:       opt.Encoding.SkipUSC,
 		MaxBacktracks: int(opt.MaxBacktracks),
 		BDDNodeLimit:  opt.BDDNodeLimit,
 		WarmHash:      opt.Chain.Hash(),

@@ -236,7 +236,7 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 	c.inc.BeginGroup()
 	c.grpAux, c.grpCl, c.grpLit = 0, 0, 0
 	sink := chainSink{c}
-	emitPairsTseitin(sink, c.aVar, c.bVar, m, conf, opt.Encoding)
+	emitPairsTseitin(sink, c.aVar, c.bVar, m, conf)
 	emitSymmetry(sink, c.aVar, c.bVar, m)
 	c.padTranslation()
 

@@ -48,10 +48,6 @@ type Options struct {
 	// instead of the default Tseitin encoding with auxiliary difference
 	// variables. Used for clause-growth experiments.
 	ExpandXor bool
-	// SkipUSC omits the constraints on non-conflicting equal-code pairs
-	// (which keep the inserted signals' own functions well defined).
-	// Only for measurement experiments; synthesis keeps them on.
-	SkipUSC bool
 }
 
 // Encoding is a SAT-CSC instance for inserting m state signals into a
@@ -161,10 +157,10 @@ func Encode(g *sg.Graph, conf *sg.Conflicts, m int, opt Options) (*Encoding, err
 		// Paper-parity mode: no auxiliary variables at all, so no
 		// symmetry breaking either (it is an encoding-size experiment,
 		// not a solving path).
-		e.encodePairsExpanded(conf, opt)
+		e.encodePairsExpanded(conf)
 	} else {
 		sink := formulaSink{e.F}
-		emitPairsTseitin(sink, e.aVar, e.bVar, m, conf, opt)
+		emitPairsTseitin(sink, e.aVar, e.bVar, m, conf)
 		emitSymmetry(sink, e.aVar, e.bVar, m)
 	}
 	return e, nil
@@ -257,7 +253,7 @@ var uscBlockedPairs = [][2]sg.Phase{
 // variable d_k → (signal k stably separates the pair):
 // d_k → ¬a_A ∧ ¬a_B ∧ (b_A ⊕ b_B). CSC pairs assert ∨_k d_k; USC pairs
 // assert, for every k and blocked phase pair, (∨_k d_k) ∨ ¬blocked.
-func emitPairsTseitin(sink encSink, aVar, bVar [][]int, m int, conf *sg.Conflicts, opt Options) {
+func emitPairsTseitin(sink encSink, aVar, bVar [][]int, m int, conf *sg.Conflicts) {
 	sepVars := func(p sg.Pair) []sat.Lit {
 		ds := make([]sat.Lit, m)
 		for k := 0; k < m; k++ {
@@ -281,9 +277,6 @@ func emitPairsTseitin(sink encSink, aVar, bVar [][]int, m int, conf *sg.Conflict
 	for _, p := range conf.CSC {
 		sink.add(sepVars(p)...)
 	}
-	if opt.SkipUSC {
-		return
-	}
 	for _, p := range conf.USC {
 		ds := sepVars(p)
 		for k := 0; k < m; k++ {
@@ -302,7 +295,7 @@ func emitPairsTseitin(sink encSink, aVar, bVar [][]int, m int, conf *sg.Conflict
 // auxiliary variables: the disjunction over k of the stable-separation
 // conjunctions distributes into 4^m clauses per pair (the paper's
 // N_csc·c^m and N_usc·c^m clause-count terms).
-func (e *Encoding) encodePairsExpanded(conf *sg.Conflicts, opt Options) {
+func (e *Encoding) encodePairsExpanded(conf *sg.Conflicts) {
 	// CNF(sep_k) has four clauses: (¬a_A), (¬a_B), (b_A ∨ b_B),
 	// (¬b_A ∨ ¬b_B). CNF(∨_k sep_k) picks one of them per k.
 	clauseOf := func(p sg.Pair, k, choice int) []sat.Lit {
@@ -341,9 +334,6 @@ func (e *Encoding) encodePairsExpanded(conf *sg.Conflicts, opt Options) {
 		for idx := 0; idx < total; idx++ {
 			e.F.Add(build(p, idx)...)
 		}
-	}
-	if opt.SkipUSC {
-		return
 	}
 	for _, p := range conf.USC {
 		for idx := 0; idx < total; idx++ {

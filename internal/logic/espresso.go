@@ -1,10 +1,11 @@
 package logic
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"asyncsyn/internal/metrics"
 	"asyncsyn/internal/synerr"
@@ -22,24 +23,29 @@ type Spec struct {
 }
 
 // Validate checks that the spec is well formed (no ON/OFF overlap, all
-// minterms within range).
+// minterms within range). The overlap test is a binary search in the ON
+// list, which state-graph extraction delivers sorted; an unsorted list
+// is searched through a sorted copy.
 func (s Spec) Validate() error {
 	if s.NumVars < 0 || s.NumVars > 63 {
 		return fmt.Errorf("logic: %d variables out of range", s.NumVars)
 	}
 	limit := uint64(1) << s.NumVars
-	seen := make(map[uint64]bool, len(s.On))
 	for _, m := range s.On {
 		if m >= limit {
 			return fmt.Errorf("logic: ON minterm %d out of range", m)
 		}
-		seen[m] = true
+	}
+	on := s.On
+	if !slices.IsSorted(on) {
+		on = slices.Clone(on)
+		slices.Sort(on)
 	}
 	for _, m := range s.Off {
 		if m >= limit {
 			return fmt.Errorf("logic: OFF minterm %d out of range", m)
 		}
-		if seen[m] {
+		if _, both := slices.BinarySearch(on, m); both {
 			return fmt.Errorf("logic: minterm %d is both ON and OFF", m)
 		}
 	}
@@ -89,40 +95,44 @@ func MinimizeContext(ctx context.Context, spec Spec, opt Options) (Cover, error)
 	// cubes of one function share most of their EXPAND work (on the k=5
 	// handshake, 12 096 minterms expand into 16 distinct primes through
 	// 37 distinct partial assignments), so one OFF-count memo serves
-	// every EXPAND call of this minimization.
+	// every EXPAND call of this minimization. Cubes are held as literal
+	// sets through every pass; only the returned cover is built as Cubes.
 	oc := newOffCounts(off)
 	mc := metrics.From(ctx)
 	mc.Add(metrics.EspressoExpand, 1)
-	cover := make(Cover, 0, len(spec.On))
+	cover := make([]assignment, len(spec.On))
 	minterm := assignment{vars: 1<<spec.NumVars - 1}
-	for _, m := range spec.On {
+	for i, m := range spec.On {
 		minterm.vals = m
-		cover = append(cover, expand(minterm, oc, 0).cube(spec.NumVars))
+		cover[i] = expand(minterm, oc, 0)
 	}
 	cover = irredundant(cover, on)
 
 	best := cover
-	bestLits := cover.Literals()
+	bestLits := literalCount(cover)
 	for pass := 1; pass < opt.MaxPasses; pass++ {
 		if err := ctx.Err(); err != nil {
 			return nil, synerr.Canceled(err)
 		}
 		mc.Add(metrics.EspressoReduce, 1)
 		mc.Add(metrics.EspressoExpand, 1)
-		reduced := reduce(cover, on)
-		next := make(Cover, len(reduced))
-		for i, c := range reduced {
-			next[i] = expand(literals(c), oc, pass).cube(spec.NumVars)
+		next := reduce(cover, on)
+		for i, a := range next {
+			next[i] = expand(a, oc, pass)
 		}
 		next = irredundant(next, on)
-		lits := next.Literals()
+		lits := literalCount(next)
 		if lits >= bestLits {
 			break
 		}
 		best, bestLits = next, lits
 		cover = next
 	}
-	return best, nil
+	out := make(Cover, len(best))
+	for i, a := range best {
+		out[i] = a.cube(spec.NumVars)
+	}
+	return out, nil
 }
 
 // mintermMatrix is a bit-sliced view of a minterm list: cols[v] is the
@@ -144,37 +154,47 @@ func newMintermMatrix(nvars int, ms []uint64) *mintermMatrix {
 		m.cols[v] = flat[v*w : (v+1)*w]
 	}
 	for i, mt := range ms {
-		m.full[i/64] |= 1 << (i % 64)
-		for v := 0; v < nvars; v++ {
-			if mt&(1<<v) != 0 {
-				m.cols[v][i/64] |= 1 << (i % 64)
-			}
+		bit := uint64(1) << (i % 64)
+		m.full[i/64] |= bit
+		for vs := mt & (1<<nvars - 1); vs != 0; vs &= vs - 1 {
+			m.cols[bits.TrailingZeros64(vs)][i/64] |= bit
 		}
 	}
 	return m
 }
 
-// coverMask fills dst (words long) with the bitset of minterms cube c
-// covers: the conjunction of the matching columns of c's literals.
-func (m *mintermMatrix) coverMask(c Cube, dst []uint64) {
+// assignment is a partial assignment of the variables: the variables
+// in vars, each with its bit of vals (vals is zero outside vars). It is
+// also the cube with those literals, the form ESPRESSO's passes work on.
+type assignment struct{ vars, vals uint64 }
+
+// literalCount returns the number of literals in cover.
+func literalCount(cover []assignment) int {
+	n := 0
+	for _, a := range cover {
+		n += bits.OnesCount64(a.vars)
+	}
+	return n
+}
+
+// coverMask fills dst (words long) with the bitset of minterms that
+// agree with a: the conjunction of the matching columns of a's literals.
+func (m *mintermMatrix) coverMask(a assignment, dst []uint64) {
 	copy(dst, m.full)
-	for v := 0; v < m.nvars; v++ {
-		switch c.Var(v) {
-		case VTrue:
+	for vs := a.vars; vs != 0; vs &= vs - 1 {
+		v := bits.TrailingZeros64(vs)
+		col := m.cols[v]
+		if a.vals&(1<<v) != 0 {
 			for w := range dst {
-				dst[w] &= m.cols[v][w]
+				dst[w] &= col[w]
 			}
-		case VFalse:
+		} else {
 			for w := range dst {
-				dst[w] &^= m.cols[v][w]
+				dst[w] &^= col[w]
 			}
 		}
 	}
 }
-
-// assignment is a partial assignment of the variables: the variables
-// in vars, each with its bit of vals (vals is zero outside vars).
-type assignment struct{ vars, vals uint64 }
 
 // offCounts memoizes the one question EXPAND asks of the OFF-set: for a
 // partial assignment, how many OFF minterms agree with it, and how many
@@ -188,9 +208,12 @@ type offCounts struct {
 	mask   []uint64
 }
 
+// newOffCounts sizes the memo for a typical function: of the 141
+// minimizations of a Table 1 pass, half make at most 9 entries and nine
+// in ten at most 30.
 func newOffCounts(off *mintermMatrix) *offCounts {
-	return &offCounts{off: off, index: make(map[assignment]int, 64),
-		counts: make([]int32, 0, 64*(off.nvars+1)), mask: make([]uint64, off.words)}
+	return &offCounts{off: off, index: make(map[assignment]int, 16),
+		counts: make([]int32, 0, 16*(off.nvars+1)), mask: make([]uint64, off.words)}
 }
 
 // lookup returns a's entry. The slice aliases the arena, so it is only
@@ -202,20 +225,7 @@ func (oc *offCounts) lookup(a assignment) []int32 {
 		return oc.counts[at : at+stride]
 	}
 	mask := oc.mask
-	copy(mask, m.full)
-	for vs := a.vars; vs != 0; vs &= vs - 1 {
-		v := bits.TrailingZeros64(vs)
-		col := m.cols[v]
-		if a.vals&(1<<v) != 0 {
-			for w := range mask {
-				mask[w] &= col[w]
-			}
-		} else {
-			for w := range mask {
-				mask[w] &^= col[w]
-			}
-		}
-	}
+	m.coverMask(a, mask)
 	at = len(oc.counts)
 	oc.index[a] = at
 	oc.counts = append(oc.counts, make([]int32, stride)...)
@@ -299,21 +309,6 @@ func expand(a assignment, oc *offCounts, rot int) assignment {
 	return kept
 }
 
-// literals returns the literals of c as an assignment.
-func literals(c Cube) assignment {
-	var a assignment
-	for v := 0; v < c.N(); v++ {
-		switch c.Var(v) {
-		case VTrue:
-			a.vars |= 1 << v
-			a.vals |= 1 << v
-		case VFalse:
-			a.vars |= 1 << v
-		}
-	}
-	return a
-}
-
 // cube returns the n-variable cube with a's literals.
 func (a assignment) cube(n int) Cube {
 	c := NewCube(n)
@@ -352,13 +347,10 @@ func (a assignment) cube(n int) Cube {
 // candidate instead recomputes its covered-minterm bitset from the
 // column view into one shared buffer and tests it against the bitset of
 // minterms with at most one cover left.
-func irredundant(cover Cover, on *mintermMatrix) Cover {
-	// Spec.Validate caps NumVars at 63, so a cube is at most two words.
-	last := make(map[[2]uint64]int, 64) // cube → index of its last copy
-	for ci, c := range cover {
-		var k [2]uint64
-		copy(k[:], c.words)
-		last[k] = ci
+func irredundant(cover []assignment, on *mintermMatrix) []assignment {
+	last := make(map[assignment]int) // cube → index of its last copy
+	for ci, a := range cover {
+		last[a] = ci
 	}
 	type cand struct{ ci, lits, covered int }
 	cands := make([]cand, 0, len(last))
@@ -369,23 +361,16 @@ func irredundant(cover Cover, on *mintermMatrix) Cover {
 	vc := &vertCounter{W: W} // minterm → #covering distinct cubes, bit-planed
 	mask := make([]uint64, W)
 	for i := range cands {
-		c := cover[cands[i].ci]
-		on.coverMask(c, mask)
+		a := cover[cands[i].ci]
+		on.coverMask(a, mask)
 		for _, mw := range mask {
 			cands[i].covered += bits.OnesCount64(mw)
 		}
-		cands[i].lits = c.Literals()
+		cands[i].lits = bits.OnesCount64(a.vars)
 		vc.add(mask)
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		x, y := cands[a], cands[b]
-		if x.lits != y.lits {
-			return x.lits > y.lits
-		}
-		if x.covered != y.covered {
-			return x.covered < y.covered
-		}
-		return x.ci < y.ci
+	slices.SortFunc(cands, func(x, y cand) int {
+		return cmp.Or(cmp.Compare(y.lits, x.lits), cmp.Compare(x.covered, y.covered), cmp.Compare(x.ci, y.ci))
 	})
 	// atMost marks minterms with a single remaining cover: a cube is
 	// removable exactly when its mask avoids all of them.
@@ -414,8 +399,8 @@ func irredundant(cover Cover, on *mintermMatrix) Cover {
 			}
 		}
 	}
-	sort.Ints(keep)
-	out := make(Cover, len(keep))
+	slices.Sort(keep)
+	out := make([]assignment, len(keep))
 	for i, ci := range keep {
 		out[i] = cover[ci]
 	}
@@ -474,43 +459,46 @@ func (vc *vertCounter) atLeast2(w int) uint64 {
 // Unlike a simultaneous shrink, the sequential form preserves coverage
 // of every ON minterm; cubes left with no private minterms are dropped.
 // It only ever runs on post-IRREDUNDANT covers, so materializing the
-// per-cube cover masks is cheap.
-func reduce(cover Cover, on *mintermMatrix) Cover {
+// per-cube cover masks is cheap. The supercube of minterms keeps the
+// literals on which they all agree: each further minterm m drops the
+// literals whose value differs from m's.
+func reduce(cover []assignment, on *mintermMatrix) []assignment {
 	W := on.words
 	counts := make([]int32, on.n)
-	masks := make([][]uint64, len(cover))
 	flat := make([]uint64, len(cover)*W)
-	for ci, c := range cover {
+	for ci, a := range cover {
 		m := flat[ci*W : (ci+1)*W]
-		on.coverMask(c, m)
-		masks[ci] = m
+		on.coverMask(a, m)
 		for w, mw := range m {
 			for ; mw != 0; mw &= mw - 1 {
 				counts[w*64+bits.TrailingZeros64(mw)]++
 			}
 		}
 	}
-	out := make(Cover, 0, len(cover))
-	for ci, c := range cover {
-		var sup Cube
+	all := uint64(1)<<on.nvars - 1
+	out := make([]assignment, 0, len(cover))
+	for ci := range cover {
+		mask := flat[ci*W : (ci+1)*W]
+		var sup assignment
 		first := true
-		for w, mw := range masks[ci] {
+		for w, mw := range mask {
 			for ; mw != 0; mw &= mw - 1 {
 				mi := w*64 + bits.TrailingZeros64(mw)
-				if counts[mi] == 1 { // only this cube (in its current form) covers it
-					mc := FromMinterm(c.N(), on.ms[mi])
-					if first {
-						sup, first = mc, false
-					} else {
-						sup = sup.Supercube(mc)
-					}
+				if counts[mi] != 1 { // another cube (in its current form) covers it
+					continue
+				}
+				if m := on.ms[mi]; first {
+					sup, first = assignment{all, m}, false
+				} else {
+					sup.vars &^= sup.vals ^ m
+					sup.vals &= sup.vars
 				}
 			}
 		}
 		if first {
 			// Fully redundant at this point: drop it (its minterms stay
 			// covered by the other cubes' counts).
-			for w, mw := range masks[ci] {
+			for w, mw := range mask {
 				for ; mw != 0; mw &= mw - 1 {
 					counts[w*64+bits.TrailingZeros64(mw)]--
 				}
@@ -518,10 +506,10 @@ func reduce(cover Cover, on *mintermMatrix) Cover {
 			continue
 		}
 		// Release the minterms the shrunk cube no longer covers.
-		for w, mw := range masks[ci] {
+		for w, mw := range mask {
 			for ; mw != 0; mw &= mw - 1 {
 				mi := w*64 + bits.TrailingZeros64(mw)
-				if !sup.CoversMinterm(on.ms[mi]) {
+				if (on.ms[mi]^sup.vals)&sup.vars != 0 { // a literal of sup excludes it
 					counts[mi]--
 				}
 			}

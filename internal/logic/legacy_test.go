@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -9,8 +10,139 @@ import (
 
 // This file keeps the bitset EXPAND and the copy-by-copy IRREDUNDANT
 // that the memoized expand and the deduplicated irredundant replaced,
-// verbatim apart from their names, as the reference implementations the
-// production paths must match bit for bit.
+// and the Cube-based ESPRESSO loop with its REDUCE that the passes on
+// literal sets replaced, verbatim apart from their names and the legacy
+// passes they call, as the reference implementations the production
+// paths must match bit for bit.
+
+// literals returns the literals of c as an assignment.
+func literals(c Cube) assignment {
+	var a assignment
+	for v := 0; v < c.N(); v++ {
+		switch c.Var(v) {
+		case VTrue:
+			a.vars |= 1 << v
+			a.vals |= 1 << v
+		case VFalse:
+			a.vars |= 1 << v
+		}
+	}
+	return a
+}
+
+// assignments returns the literal sets of the cubes of cover.
+func assignments(cover Cover) []assignment {
+	out := make([]assignment, len(cover))
+	for i, c := range cover {
+		out[i] = literals(c)
+	}
+	return out
+}
+
+// legacyMinimize is the Cube-based loop of MinimizeContext, without
+// its context poll and counters: one minterm cube per ON minterm,
+// expanded, made irredundant, then REDUCE + re-EXPAND + IRREDUNDANT
+// passes until the literal count stops improving.
+func legacyMinimize(spec Spec, opt Options) (Cover, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if opt.MaxPasses == 0 {
+		opt.MaxPasses = 8
+	}
+	if len(spec.On) == 0 {
+		return Cover{}, nil
+	}
+	off := newMintermMatrix(spec.NumVars, spec.Off)
+	on := newMintermMatrix(spec.NumVars, spec.On)
+	sc := &legacyExpandScratch{}
+	cover := make(Cover, 0, len(spec.On))
+	for _, m := range spec.On {
+		cover = append(cover, legacyExpand(FromMinterm(spec.NumVars, m), off, 0, sc))
+	}
+	cover = legacyIrredundant(cover, on)
+
+	best := cover
+	bestLits := cover.Literals()
+	for pass := 1; pass < opt.MaxPasses; pass++ {
+		reduced := legacyReduce(cover, on)
+		next := make(Cover, len(reduced))
+		for i, c := range reduced {
+			next[i] = legacyExpand(c, off, pass, sc)
+		}
+		next = legacyIrredundant(next, on)
+		lits := next.Literals()
+		if lits >= bestLits {
+			break
+		}
+		best, bestLits = next, lits
+		cover = next
+	}
+	return best, nil
+}
+
+// legacyReduce sequentially shrinks each cube to the supercube of the ON
+// minterms that the rest of the (partially reduced) cover does not
+// already cover, giving the following EXPAND a different starting point.
+// Unlike a simultaneous shrink, the sequential form preserves coverage
+// of every ON minterm; cubes left with no private minterms are dropped.
+// It only ever runs on post-IRREDUNDANT covers, so materializing the
+// per-cube cover masks is cheap.
+func legacyReduce(cover Cover, on *mintermMatrix) Cover {
+	W := on.words
+	counts := make([]int32, on.n)
+	masks := make([][]uint64, len(cover))
+	flat := make([]uint64, len(cover)*W)
+	for ci, c := range cover {
+		m := flat[ci*W : (ci+1)*W]
+		on.coverMask(literals(c), m)
+		masks[ci] = m
+		for w, mw := range m {
+			for ; mw != 0; mw &= mw - 1 {
+				counts[w*64+bits.TrailingZeros64(mw)]++
+			}
+		}
+	}
+	out := make(Cover, 0, len(cover))
+	for ci, c := range cover {
+		var sup Cube
+		first := true
+		for w, mw := range masks[ci] {
+			for ; mw != 0; mw &= mw - 1 {
+				mi := w*64 + bits.TrailingZeros64(mw)
+				if counts[mi] == 1 { // only this cube (in its current form) covers it
+					mc := FromMinterm(c.N(), on.ms[mi])
+					if first {
+						sup, first = mc, false
+					} else {
+						sup = sup.Supercube(mc)
+					}
+				}
+			}
+		}
+		if first {
+			// Fully redundant at this point: drop it (its minterms stay
+			// covered by the other cubes' counts).
+			for w, mw := range masks[ci] {
+				for ; mw != 0; mw &= mw - 1 {
+					counts[w*64+bits.TrailingZeros64(mw)]--
+				}
+			}
+			continue
+		}
+		// Release the minterms the shrunk cube no longer covers.
+		for w, mw := range masks[ci] {
+			for ; mw != 0; mw &= mw - 1 {
+				mi := w*64 + bits.TrailingZeros64(mw)
+				if !sup.CoversMinterm(on.ms[mi]) {
+					counts[mi]--
+				}
+			}
+		}
+		out = append(out, sup)
+	}
+	return out
+}
 
 // legacyExpandScratch holds the EXPAND working set so one allocation batch is
 // reused across every cube of every pass of a minimization: the conflict
@@ -175,7 +307,7 @@ func legacyIrredundant(cover Cover, on *mintermMatrix) Cover {
 	vc := &vertCounter{W: W} // minterm → #covering cubes, bit-planed
 	mask := make([]uint64, W)
 	for ci, c := range cover {
-		on.coverMask(c, mask)
+		on.coverMask(literals(c), mask)
 		cnt := 0
 		for _, mw := range mask {
 			cnt += bits.OnesCount64(mw)
@@ -213,7 +345,7 @@ func legacyIrredundant(cover Cover, on *mintermMatrix) Cover {
 		atMost[w] = on.full[w] &^ vc.atLeast2(w)
 	}
 	for _, ci := range order {
-		on.coverMask(cover[ci], mask)
+		on.coverMask(literals(cover[ci]), mask)
 		removable := true
 		for w := range mask {
 			if mask[w]&atMost[w] != 0 {
@@ -338,13 +470,13 @@ func TestIrredundantMatchesLegacy(t *testing.T) {
 		rng.Shuffle(len(cover), func(i, j int) { cover[i], cover[j] = cover[j], cover[i] })
 		interleaved += countInterleaved(cover, on)
 		want := legacyIrredundant(cover, on)
-		got := irredundant(cover, on)
+		got := irredundant(assignments(cover), on)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d irredundant kept %d cubes, legacy %d\ncover %v\ngot %v\nwant %v", n, len(got), len(want), cover, got, want)
 		}
 		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("n=%d cube %d: %v, legacy %v\ncover %v", n, i, got[i], want[i], cover)
+			if c := got[i].cube(n); !c.Equal(want[i]) {
+				t.Fatalf("n=%d cube %d: %v, legacy %v\ncover %v", n, i, c, want[i], cover)
 			}
 		}
 	}
@@ -363,7 +495,7 @@ func countInterleaved(cover Cover, on *mintermMatrix) int {
 	type key struct{ lits, covered int }
 	keys := make([]key, len(cover))
 	for i, c := range cover {
-		on.coverMask(c, mask)
+		on.coverMask(literals(c), mask)
 		cnt := 0
 		for _, mw := range mask {
 			cnt += bits.OnesCount64(mw)
@@ -385,4 +517,62 @@ func countInterleaved(cover Cover, on *mintermMatrix) int {
 		}
 	}
 	return n
+}
+
+// symmetricSpec draws a symmetric function over n variables: whether a
+// minterm is ON, OFF or don't-care depends only on how many of its
+// variables are true.
+func symmetricSpec(rng *rand.Rand, n int) Spec {
+	class := make([]int, n+1)
+	for w := range class {
+		class[w] = rng.Intn(3)
+	}
+	spec := Spec{NumVars: n}
+	for m := uint64(0); m < 1<<n; m++ {
+		switch class[bits.OnesCount64(m)] {
+		case 0:
+			spec.On = append(spec.On, m)
+		case 1:
+			spec.Off = append(spec.Off, m)
+		}
+	}
+	return spec
+}
+
+// TestMinimizeMatchesLegacy pins Minimize, whose passes work on literal
+// sets, to the Cube-based loop built on the legacy passes, on random
+// specs of 1 to 10 variables and on symmetric specs, whose ties in
+// every greedy order are common, under several pass limits.
+func TestMinimizeMatchesLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + trial%10
+		spec := randomSpec(rng, n, 0.1+0.5*rng.Float64(), 0.1+0.4*rng.Float64())
+		if trial%2 == 1 {
+			spec = symmetricSpec(rng, n)
+		}
+		opt := Options{MaxPasses: []int{0, 1, 2, 3}[trial%4]}
+		if err := matchLegacyMinimize(spec, opt); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// matchLegacyMinimize compares Minimize with legacyMinimize on spec:
+// the same error, or the same cubes in the same order.
+func matchLegacyMinimize(spec Spec, opt Options) error {
+	got, err := Minimize(spec, opt)
+	want, werr := legacyMinimize(spec, opt)
+	if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+		return fmt.Errorf("Minimize error %v, legacy %v", err, werr)
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("Minimize gave %v, legacy %v\nON %v\nOFF %v", got, want, spec.On, spec.Off)
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			return fmt.Errorf("cube %d: %v, legacy %v\nON %v\nOFF %v", i, got[i], want[i], spec.On, spec.Off)
+		}
+	}
+	return nil
 }

@@ -2,6 +2,9 @@ package modcache
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -194,6 +197,78 @@ func TestExportImport(t *testing.T) {
 	}
 	if _, ok := c2.Export(digest); !ok {
 		t.Fatal("restarted cache could not export its persisted record")
+	}
+}
+
+// TestEarlierKeyFormatMissesCleanly pins the change of the key's JSON
+// when the key lost its renumbering-invariant "canon" hash: a record
+// written in the earlier format, and named by the digest of that JSON,
+// reads as a miss that solves, is not exported under its old name, and
+// is stored under the current digest of the key it describes when it
+// is taken in through Import.
+func TestEarlierKeyFormatMissesCleanly(t *testing.T) {
+	ctx := context.Background()
+	key := testKey("layout")
+	earlierKey := struct {
+		Canon         string `json:"canon"`
+		Layout        string `json:"layout"`
+		M             int    `json:"m"`
+		Engine        int    `json:"engine"`
+		ExpandXor     bool   `json:"expand_xor"`
+		SkipUSC       bool   `json:"skip_usc,omitempty"`
+		MaxBacktracks int    `json:"max_backtracks"`
+		BDDNodeLimit  int    `json:"bdd_node_limit,omitempty"`
+		WarmHash      string `json:"warm_hash"`
+	}{Canon: "canon", Layout: key.Layout, M: key.M, Engine: key.Engine, ExpandXor: key.ExpandXor,
+		MaxBacktracks: key.MaxBacktracks, BDDNodeLimit: key.BDDNodeLimit, WarmHash: key.WarmHash}
+	kb, err := json.Marshal(earlierKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(kb)
+	oldDigest := hex.EncodeToString(sum[:])
+	if oldDigest == RecordDigest(key) {
+		t.Fatal("earlier and current key JSON share a digest")
+	}
+	rec, err := json.Marshal(struct {
+		Schema int    `json:"schema"`
+		Key    any    `json:"key"`
+		Entry  *Entry `json:"entry"`
+	}{diskSchema, earlierKey, testEntry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, oldDigest+".json"), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves := 0
+	if _, hit, err := c.Do(ctx, key, func() (*Entry, error) { solves++; return testEntry(), nil }); err != nil || hit || solves != 1 {
+		t.Fatalf("earlier-format record: hit=%v err=%v solves=%d, want a miss that solves", hit, err, solves)
+	}
+	if _, ok := c.Export(oldDigest); ok {
+		t.Fatal("Export served an earlier-format record under its old digest")
+	}
+
+	dst := New()
+	d, err := dst.Import(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != RecordDigest(key) {
+		t.Fatalf("Import stored the record under %s, want the current digest %s", d, RecordDigest(key))
+	}
+	got, hit, err := dst.Do(ctx, key, func() (*Entry, error) {
+		t.Fatal("solve ran despite an imported record")
+		return nil, nil
+	})
+	if err != nil || !hit || !reflect.DeepEqual(got, testEntry()) {
+		t.Fatalf("imported record not served as stored: hit=%v err=%v entry=%+v", hit, err, got)
 	}
 }
 

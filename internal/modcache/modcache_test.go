@@ -13,7 +13,7 @@ import (
 )
 
 func testKey(layout string) Key {
-	return Key{Canon: "canon-" + layout, Layout: layout, M: 1, Engine: 3,
+	return Key{Layout: layout, M: 1, Engine: 3,
 		MaxBacktracks: 1000, WarmHash: "-"}
 }
 

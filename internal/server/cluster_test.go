@@ -304,7 +304,7 @@ func TestCacheExchangeEndpoints(t *testing.T) {
 	}
 
 	// PUT round trip: encode a synthetic record, push it, read it back.
-	key := modcache.Key{Canon: "c", Layout: "l", M: 1, Engine: 1, MaxBacktracks: 10, WarmHash: "-"}
+	key := modcache.Key{Layout: "l", M: 1, Engine: 1, MaxBacktracks: 10, WarmHash: "-"}
 	rec, err := modcache.EncodeRecord(key, &modcache.Entry{Signals: 1, Status: 1, Engine: "dpll"})
 	if err != nil {
 		t.Fatal(err)

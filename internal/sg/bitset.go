@@ -47,6 +47,7 @@ type scratch struct {
 	dirs  []int8
 	flags []uint8
 	sets  []PhaseSet
+	bytes []byte
 }
 
 // resize returns *buf resized to n, reallocating only when its capacity

@@ -2,7 +2,7 @@ package sg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"asyncsyn/internal/stg"
@@ -15,24 +15,19 @@ type xstate struct {
 	x    uint64
 }
 
-// expandIndexPool recycles the Expand state-interning map, and
-// tableSeenPool the FunctionTable projection map, across calls (one
-// Expand per refinement round, one FunctionTable per output). Maps are
-// cleared BEFORE they go back to the pool (putExpandIndex/putTableSeen),
-// never on Get: a map sitting in the pool holds no stale entries — and
-// therefore no references pinning a dead graph's states live across
-// calls — and every Get (recycled or fresh from New) yields an empty
-// map, so results are identical with or without a pool hit.
+// expandIndexPool recycles the Expand state-interning map across calls
+// (one Expand per refinement round). Maps are cleared BEFORE they go
+// back to the pool (putExpandIndex), never on Get: a map sitting in the
+// pool holds no stale entries — and therefore no references pinning a
+// dead graph's states live across calls — and every Get (recycled or
+// fresh from New) yields an empty map, so results are identical with or
+// without a pool hit.
 var expandIndexPool = sync.Pool{
 	New: func() any { return make(map[xstate]int, 1024) },
 }
 
-var tableSeenPool = sync.Pool{
-	New: func() any { return make(map[uint64]uint8, 1024) },
-}
-
 // maxPooledMapEntries caps the size of maps returned to the interning
-// pools. A Go map's bucket array never shrinks, so recycling the map of
+// pool. A Go map's bucket array never shrinks, so recycling the map of
 // one huge expansion would pin its whole footprint in the pool for the
 // life of the process; oversized maps are dropped for the GC instead.
 const maxPooledMapEntries = 1 << 16
@@ -46,16 +41,6 @@ func putExpandIndex(m map[xstate]int) bool {
 	}
 	clear(m)
 	expandIndexPool.Put(m)
-	return true
-}
-
-// putTableSeen is putExpandIndex for the FunctionTable projection map.
-func putTableSeen(m map[uint64]uint8) bool {
-	if len(m) > maxPooledMapEntries {
-		return false
-	}
-	clear(m)
-	tableSeenPool.Put(m)
 	return true
 }
 
@@ -193,49 +178,119 @@ func (g *Graph) FunctionTable(sig int, supportMask uint64) (*Table, error) {
 
 // tableOver is the table-extraction core shared by Graph.FunctionTable
 // and Stream.FunctionTable: states are projected onto the support vars
-// through codeAt, deduplicated by projected code (the first occurrence
-// decides), and classified on/off by impliedAt. Both callers therefore
-// produce bit-identical tables from the same state sequence.
+// through codeAt and classified on/off by impliedAt, the ON and OFF
+// lists holding each projected code once, in ascending order. Both
+// callers therefore produce bit-identical tables from the same state
+// sequence.
+//
+// Each state contributes one key, its code under the support mask
+// shifted left once with the implied value in bit 0 (MaxSignals keeps
+// the code below 63 bits). Sorting the keys puts equal codes side by
+// side, so one pass reads off both lists, projecting each distinct code
+// once: projection keeps the order of masked codes. A code that carries
+// both values is the ill-defined case.
 func tableOver(base []SignalInfo, sig int, supportMask uint64, n int,
 	codeAt func(s int) uint64, impliedAt func(s int) uint8) (*Table, error) {
-	var vars []int
+	var mask uint64
+	t := &Table{Signal: base[sig].Name}
 	for i := range base {
 		if supportMask&(1<<i) != 0 {
-			vars = append(vars, i)
+			mask |= 1 << i
+			t.Vars = append(t.Vars, base[i].Name)
 		}
 	}
-	t := &Table{Signal: base[sig].Name}
-	for _, v := range vars {
-		t.Vars = append(t.Vars, base[v].Name)
+	cp := newCompressor(mask)
+	sc := scratchFor(n)
+	defer releaseScratch(n, sc)
+	keys := sc.u64sFor(n)
+	for s := range keys {
+		keys[s] = (codeAt(s)&mask)<<1 | uint64(impliedAt(s))
 	}
-	seen := tableSeenPool.Get().(map[uint64]uint8) // projected code → implied value
-	defer putTableSeen(seen)
-	var onSet, offSet []uint64
-	for s := 0; s < n; s++ {
-		var code uint64
-		c := codeAt(s)
-		for bi, v := range vars {
-			if c&(1<<v) != 0 {
-				code |= 1 << bi
+	slices.Sort(keys)
+	nOn, nOff := 0, 0
+	var both []uint64 // masked codes carrying both values, ascending
+	for i, k := range keys {
+		switch {
+		case i > 0 && k == keys[i-1]:
+		case k&1 == 0:
+			nOff++
+		case i > 0 && k^1 == keys[i-1]:
+			both = append(both, k>>1)
+		default:
+			nOn++
+		}
+	}
+	if both != nil {
+		// Name the code of the first state, in state order, that
+		// contradicts an earlier state; one does, so the scan ends there.
+		first := make([]uint8, len(both)) // implied value + 1 of the first state per code
+		for s := 0; ; s++ {
+			c := codeAt(s) & mask
+			i, ok := slices.BinarySearch(both, c)
+			if !ok {
+				continue
 			}
-		}
-		iv := impliedAt(s)
-		if prev, ok := seen[code]; ok {
-			if prev != iv {
+			if iv := impliedAt(s) + 1; first[i] == 0 {
+				first[i] = iv
+			} else if first[i] != iv {
 				return nil, fmt.Errorf("sg: signal %q ill-defined on support (code %b implies both 0 and 1)",
-					base[sig].Name, code)
+					base[sig].Name, cp.compress(c))
 			}
+		}
+	}
+	if nOn > 0 {
+		t.On = make([]uint64, 0, nOn)
+	}
+	if nOff > 0 {
+		t.Off = make([]uint64, 0, nOff)
+	}
+	for i, k := range keys {
+		if i > 0 && k == keys[i-1] {
 			continue
 		}
-		seen[code] = iv
-		if iv == 1 {
-			onSet = append(onSet, code)
+		if k&1 == 1 {
+			t.On = append(t.On, cp.compress(k>>1))
 		} else {
-			offSet = append(offSet, code)
+			t.Off = append(t.Off, cp.compress(k>>1))
 		}
 	}
-	sort.Slice(onSet, func(i, j int) bool { return onSet[i] < onSet[j] })
-	sort.Slice(offSet, func(i, j int) bool { return offSet[i] < offSet[j] })
-	t.On, t.Off = onSet, offSet
 	return t, nil
+}
+
+// compressor packs the bits of a code that lie under a fixed mask
+// toward bit 0, keeping their order (a software PEXT, after Hacker's
+// Delight §7-4): round i moves the precomputed set of bits mv[i] right
+// by 2^i, so a projection costs six branch-free rounds however many
+// bits the mask has.
+type compressor struct {
+	mask uint64
+	mv   [6]uint64
+}
+
+func newCompressor(m uint64) compressor {
+	c := compressor{mask: m}
+	mk := ^m << 1 // counts the zeros to the right of each bit
+	for i := range c.mv {
+		mp := mk ^ mk<<1 // parallel suffix parity
+		mp ^= mp << 2
+		mp ^= mp << 4
+		mp ^= mp << 8
+		mp ^= mp << 16
+		mp ^= mp << 32
+		mv := mp & m // the bits that move by 2^i
+		c.mv[i] = mv
+		m = m ^ mv | mv>>(1<<i)
+		mk &^= mp
+	}
+	return c
+}
+
+// compress returns the bits of x under the mask, packed toward bit 0.
+func (c *compressor) compress(x uint64) uint64 {
+	x &= c.mask
+	for i, mv := range c.mv {
+		t := x & mv
+		x = x ^ t | t>>(1<<i)
+	}
+	return x
 }

@@ -1,6 +1,7 @@
 package sg
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -174,5 +175,35 @@ func TestFunctionTableSupportProjection(t *testing.T) {
 	}
 	if len(tbl.Vars) != 3 {
 		t.Fatalf("vars %v", tbl.Vars)
+	}
+}
+
+// TestCompressorMatchesBitLoop pins the software PEXT behind table
+// projection to a bit-by-bit packing on random masks and codes, plus
+// the empty, full, single-bit and top-bit masks.
+func TestCompressorMatchesBitLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	masks := []uint64{0, ^uint64(0), 1, 1 << 63, 0x8000000000000001, 0x5555555555555555}
+	for i := 0; i < 200; i++ {
+		masks = append(masks, rng.Uint64()&rng.Uint64(), rng.Uint64()>>uint(rng.Intn(64)))
+	}
+	for _, m := range masks {
+		cp := newCompressor(m)
+		for i := 0; i < 50; i++ {
+			x := rng.Uint64()
+			var want uint64
+			bi := 0
+			for v := 0; v < 64; v++ {
+				if m&(1<<v) != 0 {
+					if x&(1<<v) != 0 {
+						want |= 1 << bi
+					}
+					bi++
+				}
+			}
+			if got := cp.compress(x); got != want {
+				t.Fatalf("compress(%#x) under %#x = %#x, want %#x", x, m, got, want)
+			}
+		}
 	}
 }

@@ -15,13 +15,6 @@ func TestPooledMapsRecycleEmpty(t *testing.T) {
 	if len(idx) != 0 {
 		t.Fatalf("pooled interning map kept %d entries", len(idx))
 	}
-	seen := map[uint64]uint8{42: 1}
-	if !putTableSeen(seen) {
-		t.Fatal("small projection map was not pooled")
-	}
-	if len(seen) != 0 {
-		t.Fatalf("pooled projection map kept %d entries", len(seen))
-	}
 	edges := map[uint64]struct{}{7: {}}
 	if !putEdgeSeen(edges) {
 		t.Fatal("small edge-dedup map was not pooled")
@@ -37,11 +30,11 @@ func TestPooledMapsRecycleEmpty(t *testing.T) {
 	}
 	putExpandIndex(got)
 
-	big := make(map[uint64]uint8, maxPooledMapEntries+1)
+	big := make(map[xstate]int, maxPooledMapEntries+1)
 	for i := 0; i <= maxPooledMapEntries; i++ {
-		big[uint64(i)] = 1
+		big[xstate{orig: i}] = i
 	}
-	if putTableSeen(big) {
+	if putExpandIndex(big) {
 		t.Fatal("oversized map was pooled; it should be dropped for the GC")
 	}
 }

@@ -4,157 +4,51 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
 )
 
-// Signature identifies a modular CSC problem — a (graph, conflicts) pair
-// — for the solve cache (internal/modcache).
+// SignatureOf identifies a modular CSC problem — solving conf on g — for
+// the solve cache (internal/modcache): the hex SHA-256 of the problem
+// exactly as laid out, in state, edge and conflict order. Two problems
+// with equal signatures are identical byte for byte — same state
+// numbering, same edge order, same conflict lists — so a model decoded
+// against one is valid, column for column, against the other. conf may
+// be nil (no separation obligations).
 //
-// Canon is invariant to state renumbering: two quotients that differ
-// only in how their merged states happen to be numbered hash equal. It
-// is computed by Weisfeiler-Leman-style color refinement over the edge
-// relation, so it is what makes modules of different outputs share cache
-// entries when their quotients are isomorphic.
-//
-// Layout is the exact index-ordered hash of the same data. Two problems
-// with equal Layout are identical byte for byte — same state numbering,
-// same edge order, same conflict lists — so a cached model decoded
-// against one is valid, column for column, against the other. Cache
-// keys carry both: Canon provides the equivalence class, Layout the
-// replay guarantee that keeps cached and cold runs bit-identical.
-type Signature struct {
-	Canon  string
-	Layout string
-}
-
-// SignatureOf computes the signature of solving conf on g. conf may be
-// nil (no separation obligations).
-func SignatureOf(g *Graph, conf *Conflicts) Signature {
-	return Signature{Canon: canonHash(g, conf), Layout: layoutHash(g, conf)}
-}
-
-// fnv1a folds data into a running 64-bit FNV-1a hash.
-func fnv1a(h uint64, data ...uint64) uint64 {
-	const prime = 1099511628211
-	for _, d := range data {
-		for i := 0; i < 8; i++ {
-			h ^= d & 0xff
-			h *= prime
-			d >>= 8
-		}
-	}
-	return h
-}
-
-const fnvOffset = 14695981039346656037
-
-// canonHash runs a few rounds of color refinement: each state starts
-// colored by its local data (code, phase column values, initial flag)
-// and is repeatedly re-colored by the sorted multisets of its labelled
-// in- and out-neighborhoods. Renumbering the states permutes the color
-// arrays but never the colors themselves, so the final sorted digests
-// are invariant.
-func canonHash(g *Graph, conf *Conflicts) string {
+// The hash reads the state count, the Active mask, the initial state,
+// each state's code under Active and its phase values, each edge's
+// endpoints, signal, direction and input flag, the conflict lists with
+// their lower bound, and the signal roster (names, input flags) with
+// the state-signal names. Out and In are not read: they are built from
+// Edges alone, so equal edge lists mean equal adjacency.
+func SignatureOf(g *Graph, conf *Conflicts) string {
 	n := len(g.States)
-	color := make([]uint64, n)
-	for s := 0; s < n; s++ {
-		c := fnv1a(fnvOffset, 0x5354, g.States[s].Code&g.Active)
-		if s == g.Initial {
-			c = fnv1a(c, 1)
-		}
-		for _, ss := range g.StateSigs {
-			c = fnv1a(c, uint64(ss.Phases[s]))
-		}
-		color[s] = c
-	}
-
-	edgeLabel := func(e Edge) uint64 {
-		l := uint64(e.Sig+1)<<2 | uint64(e.Dir)<<1
-		if g.InputEdge(e) {
-			l |= 1
-		}
-		return l
-	}
-
-	next := make([]uint64, n)
-	var nbr []uint64
-	for round := 0; round < 3; round++ {
-		for s := 0; s < n; s++ {
-			nbr = nbr[:0]
-			for _, ei := range g.Out[s] {
-				e := g.Edges[ei]
-				nbr = append(nbr, fnv1a(fnvOffset, 0x4f55, edgeLabel(e), color[e.To]))
-			}
-			for _, ei := range g.In[s] {
-				e := g.Edges[ei]
-				nbr = append(nbr, fnv1a(fnvOffset, 0x494e, edgeLabel(e), color[e.From]))
-			}
-			sort.Slice(nbr, func(i, j int) bool { return nbr[i] < nbr[j] })
-			next[s] = fnv1a(color[s], nbr...)
-		}
-		color, next = next, color
-	}
-
-	// Order-independent digests: sorted state colors, sorted edge
-	// tuples, sorted conflict tuples.
-	states := append([]uint64(nil), color...)
-	sort.Slice(states, func(i, j int) bool { return states[i] < states[j] })
-
-	edges := make([]uint64, 0, len(g.Edges))
-	for _, e := range g.Edges {
-		edges = append(edges, fnv1a(fnvOffset, color[e.From], color[e.To], edgeLabel(e)))
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
-
-	pairHash := func(kind uint64, p Pair) uint64 {
-		a, b := color[p.A], color[p.B]
-		if a > b {
-			a, b = b, a
-		}
-		return fnv1a(fnvOffset, kind, a, b)
-	}
-	var pairs []uint64
-	if conf != nil {
-		pairs = make([]uint64, 0, len(conf.CSC)+len(conf.USC))
-		for _, p := range conf.CSC {
-			pairs = append(pairs, pairHash(0x435343, p))
-		}
-		for _, p := range conf.USC {
-			pairs = append(pairs, pairHash(0x555343, p))
-		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
-	}
-
-	h := sha256.New()
-	writeU64 := func(vs ...uint64) {
-		var buf [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], v)
-			h.Write(buf[:])
+	sc := scratchFor(n)
+	buf := sc.bytes[:0]
+	w := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	w(uint64(n))
+	w(g.Active)
+	w(uint64(g.Initial))
+	// The numbering-independent context: the base signal roster (names
+	// and input flags decide the blocked phase pairs of every edge
+	// clause), the state-signal names and whether conflicts are given.
+	w(uint64(len(g.Base)))
+	for _, b := range g.Base {
+		buf = append(append(buf, b.Name...), 0)
+		if b.Input {
+			w(1)
+		} else {
+			w(0)
 		}
 	}
-	writeU64(uint64(n), g.Active, uint64(len(g.Edges)))
-	hashContext(h, g, conf)
-	writeU64(states...)
-	writeU64(edges...)
-	writeU64(pairs...)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// layoutHash hashes the problem exactly as laid out: state order, edge
-// order, conflict order. Equality means a model's variable layout
-// decodes identically against both problems.
-func layoutHash(g *Graph, conf *Conflicts) string {
-	h := sha256.New()
-	var buf [8]byte
-	w := func(vs ...uint64) {
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], v)
-			h.Write(buf[:])
-		}
+	w(uint64(len(g.StateSigs)))
+	for _, ss := range g.StateSigs {
+		buf = append(append(buf, ss.Name...), 0)
 	}
-	w(uint64(len(g.States)), g.Active, uint64(g.Initial))
-	hashContext(h, g, conf)
+	if conf == nil {
+		w(0)
+	} else {
+		w(uint64(conf.LowerBound) + 1)
+	}
 	for s := range g.States {
 		w(g.States[s].Code & g.Active)
 		for _, ss := range g.StateSigs {
@@ -166,47 +60,27 @@ func layoutHash(g *Graph, conf *Conflicts) string {
 		if g.InputEdge(e) {
 			in = 1
 		}
-		w(uint64(e.From), uint64(e.To), uint64(e.Sig+1), uint64(e.Dir), in)
+		w(uint64(e.From))
+		w(uint64(e.To))
+		w(uint64(e.Sig + 1))
+		w(uint64(e.Dir))
+		w(in)
 	}
 	if conf != nil {
-		w(uint64(len(conf.CSC)), uint64(len(conf.USC)), uint64(conf.LowerBound))
+		w(uint64(len(conf.CSC)))
+		w(uint64(len(conf.USC)))
+		w(uint64(conf.LowerBound))
 		for _, p := range conf.CSC {
-			w(uint64(p.A), uint64(p.B))
+			w(uint64(p.A))
+			w(uint64(p.B))
 		}
 		for _, p := range conf.USC {
-			w(uint64(p.A), uint64(p.B))
+			w(uint64(p.A))
+			w(uint64(p.B))
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// hashContext feeds the numbering-independent problem context shared by
-// both hashes: the base signal roster (names and input flags decide the
-// blocked phase pairs of every edge clause) and the state-signal names.
-func hashContext(h interface{ Write([]byte) (int, error) }, g *Graph, conf *Conflicts) {
-	var buf [8]byte
-	w := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	w(uint64(len(g.Base)))
-	for _, b := range g.Base {
-		h.Write([]byte(b.Name))
-		h.Write([]byte{0})
-		if b.Input {
-			w(1)
-		} else {
-			w(0)
-		}
-	}
-	w(uint64(len(g.StateSigs)))
-	for _, ss := range g.StateSigs {
-		h.Write([]byte(ss.Name))
-		h.Write([]byte{0})
-	}
-	if conf == nil {
-		w(0)
-	} else {
-		w(uint64(conf.LowerBound) + 1)
-	}
+	sum := sha256.Sum256(buf)
+	sc.bytes = buf
+	releaseScratch(n, sc)
+	return hex.EncodeToString(sum[:])
 }

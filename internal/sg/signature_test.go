@@ -1,7 +1,9 @@
 package sg
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"asyncsyn/internal/stg"
@@ -52,11 +54,12 @@ func permutePairs(ps []Pair, perm []int) []Pair {
 	return out
 }
 
-// TestSignatureCanonInvariantUnderRenumbering is the cache-correctness
-// property behind Canon: renumbering the states (and reordering the
-// edges) of a problem never changes its Canon hash, while Layout — the
-// replay guarantee — tracks the concrete numbering.
-func TestSignatureCanonInvariantUnderRenumbering(t *testing.T) {
+// TestSignatureTracksRenumbering checks the replay guarantee behind the
+// cache key: renumbering the states (and reordering the edges) of a
+// problem moves its signature, because a cached model decodes column
+// for column only against the same layout, and the signature of one
+// problem is reproducible.
+func TestSignatureTracksRenumbering(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for seed := int64(0); seed < 25; seed++ {
 		spec, err := stg.Random(seed, stg.RandomOptions{})
@@ -82,22 +85,18 @@ func TestSignatureCanonInvariantUnderRenumbering(t *testing.T) {
 			USC:        permutePairs(conf.USC, perm),
 			LowerBound: conf.LowerBound,
 		})
-		if psig.Canon != sig.Canon {
-			t.Fatalf("seed %d: Canon changed under state renumbering", seed)
+		if !identity && n > 1 && psig == sig {
+			t.Fatalf("seed %d: signature blind to state renumbering", seed)
 		}
-		if !identity && n > 1 && psig.Layout == sig.Layout {
-			t.Fatalf("seed %d: Layout blind to state renumbering", seed)
-		}
-		// Both hashes must be reproducible.
 		if again := SignatureOf(g, conf); again != sig {
 			t.Fatalf("seed %d: SignatureOf not deterministic", seed)
 		}
 	}
 }
 
-// TestSignatureSensitive checks Canon distinguishes genuinely different
-// problems: flipping an edge direction, renaming a signal, flipping an
-// input flag, or dropping a conflict pair must all move the hash.
+// TestSignatureSensitive checks the signature distinguishes genuinely
+// different problems: flipping an edge direction, renaming a signal,
+// flipping an input flag, or dropping a conflict pair must all move it.
 func TestSignatureSensitive(t *testing.T) {
 	spec, err := stg.Random(3, stg.RandomOptions{})
 	if err != nil {
@@ -118,8 +117,8 @@ func TestSignatureSensitive(t *testing.T) {
 			LowerBound: conf.LowerBound,
 		}
 		f(h, c)
-		if s := SignatureOf(h, c); s.Canon == base.Canon {
-			t.Errorf("%s: Canon blind to the change", name)
+		if SignatureOf(h, c) == base {
+			t.Errorf("%s: signature blind to the change", name)
 		}
 	}
 	mut("edge direction", func(h *Graph, c *Conflicts) {
@@ -140,9 +139,63 @@ func TestSignatureSensitive(t *testing.T) {
 			c.CSC = c.CSC[1:]
 		})
 	}
-	if SignatureOf(g, nil).Canon == base.Canon && len(conf.CSC)+len(conf.USC) > 0 {
+	if SignatureOf(g, nil) == base && len(conf.CSC)+len(conf.USC) > 0 {
 		t.Error("nil conflicts hash equal to analyzed conflicts")
 	}
+}
+
+// TestAdjacencyIsEdgesGrouped pins the fact that lets SignatureOf leave
+// Out and In unread: on every graph the package builds (elaborated,
+// cloned, quotiented, expanded), Out[s] is exactly the indices of the
+// edges leaving s and In[s] those entering s, in ascending order. Two
+// graphs with equal edge lists therefore have equal adjacency.
+func TestAdjacencyIsEdgesGrouped(t *testing.T) {
+	check := func(name string, g *Graph) {
+		t.Helper()
+		n := len(g.States)
+		if len(g.Out) != n || len(g.In) != n {
+			t.Fatalf("%s: %d states, %d Out and %d In lists", name, n, len(g.Out), len(g.In))
+		}
+		out, in := make([][]int, n), make([][]int, n)
+		for i, e := range g.Edges {
+			out[e.From] = append(out[e.From], i)
+			in[e.To] = append(in[e.To], i)
+		}
+		for s := 0; s < n; s++ {
+			if !slices.Equal(g.Out[s], out[s]) || !slices.Equal(g.In[s], in[s]) {
+				t.Fatalf("%s: state %d has Out %v In %v, edges give %v and %v", name, s, g.Out[s], g.In[s], out[s], in[s])
+			}
+		}
+	}
+	graphs := 0
+	for seed := int64(0); seed < 25; seed++ {
+		spec, err := stg.Random(seed, stg.RandomOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := FromSTG(spec, Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		check(fmt.Sprintf("seed %d", seed), g)
+		check(fmt.Sprintf("seed %d clone", seed), g.Clone())
+		ex, err := g.Expand()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		check(fmt.Sprintf("seed %d expansion", seed), ex)
+		graphs += 3
+		for i, b := range g.Base {
+			if !b.Input {
+				continue
+			}
+			if m, ok := g.Quotient(1 << i); ok {
+				check(fmt.Sprintf("seed %d quotient of %s", seed, b.Name), m.Graph)
+				graphs++
+			}
+		}
+	}
+	t.Logf("%d graphs checked", graphs)
 }
 
 func identityPerm(n int) []int {
