@@ -354,7 +354,14 @@ type FormulaStat struct {
 	// Cached reports that the instance was replayed from the module
 	// solve cache instead of being searched.
 	Cached bool
-	Time   time.Duration
+	// Time is the attempt's time: from its start, before the module-cache
+	// key is built, to the end of the search, so it also covers key
+	// hashing, encoding and the solver load. A cache hit reports the time
+	// to the hit.
+	Time time.Duration
+	// Search is the time inside the engine call alone (the SAT search,
+	// the portfolio race, WalkSAT or the BDD solve); 0 on a cache hit.
+	Search time.Duration
 }
 
 // Function is a synthesized next-state logic function in two-level
@@ -718,7 +725,7 @@ func formulaStat(output string, f csc.FormulaStats) FormulaStat {
 		Output: output, Signals: f.Signals, Vars: f.Vars,
 		Clauses: f.Clauses, Literals: f.Literals,
 		Status: f.Status.String(), Engine: f.Engine, Cached: f.Cached,
-		Time: f.SolveTime,
+		Time: f.SolveTime, Search: f.SearchTime,
 	}
 }
 

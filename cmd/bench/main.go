@@ -122,7 +122,8 @@ func withProfiles(cpuPath, memPath string, run func() error) error {
 const scalingMaxStates = 1 << 20
 
 // doScalingPoint runs the modular method alone at one point of the
-// scaling sweep and prints the stage breakdown and peak heap. When a
+// scaling sweep and prints the stage breakdown, the state-graph and SAT
+// counters, the summed SAT search time and the peak heap. When a
 // memory limit is set (GOMEMLIMIT) it then fails if the sampled peak
 // heap exceeded it: the limit is only a soft target for the garbage
 // collector, so without this check a run over the ceiling still exits 0.
@@ -150,9 +151,15 @@ func doScalingPoint(k int, maxBT int64) error {
 	for _, st := range c.Stages {
 		fmt.Printf("  stage %-10s %8.2fs\n", st.Name, st.Duration.Seconds())
 	}
-	for _, k := range []string{"sg_states", "sg_states_streamed", "sg_peak_frontier"} {
+	for _, k := range []string{"sg_states", "sg_states_streamed", "sg_peak_frontier",
+		"sat_formulas", "sat_decisions", "sat_conflicts", "sat_propagations", "sat_learned", "sat_restarts"} {
 		fmt.Printf("  counter %-20s %d\n", k, c.Counters[k])
 	}
+	var search time.Duration
+	for _, f := range c.Formulas {
+		search += f.Search
+	}
+	fmt.Printf("  %-16s %8.2fs\n", "sat search", search.Seconds())
 	if limit := debug.SetMemoryLimit(-1); limit != math.MaxInt64 && int64(peak) > limit {
 		return fmt.Errorf("scaling k=%d: peak heap %.1f MiB exceeds the memory limit %.1f MiB",
 			k, float64(peak)/(1<<20), float64(limit)/(1<<20))

@@ -10,10 +10,10 @@ import (
 	"testing"
 )
 
-// formulaLine flattens one FormulaStat minus its timing (the only field
-// allowed to differ between the two paths).
+// formulaLine flattens one FormulaStat minus its timings (the only
+// fields allowed to differ between the two paths).
 func formulaLine(f FormulaStat) string {
-	f.Time = 0
+	f.Time, f.Search = 0, 0
 	return fmt.Sprintf("%+v", f)
 }
 

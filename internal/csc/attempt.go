@@ -99,11 +99,16 @@ func Attempt(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, opt So
 // absorbed into opt.Chain); callers that cache the outcome store it so
 // hits can replay the absorption.
 func solveUncached(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, opt SolveOptions, start time.Time) (cols [][]sg.Phase, stats FormulaStats, norm [][]sat.Lit, err error) {
+	// search sums the time inside engine calls: a BDD solve that hits
+	// its node limit counts toward the DPLL attempt that follows it.
+	var search time.Duration
 	if opt.Engine == BDD {
+		t0 := time.Now()
 		bcols, berr := SolveBDD(ctx, g, conf, m, opt.BDDNodeLimit)
+		search = time.Since(t0)
 		stats = FormulaStats{
 			Signals: m, Vars: 2 * m * len(g.States),
-			SolveTime: time.Since(start), Engine: "bdd",
+			SolveTime: time.Since(start), SearchTime: search, Engine: "bdd",
 		}
 		switch {
 		case berr == nil:
@@ -143,6 +148,7 @@ func solveUncached(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, 
 	var dpll sat.Warmable = sat.DPLLEngine{}
 	var r sat.Result
 	engine := "dpll"
+	t0 := time.Now()
 	switch opt.Engine {
 	case WalkSAT:
 		r = sat.LocalSearch(enc.F, sat.LocalSearchOptions{Ctx: ctx})
@@ -182,10 +188,11 @@ func solveUncached(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, 
 			MaxBacktracks: opt.MaxBacktracks, Ctx: ctx, ExportStable: exportStable,
 		}, seeds)
 	}
+	search += time.Since(t0)
 	stats = FormulaStats{
 		Signals: m, Vars: enc.F.NumVars, Clauses: enc.F.NumClauses(),
 		Literals: enc.F.NumLiterals(), Status: r.Status, SolveTime: time.Since(start),
-		Engine: engine,
+		SearchTime: search, Engine: engine,
 	}
 	if r.Status == sat.Canceled {
 		return nil, stats, nil, synerr.Canceled(ctx.Err())

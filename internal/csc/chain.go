@@ -246,9 +246,11 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 	}
 	metrics.From(ctx).Add(metrics.SATAssumptions, 1)
 	exportStable := opt.Chain != nil
+	t0 := time.Now()
 	r := c.inc.SolveStep(c.colCl[m-1], sat.Limits{
 		MaxBacktracks: opt.MaxBacktracks, Ctx: ctx, ExportStable: exportStable,
 	}, c.translateSeeds(seeds))
+	search := time.Since(t0)
 
 	// Map exports back to the fresh variable space; a clause touching a
 	// variable with no fresh counterpart cannot occur (stable derivations
@@ -275,7 +277,7 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 	stats = FormulaStats{
 		Signals: m, Vars: 2*c.n*m + c.grpAux, Clauses: c.colCl[m-1] + c.grpCl,
 		Literals: c.colLit[m-1] + c.grpLit, Status: r.Status,
-		SolveTime: time.Since(start), Engine: "dpll",
+		SolveTime: time.Since(start), SearchTime: search, Engine: "dpll",
 	}
 	if r.Status == sat.Canceled {
 		return nil, stats, nil, synerr.Canceled(ctx.Err())

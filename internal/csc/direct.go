@@ -87,12 +87,21 @@ func (o SolveOptions) withDefaults() SolveOptions {
 
 // FormulaStats records the size of one solved SAT instance.
 type FormulaStats struct {
-	Signals   int
-	Vars      int
-	Clauses   int
-	Literals  int
-	Status    sat.Status
+	Signals  int
+	Vars     int
+	Clauses  int
+	Literals int
+	Status   sat.Status
+	// SolveTime is the attempt's time: from Attempt's entry, before the
+	// module-cache key is built, to the end of the search, so it also
+	// covers key hashing, encoding and the solver load. A cache hit
+	// reports the time to the hit. (internal/lavagno, which calls the
+	// engine itself, records its search time here.)
 	SolveTime time.Duration
+	// SearchTime is the time inside the engine call alone (the DPLL
+	// search, the portfolio race, WalkSAT or the BDD solve); 0 on a cache
+	// hit.
+	SearchTime time.Duration
 	// Engine names the engine that produced Status ("dpll", "walksat",
 	// "bdd"; "portfolio:dpll" / "portfolio:walksat" record which side of
 	// the race won).

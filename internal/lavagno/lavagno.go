@@ -70,10 +70,11 @@ func Solve(ctx context.Context, g *sg.Graph, opt Options) (*Result, error) {
 		}
 		start := time.Now()
 		r := sat.Solve(enc.F, sat.Limits{MaxBacktracks: opt.MaxBacktracks, Ctx: ctx})
+		search := time.Since(start)
 		st := csc.FormulaStats{
 			Signals: 1, Vars: enc.F.NumVars, Clauses: enc.F.NumClauses(),
-			Literals: enc.F.NumLiterals(), Status: r.Status, SolveTime: time.Since(start),
-			Engine: "dpll",
+			Literals: enc.F.NumLiterals(), Status: r.Status, SolveTime: search,
+			SearchTime: search, Engine: "dpll",
 		}
 		if r.Status == sat.Canceled {
 			return nil, r, synerr.Canceled(ctx.Err())

@@ -81,12 +81,14 @@ type Limits struct {
 
 // Solve runs a conflict-driven DPLL procedure: two-watched-literal unit
 // propagation, first-UIP clause learning with non-chronological
-// backjumping, VSIDS-style activities with an order heap for the
-// decisions (see order.go), phase saving and geometric restarts. This
-// plays the role of the SIS branch-and-bound SAT program in the paper's
-// flow (which likewise backtracked non-chronologically); exceeding the
-// backtrack budget yields BacktrackLimit. The search is deterministic:
-// branching ties break by a fixed initial rank, never by heap layout.
+// backjumping, VSIDS-style activities with a two-tier branching order
+// for the decisions (never-bumped variables by initial rank, bumped ones
+// in an order heap; see order.go), phase saving and geometric restarts.
+// This plays the role of the SIS branch-and-bound SAT program in the
+// paper's flow (which likewise backtracked non-chronologically);
+// exceeding the backtrack budget yields BacktrackLimit. The search is
+// deterministic: branching ties break by a fixed initial rank, never by
+// the layout of the order's data structures.
 func Solve(f *Formula, lim Limits) Result {
 	if f.hasEmpty {
 		return Result{Status: Unsat}
@@ -140,13 +142,18 @@ type solver struct {
 	activity []float64
 	actInc   float64
 	phase    []bool
-	// The branching order (order.go): heap holds one slot per variable in
-	// it, heapIdx[v] is v's position (or notInHeap, excluded), and rank[v]
-	// is v's place in the initial order, the tie-break between equal
-	// activities.
+	// The branching order (order.go). rank[v] is v's place in the initial
+	// order, the tie-break between equal activities, and order[r] is the
+	// variable of rank r. The rank tier is the set bits of ranks, with no
+	// bit set in a word below cursor; the heap tier holds one slot per
+	// bumped variable in it. heapIdx[v] is v's heap position, or unbumped,
+	// notInHeap or excluded.
+	order   []int32
+	rank    []int32
+	ranks   []uint64
+	cursor  int
 	heap    []slot
 	heapIdx []int32
-	rank    []int32
 	res     Result
 
 	seen    []bool
@@ -202,9 +209,10 @@ func grown[T any](s []T, n int) []T {
 // adds 2^-k to the branching score of every literal of its k-literal
 // core (a guard is not core), the watch lists are carved out of one
 // backing array with exact capacities and filled in clause order, and
-// the order heap holds every variable but the guard and those marked in
-// inert. A variable's initial activity is its score sum; its phase is
-// its prefer hint, or the sign it scored higher with.
+// every variable but the guard and those marked in inert is ranked and
+// enters the branching order's rank tier, with the heap empty. A
+// variable's initial activity is its score sum; its phase is its prefer
+// hint, or the sign it scored higher with.
 func (s *solver) setup(n int, prefer []int8, inert []bool, guard int) {
 	s.res = Result{}
 	s.actInc = 1
@@ -285,7 +293,7 @@ func (s *solver) setup(n int, prefer []int8, inert []bool, guard int) {
 		s.watch(cr)
 	}
 
-	s.heap = grown(s.heap, n)[:0]
+	h := grown(s.heap, n)[:0]
 	for v := 0; v < n; v++ {
 		s.activity[v] = pos[v] + neg[v]
 		if v == guard || inert != nil && inert[v] {
@@ -304,9 +312,9 @@ func (s *solver) setup(n int, prefer []int8, inert []bool, guard int) {
 		default:
 			s.phase[v] = pos[v] >= neg[v]
 		}
-		s.heap = append(s.heap, slot{act: s.activity[v], v: int32(v)})
+		h = append(h, slot{act: s.activity[v], v: int32(v)})
 	}
-	s.rankHeap()
+	s.rankOrder(h)
 }
 
 // watch adds the clause at cr to the watch lists of its first two
@@ -400,19 +408,24 @@ func (s *solver) propagate() int32 {
 	return -1
 }
 
+// bump raises v's activity by the increment. A first bump moves v from
+// the rank tier to the heap tier (order.go); a rescale multiplies every
+// activity by 1e-100, which keeps the never-bumped variables in rank
+// order, and re-heapifies the bumped ones.
 func (s *solver) bump(v int) {
 	s.activity[v] += s.actInc
+	if i := s.heapIdx[v]; i >= 0 {
+		s.heap[i].act = s.activity[v]
+		s.siftUp(int(i))
+	} else if i == unbumped {
+		s.promote(v)
+	}
 	if s.activity[v] > 1e100 {
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
 		}
 		s.actInc *= 1e-100
 		s.heapify()
-		return
-	}
-	if i := s.heapIdx[v]; i >= 0 {
-		s.heap[i].act = s.activity[v]
-		s.siftUp(int(i))
 	}
 }
 
@@ -505,7 +518,7 @@ func (s *solver) cancelUntil(lvl int) {
 		s.vals[l] = -1
 		s.vals[l.Neg()] = -1
 		s.reason[v] = -1
-		s.heapInsert(v)
+		s.release(v)
 	}
 	s.trail = s.trail[:lo]
 	s.trailLo = lo

@@ -30,12 +30,12 @@ import "fmt"
 // the solver state newSolver would build for the guard-free re-encoded
 // formula: guard literals are excluded from branching scores (a guarded
 // clause scores by its core), the guard variable and the inert variables
-// never enter the order heap, the guard is placed on the trail with
+// never enter the branching order, the guard is placed on the trail with
 // propagation starting past it, and the unit scan treats a one-literal
 // core as a unit clause. The search trail, counters, learned clauses,
 // stable exports and model are then identical (modulo the caller's
-// variable translation, which preserves index order and so the heap's
-// tie-break) to a fresh solve — which is what lets the csc layer pin the
+// variable translation, which preserves index order and so the initial
+// rank) to a fresh solve — which is what lets the csc layer pin the
 // incremental path against the re-encode path in tests.
 //
 // Learned clauses are NOT retained across steps. They persist only
@@ -96,8 +96,8 @@ func (inc *Incremental) Prefer(v int, value bool) {
 }
 
 // SetInert marks v (not) inert. Inert variables take part in no active
-// clause and never enter the order heap, so a step behaves as if they
-// did not exist.
+// clause and never enter the branching order, so a step behaves as if
+// they did not exist.
 func (inc *Incremental) SetInert(v int, inert bool) { inc.inert[v] = inert }
 
 // norm applies Formula.Add's literal normalization: duplicates removed,
@@ -227,8 +227,8 @@ func (inc *Incremental) load(activePerm int, w *Warm) *solver {
 	}
 	s.arena = append(s.arena[:0], inc.perm[:end]...)
 	s.arena = append(s.arena, inc.grp...)
-	// The order heap holds the live variables only: the image, under the
-	// chain's variable translation, of the fresh formula's full order.
+	// The branching order holds the live variables only: the image, under
+	// the chain's variable translation, of the fresh formula's full order.
 	s.setup(inc.numVars, inc.prefer, inc.inert, inc.guard)
 	if w != nil {
 		for _, c := range w.Clauses {
