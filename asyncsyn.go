@@ -92,9 +92,9 @@ func NewJSONTracer(w io.Writer) Tracer { return trace.NewJSON(w) }
 func NewLogTracer(w io.Writer) Tracer { return trace.NewLog(w) }
 
 // Metrics is a thread-safe set of atomic synthesis counters (SAT
-// decisions/conflicts/propagations/learned clauses, WalkSAT flips, BDD
-// nodes, state-graph states explored and merged, ESPRESSO passes,
-// modular passes, formula sizes). Attach one via Options.Metrics; it
+// decisions/conflicts/propagations/learned clauses, BDD nodes,
+// state-graph states explored and merged, ESPRESSO passes, modular
+// passes, formula sizes). Attach one via Options.Metrics; it
 // accumulates across every run it is attached to, and each run's own
 // delta is reported in Circuit.Counters and per stage in
 // Circuit.Stages. Collection is zero-overhead when no collector is
@@ -219,52 +219,39 @@ func ParseMethod(s string) (Method, error) {
 	return 0, fmt.Errorf("unknown method %q", s)
 }
 
-// Engine selects the SAT engine.
+// Engine selects the SAT engine. The values are explicit and match
+// the internal engine numbers, which are part of the module-cache key:
+// the retired values 1 and 3 are never reused.
 type Engine int
 
 const (
 	// DPLL is the complete branch-and-bound solver (default).
-	DPLL Engine = iota
-	// WalkSAT is the incomplete local-search solver.
-	WalkSAT
+	DPLL Engine = 0
 	// BDD solves the constraints with a binary decision diagram and
 	// returns the minimum-excitation model — the paper's closing pointer
 	// to a BDD-based approach with further area reduction. Falls back to
 	// DPLL when the diagram exceeds its node budget.
-	BDD
-	// Portfolio races DPLL against WalkSAT concurrently per formula,
-	// preferring the complete engine's verdict deterministically and
-	// consulting WalkSAT's model only when DPLL exhausts its backtrack
-	// budget. Results never depend on goroutine timing.
-	Portfolio
+	BDD Engine = 2
 )
 
 func (e Engine) String() string {
 	switch e {
 	case DPLL:
 		return "dpll"
-	case WalkSAT:
-		return "walksat"
 	case BDD:
 		return "bdd"
-	case Portfolio:
-		return "portfolio"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine resolves an engine name ("dpll", "walksat", "bdd",
-// "portfolio"; "" selects the default).
+// ParseEngine resolves an engine name ("dpll", "bdd"; "" selects the
+// default).
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "dpll":
 		return DPLL, nil
-	case "walksat":
-		return WalkSAT, nil
 	case "bdd":
 		return BDD, nil
-	case "portfolio":
-		return Portfolio, nil
 	}
 	return 0, fmt.Errorf("unknown engine %q", s)
 }
@@ -281,13 +268,6 @@ type Options struct {
 	// non-auxiliary CNF expansion (exponential in the signal count); used
 	// for clause-growth experiments.
 	ExpandXor bool
-	// FullSupport derives every logic function over all signals instead
-	// of the per-output input set (ablation of the support restriction).
-	FullSupport bool
-	// ExactMinimize uses the exact minimum-literal two-level minimizer
-	// (espresso's exact strategy, the paper's -S1) instead of the
-	// heuristic loop; it falls back per function when primes explode.
-	ExactMinimize bool
 	// MaxStates caps state graph generation (default 100,000).
 	MaxStates int
 	// TokenBound is the per-place token bound (default 1: safe nets).
@@ -313,8 +293,8 @@ type Options struct {
 	// Metrics, when non-nil, accumulates the run's counters (see
 	// Metrics); the run's delta also lands in Circuit.Counters and, per
 	// stage, in Circuit.Stages. The deterministic counters (states,
-	// clauses, modules, and — under the default complete engine — the
-	// SAT search statistics) are identical for every Workers value.
+	// clauses, modules and the SAT search statistics) are identical for
+	// every Workers value.
 	Metrics *Metrics
 	// Cache, when non-nil, is a module solve cache shared across runs:
 	// a module CSC problem laid out byte for byte like a previous one
@@ -333,13 +313,6 @@ type Options struct {
 	// with or without the cache (pinned by TestCacheBitIdentical) —
 	// this exists for measurement and debugging.
 	DisableSolveCache bool
-	// DisableIncrementalSAT forces each SAT formula of a widening chain
-	// to be re-encoded and solved from scratch instead of as an
-	// assumption-guarded step of one persistent incremental solver.
-	// Results are bit-identical either way (pinned by
-	// TestIncrementalMatchesFresh) — this exists for measurement and
-	// debugging.
-	DisableIncrementalSAT bool
 }
 
 // FormulaStat describes one SAT instance solved during synthesis.
@@ -350,7 +323,7 @@ type FormulaStat struct {
 	Clauses  int
 	Literals int
 	Status   string // "SAT", "UNSAT", "BACKTRACK-LIMIT"
-	Engine   string // engine that decided it (portfolio runs record the winner)
+	Engine   string // engine that decided it: "dpll" or "bdd"
 	// Cached reports that the instance was replayed from the module
 	// solve cache instead of being searched.
 	Cached bool
@@ -359,8 +332,9 @@ type FormulaStat struct {
 	// hashing, encoding and the solver load. A cache hit reports the time
 	// to the hit.
 	Time time.Duration
-	// Search is the time inside the engine call alone (the SAT search,
-	// the portfolio race, WalkSAT or the BDD solve); 0 on a cache hit.
+	// Search is the time inside the engine calls alone (the SAT search
+	// or the BDD solve, plus the SAT fallback of a BDD solve that hit its
+	// node limit); 0 on a cache hit.
 	Search time.Duration
 }
 
@@ -565,12 +539,9 @@ func synthesizeModular(ctx context.Context, s *STG, opt Options, cache *SolveCac
 			Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
 			MaxBacktracks: opt.MaxBacktracks,
 			Cache:         cache,
-			NoIncremental: opt.DisableIncrementalSAT,
 		},
-		StateGraph:  sgOptions(opt),
-		FullSupport: opt.FullSupport,
-		ExactLogic:  opt.ExactMinimize,
-		Workers:     opt.Workers,
+		StateGraph: sgOptions(opt),
+		Workers:    opt.Workers,
 	})
 	if res == nil {
 		return nil, err
@@ -612,8 +583,7 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, opt Options, cache *Solve
 		Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
 		MaxBacktracks: opt.MaxBacktracks,
 		Cache:         cache,
-		NoIncremental: opt.DisableIncrementalSAT,
-	}, ExactLogic: opt.ExactMinimize, Workers: opt.Workers}
+	}, Workers: opt.Workers}
 
 	var (
 		full     *sg.Graph
@@ -639,7 +609,6 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, opt Options, cache *Solve
 					Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
 					MaxBacktracks: opt.MaxBacktracks,
 					Cache:         cache,
-					NoIncremental: opt.DisableIncrementalSAT,
 				})
 				if dr != nil {
 					inserted = dr.Inserted
@@ -707,17 +676,14 @@ func initialLevelsOf(v *sg.Stream) map[string]bool {
 	return levels
 }
 
+// cscEngine maps the facade engine to the internal one. Any value but
+// BDD solves with DPLL under DPLL's cache-key number, so a retired
+// number never reaches the module-cache key.
 func cscEngine(e Engine) csc.Engine {
-	switch e {
-	case WalkSAT:
-		return csc.WalkSAT
-	case BDD:
+	if e == BDD {
 		return csc.BDD
-	case Portfolio:
-		return csc.Portfolio
-	default:
-		return csc.DPLL
 	}
+	return csc.DPLL
 }
 
 func formulaStat(output string, f csc.FormulaStats) FormulaStat {

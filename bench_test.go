@@ -8,9 +8,10 @@ package asyncsyn
 //     (not solving) the direct whole-graph formula vs all modular
 //     formulas.
 //   - BenchmarkStateGraph isolates the reachability + coding substrate.
-//   - BenchmarkAblation* quantify the design choices DESIGN.md calls
-//     out: the per-output support restriction, the paper-style expanded
-//     encoding, and the local-search SAT engine.
+//   - BenchmarkAblationEncoding compares the Tseitin separation
+//     encoding with the paper-style expanded CNF. The support-restriction
+//     ablation, which only core.Options carries, is
+//     internal/core's BenchmarkAblationSupport.
 //
 // Run with: go test -bench=. -benchmem
 
@@ -210,23 +211,9 @@ func BenchmarkStateGraph(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSupport compares the per-output support restriction
-// (the paper's area mechanism) against full-support derivation.
-func BenchmarkAblationSupport(b *testing.B) {
-	b.Run("restricted", func(b *testing.B) { benchSynth(b, "sbuf-ram-write", Options{}) })
-	b.Run("full", func(b *testing.B) { benchSynth(b, "sbuf-ram-write", Options{FullSupport: true}) })
-}
-
 // BenchmarkAblationEncoding compares the Tseitin separation encoding
 // with the paper-style expanded CNF.
 func BenchmarkAblationEncoding(b *testing.B) {
 	b.Run("tseitin", func(b *testing.B) { benchSynth(b, "nak-pa", Options{}) })
 	b.Run("expandxor", func(b *testing.B) { benchSynth(b, "nak-pa", Options{ExpandXor: true}) })
-}
-
-// BenchmarkAblationEngine compares the complete CDCL engine with the
-// WalkSAT local-search engine on a mid-size row.
-func BenchmarkAblationEngine(b *testing.B) {
-	b.Run("dpll", func(b *testing.B) { benchSynth(b, "sbuf-send-ctl", Options{}) })
-	b.Run("walksat", func(b *testing.B) { benchSynth(b, "sbuf-send-ctl", Options{Engine: WalkSAT}) })
 }

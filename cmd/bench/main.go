@@ -58,7 +58,6 @@ func main() {
 	requireHits := flag.Bool("requirecachehits", false, "with -against: fail unless the fresh record shows at least one solve-cache hit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the suite run to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the suite run) to this path")
-	noIncr := flag.Bool("noincremental", false, "ablation: re-encode every SAT formula instead of incremental solving (results are bit-identical; timings move)")
 	scalingPoint := flag.Int("scalingpoint", 0, "run only the modular method at this scaling-sweep point (k) and print its stage breakdown; fails when the peak heap exceeds GOMEMLIMIT")
 	flag.Parse()
 
@@ -69,9 +68,9 @@ func main() {
 		case *render != "":
 			return doRender(*render, *doc, *check)
 		case *against != "":
-			return doCompare(*against, flag.Arg(0), *out, *quick, *workers, *maxBT, *cacheDir, *noIncr, *requireHits)
+			return doCompare(*against, flag.Arg(0), *out, *quick, *workers, *maxBT, *cacheDir, *requireHits)
 		default:
-			return doRun(*out, *quick, *workers, *maxBT, *cacheDir, *noIncr)
+			return doRun(*out, *quick, *workers, *maxBT, *cacheDir)
 		}
 	})
 	if err != nil {
@@ -170,8 +169,8 @@ func doScalingPoint(k int, maxBT int64) error {
 	return nil
 }
 
-func doRun(out string, quick bool, workers int, maxBT int64, cacheDir string, noIncr bool) error {
-	rec, err := runSuite(quick, workers, maxBT, cacheDir, noIncr)
+func doRun(out string, quick bool, workers int, maxBT int64, cacheDir string) error {
+	rec, err := runSuite(quick, workers, maxBT, cacheDir)
 	if err != nil {
 		return err
 	}
@@ -186,7 +185,7 @@ func doRun(out string, quick bool, workers int, maxBT int64, cacheDir string, no
 	return nil
 }
 
-func doCompare(baseline, freshPath, out string, quick bool, workers int, maxBT int64, cacheDir string, noIncr, requireHits bool) error {
+func doCompare(baseline, freshPath, out string, quick bool, workers int, maxBT int64, cacheDir string, requireHits bool) error {
 	resolved, err := benchrec.ResolveBaseline(baseline)
 	if err != nil {
 		return fmt.Errorf("-against: %w", err)
@@ -205,7 +204,7 @@ func doCompare(baseline, freshPath, out string, quick bool, workers int, maxBT i
 			return err
 		}
 	} else {
-		if fresh, err = runSuite(quick, workers, maxBT, cacheDir, noIncr); err != nil {
+		if fresh, err = runSuite(quick, workers, maxBT, cacheDir); err != nil {
 			return err
 		}
 		if out != "" {
@@ -284,10 +283,8 @@ func doRender(recPath, docPath string, check bool) error {
 
 // runSuite measures the record: every Table-1 row across the three
 // methods, the cache-effectiveness sweep, then (full mode) the clause
-// and scaling sweeps. noIncr ablates the incremental SAT solver on the
-// Table-1 rows (the sweeps keep the default path — they measure their
-// own effects).
-func runSuite(quick bool, workers int, maxBT int64, cacheDir string, noIncr bool) (*benchrec.Record, error) {
+// and scaling sweeps.
+func runSuite(quick bool, workers int, maxBT int64, cacheDir string) (*benchrec.Record, error) {
 	names := bench.Names()
 	if quick {
 		var small []string
@@ -334,7 +331,7 @@ func runSuite(quick bool, workers int, maxBT int64, cacheDir string, noIncr bool
 		} {
 			res, init, initSig := runOne(name, asyncsyn.Options{
 				Method: m.method, MaxBacktracks: maxBT, Workers: inner,
-				CacheDir: cacheDir, DisableIncrementalSAT: noIncr,
+				CacheDir: cacheDir,
 			})
 			*m.dst = res
 			if init > 0 {

@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	modsyn [-method modular|direct|lavagno] [-engine dpll|walksat|bdd|portfolio]
+//	modsyn [-method modular|direct|lavagno] [-engine dpll|bdd]
 //	       [-workers N] [-timeout D] [-trace file] [-cachedir dir] [-nocache]
-//	       [-expandxor] [-fullsupport] [-v] file.g
+//	       [-expandxor] [-v] file.g
 //	modsyn -bench name        # synthesize an embedded benchmark
 //	modsyn -project dir/      # incremental suite mode over a directory
 //	       [-rundb dir] [-recheck]
@@ -21,11 +21,11 @@
 //
 // -workers N bounds the worker pool for the pipeline's parallel stages
 // (0 = GOMAXPROCS, 1 = sequential); the synthesized circuit is
-// identical for every value. -engine portfolio races DPLL against
-// WalkSAT per SAT formula with a deterministic winner. -timeout bounds
-// the run's wall-clock time (e.g. -timeout 30s). -trace writes one JSON
-// line per pipeline stage and per SAT formula to the given file ("-"
-// for stderr).
+// identical for every value. -engine bdd solves each formula with a
+// binary decision diagram, falling back to DPLL past its node budget.
+// -timeout bounds the run's wall-clock time (e.g. -timeout 30s).
+// -trace writes one JSON line per pipeline stage and per SAT formula to
+// the given file ("-" for stderr).
 //
 // It prints the synthesized logic equations and the statistics the
 // paper's Table 1 reports: initial/final state and signal counts, the
@@ -54,14 +54,12 @@ import (
 
 func main() {
 	method := flag.String("method", "modular", "synthesis method: modular, direct or lavagno")
-	engine := flag.String("engine", "dpll", "constraint engine: dpll, walksat, bdd or portfolio (dpll raced against walksat, deterministic winner)")
+	engine := flag.String("engine", "dpll", "constraint engine: dpll or bdd (minimum-excitation models, dpll past the node budget)")
 	workers := flag.Int("workers", 0, "worker pool for the parallel pipeline stages (0 = GOMAXPROCS, 1 = sequential; output is identical for any value)")
 	expandXor := flag.Bool("expandxor", false, "use the paper-style expanded CNF for separation constraints")
-	fullSupport := flag.Bool("fullsupport", false, "derive logic over all signals (disable input-set support restriction)")
 	benchName := flag.String("bench", "", "synthesize the named embedded benchmark instead of a file")
 	maxBT := flag.Int64("maxbacktracks", 0, "SAT backtrack budget per formula (0 = default)")
 	verbose := flag.Bool("v", false, "print per-output module reports and SAT formula statistics")
-	exact := flag.Bool("exact", false, "exact minimum-literal two-level minimization")
 	pla := flag.Bool("pla", false, "print each function in Berkeley PLA format")
 	verilog := flag.Bool("verilog", false, "print the circuit as a structural Verilog module")
 	dotSTG := flag.Bool("dot", false, "print the STG in Graphviz DOT format and exit")
@@ -77,8 +75,6 @@ func main() {
 
 	opt := asyncsyn.Options{
 		ExpandXor:     *expandXor,
-		FullSupport:   *fullSupport,
-		ExactMinimize: *exact,
 		MaxBacktracks: *maxBT,
 		Workers:       *workers,
 		Timeout:       *timeout,

@@ -162,12 +162,6 @@ func TestSynthesizeOptions(t *testing.T) {
 	if err != nil || c1.Aborted {
 		t.Fatalf("ExpandXor: %v", err)
 	}
-	g2, _ := ParseSTGString(twoPulseSrc)
-	c2, err := Synthesize(g2, Options{Engine: WalkSAT})
-	if err != nil {
-		t.Fatalf("WalkSAT: %v", err)
-	}
-	_ = c2
 	g3, _ := ParseSTGString(twoPulseSrc)
 	if _, err := Synthesize(g3, Options{Method: Method(42)}); err == nil {
 		t.Errorf("bogus method accepted")
@@ -304,29 +298,5 @@ func TestPLAOutput(t *testing.T) {
 	}
 	if rows != len(f.Cubes()) {
 		t.Errorf("PLA row count mismatch:\n%s", pla)
-	}
-}
-
-// TestExactMinimizeOption: the exact minimizer must never lose to the
-// heuristic on the same insertion.
-func TestExactMinimizeOption(t *testing.T) {
-	for _, name := range []string{"sbuf-read-ctl", "ram-read-sbuf", "pe-rcv-ifc-fc", "fifo"} {
-		src, _ := bench.Source(name)
-		g1, _ := ParseSTGString(src)
-		h, err := Synthesize(g1, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2, _ := ParseSTGString(src)
-		e, err := Synthesize(g2, Options{ExactMinimize: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Area > h.Area {
-			t.Errorf("%s: exact area %d > heuristic %d", name, e.Area, h.Area)
-		}
-		if bad := e.Verify(g2, 100000, 0); len(bad) != 0 {
-			t.Errorf("%s: exact circuit violates conformance: %v", name, bad)
-		}
 	}
 }

@@ -177,6 +177,7 @@ func Synthesize(ctx context.Context, spec *stg.G, opt Options) (*Result, error) 
 					Engine: opt.SAT.Engine, Encoding: opt.SAT.Encoding,
 					MaxBacktracks: opt.SAT.MaxBacktracks, NamePrefix: opt.SAT.NamePrefix,
 					BDDNodeLimit: opt.SAT.BDDNodeLimit, Cache: opt.SAT.Cache,
+					NoIncremental: opt.SAT.NoIncremental,
 				})
 				if dr != nil {
 					res.Fallback = append(res.Fallback, dr.Formulas...)

@@ -3,13 +3,11 @@ package csc
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"asyncsyn/internal/bdd"
 	"asyncsyn/internal/metrics"
 	"asyncsyn/internal/modcache"
-	"asyncsyn/internal/par"
 	"asyncsyn/internal/sat"
 	"asyncsyn/internal/sg"
 	"asyncsyn/internal/synerr"
@@ -22,8 +20,7 @@ import (
 // (grow m) or BacktrackLimit (budget exhausted — abort). The BDD engine
 // falls back to DPLL transparently when its node limit is hit, and
 // returns globally minimum-excitation models, so Tighten is applied only
-// to SAT-engine models. The Portfolio engine races DPLL against WalkSAT
-// concurrently with a deterministic winner (see Engine).
+// to SAT-engine models.
 //
 // With opt.Cache set, the solve is answered from the module solve cache
 // when an identical problem (same layout signature, options and
@@ -144,55 +141,15 @@ func solveUncached(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, 
 	if seeds != nil {
 		metrics.From(ctx).Add(metrics.SATWarmClauses, int64(len(seeds.Clauses)))
 	}
-	exportStable := opt.Chain != nil
-	var dpll sat.Warmable = sat.DPLLEngine{}
-	var r sat.Result
-	engine := "dpll"
 	t0 := time.Now()
-	switch opt.Engine {
-	case WalkSAT:
-		r = sat.LocalSearch(enc.F, sat.LocalSearchOptions{Ctx: ctx})
-		engine = "walksat"
-	case Portfolio:
-		// Race the canonical CDCL engine against WalkSAT. The winner is
-		// decided by results alone (par.Race prefers the lowest accepted
-		// index and always waits for DPLL first), so the model — and
-		// every downstream state-signal name and cover — is identical no
-		// matter how the goroutines are scheduled. WalkSAT only matters
-		// when DPLL hits its backtrack budget; since it ran concurrently
-		// the rescue costs no extra wall-clock over the abort itself.
-		var cancel atomic.Bool
-		var widx int
-		r, widx = par.Race(func(i int, res sat.Result) bool {
-			if i == 0 {
-				return res.Status == sat.Sat || res.Status == sat.Unsat
-			}
-			return res.Status == sat.Sat
-		}, &cancel,
-			func() sat.Result {
-				return dpll.SolveWarm(enc.F, sat.Limits{
-					MaxBacktracks: opt.MaxBacktracks, Cancel: &cancel,
-					Ctx: ctx, ExportStable: exportStable,
-				}, seeds)
-			},
-			func() sat.Result {
-				return sat.LocalSearch(enc.F, sat.LocalSearchOptions{Cancel: &cancel, Ctx: ctx})
-			},
-		)
-		engine = "portfolio:dpll"
-		if widx == 1 {
-			engine = "portfolio:walksat"
-		}
-	default:
-		r = dpll.SolveWarm(enc.F, sat.Limits{
-			MaxBacktracks: opt.MaxBacktracks, Ctx: ctx, ExportStable: exportStable,
-		}, seeds)
-	}
+	r := sat.SolveWarm(enc.F, sat.Limits{
+		MaxBacktracks: opt.MaxBacktracks, Ctx: ctx, ExportStable: opt.Chain != nil,
+	}, seeds)
 	search += time.Since(t0)
 	stats = FormulaStats{
 		Signals: m, Vars: enc.F.NumVars, Clauses: enc.F.NumClauses(),
 		Literals: enc.F.NumLiterals(), Status: r.Status, SolveTime: time.Since(start),
-		SearchTime: search, Engine: engine,
+		SearchTime: search, Engine: "dpll",
 	}
 	if r.Status == sat.Canceled {
 		return nil, stats, nil, synerr.Canceled(ctx.Err())
@@ -212,9 +169,7 @@ func solveUncached(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, 
 }
 
 // recordFormula accumulates the formula's size and the engine's search
-// statistics into the metrics collector carried by ctx, if any. For
-// portfolio runs r is the deterministic winner's result, so counter
-// totals never depend on goroutine timing under the default engines.
+// statistics into the metrics collector carried by ctx, if any.
 func recordFormula(ctx context.Context, st FormulaStats, r sat.Result) {
 	mc := metrics.From(ctx)
 	if mc == nil {
@@ -228,7 +183,6 @@ func recordFormula(ctx context.Context, st FormulaStats, r sat.Result) {
 	mc.Add(metrics.SATPropagations, r.Props)
 	mc.Add(metrics.SATLearned, r.Learned)
 	mc.Add(metrics.SATRestarts, r.Restarts)
-	mc.Add(metrics.WalkSATFlips, r.Flips)
 }
 
 // emitFormula reports a solved formula to the tracer carried by ctx.

@@ -13,8 +13,8 @@ import (
 // analysis, encoding, SAT, decoding) on a concurrent handshake graph,
 // with the assumption-based incremental solver and with per-attempt
 // re-encoding. The two paths produce bit-identical results (pinned by
-// TestIncrementalMatchesFresh at the facade); only the work per attempt
-// differs.
+// TestIncrementalMatchesFreshDirect here and TestIncrementalMatchesFresh
+// in internal/core); only the work per attempt differs.
 func BenchmarkSolveChain(b *testing.B) {
 	for _, mode := range []struct {
 		name   string

@@ -14,26 +14,20 @@ import (
 // Engine selects the SAT engine used to solve CSC formulas.
 type Engine int
 
+// The engine values are explicit because int(Engine) is part of the
+// module-cache key (modcache.Key.Engine), which disk and peer records
+// are matched on. A number retired with its engine (1 was a local-search
+// solver, 3 a race of DPLL against it) is never reused, so a record an
+// older build wrote can never match a different engine.
 const (
 	// DPLL is the branch-and-bound solver (default; the role of the SIS
 	// SAT program in the paper's experiments).
-	DPLL Engine = iota
-	// WalkSAT is the incomplete local-search solver. On UNSAT-like
-	// exhaustion it behaves as a backtrack-limit abort.
-	WalkSAT
+	DPLL Engine = 0
 	// BDD conjoins all constraints into a binary decision diagram and
 	// extracts the minimum-excitation model (the paper's closing pointer
 	// to a BDD-based approach with further area reduction). It falls
 	// back to DPLL when the diagram exceeds the node limit.
-	BDD
-	// Portfolio races the complete DPLL engine against WalkSAT in
-	// concurrent goroutines per Figure-4 formula. The winner is chosen
-	// deterministically, never by timing: DPLL's verdict (Sat or Unsat)
-	// always takes precedence, and WalkSAT's model is consulted only
-	// when DPLL exhausts its backtrack budget — rescuing instances the
-	// bounded branch-and-bound alone would abort, at no wall-clock cost
-	// since both engines run concurrently.
-	Portfolio
+	BDD Engine = 2
 )
 
 // SolveOptions configures direct CSC solving.
@@ -64,8 +58,8 @@ type SolveOptions struct {
 	// Incr, when non-nil, solves plain-DPLL attempts on one persistent
 	// assumption-based incremental solver instead of re-encoding every
 	// formula (see ChainSolver). Results are bit-identical either way;
-	// only the work per attempt changes. Engines other than DPLL and the
-	// ExpandXor encoding fall back to re-encoding.
+	// only the work per attempt changes. The BDD engine's DPLL fallback
+	// and the ExpandXor encoding re-encode.
 	Incr *ChainSolver
 	// NoIncremental keeps the re-encode path even where an Incr solver
 	// would be created by default (ablation and parity testing).
@@ -98,13 +92,11 @@ type FormulaStats struct {
 	// reports the time to the hit. (internal/lavagno, which calls the
 	// engine itself, records its search time here.)
 	SolveTime time.Duration
-	// SearchTime is the time inside the engine call alone (the DPLL
-	// search, the portfolio race, WalkSAT or the BDD solve); 0 on a cache
-	// hit.
+	// SearchTime is the time inside the engine calls alone (the DPLL
+	// search or the BDD solve, plus the DPLL fallback of a BDD solve
+	// that hit its node limit); 0 on a cache hit.
 	SearchTime time.Duration
-	// Engine names the engine that produced Status ("dpll", "walksat",
-	// "bdd"; "portfolio:dpll" / "portfolio:walksat" record which side of
-	// the race won).
+	// Engine names the engine that produced Status ("dpll" or "bdd").
 	Engine string
 	// Cached reports that the outcome was replayed from the module
 	// solve cache instead of being computed.

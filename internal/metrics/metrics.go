@@ -1,8 +1,8 @@
 // Package metrics provides the synthesis pipeline's quantitative
 // instrumentation: a Collector of cheap atomic counters (SAT decisions,
-// conflicts, propagations, learned clauses, WalkSAT flips, BDD nodes,
-// state-graph states explored and merged, ESPRESSO passes, modular
-// passes, formula sizes) carried on the context.Context alongside the
+// conflicts, propagations, learned clauses, BDD nodes, state-graph
+// states explored and merged, ESPRESSO passes, modular passes, formula
+// sizes) carried on the context.Context alongside the
 // internal/trace Tracer. Hot paths fetch the collector once with From
 // and call Add on it; both are nil-safe, so an uninstrumented run pays
 // only a single context lookup per coarse operation (per formula, per
@@ -39,8 +39,6 @@ const (
 	SATClauses
 	// SATVars accumulates the variable counts of all encoded formulas.
 	SATVars
-	// WalkSATFlips counts variable flips of the local-search engine.
-	WalkSATFlips
 	// BDDNodes accumulates the node counts of BDD constraint solves.
 	BDDNodes
 	// SGStates counts state-graph states constructed (reachability
@@ -95,7 +93,6 @@ var kindNames = [numKinds]string{
 	SATFormulas:      "sat_formulas",
 	SATClauses:       "sat_clauses",
 	SATVars:          "sat_vars",
-	WalkSATFlips:     "walksat_flips",
 	BDDNodes:         "bdd_nodes",
 	SGStates:         "sg_states",
 	SGStatesMerged:   "sg_states_merged",

@@ -16,7 +16,6 @@ var kindHelp = [numKinds]string{
 	SATFormulas:      "Solved SAT/BDD constraint instances.",
 	SATClauses:       "Total clause count of all encoded formulas.",
 	SATVars:          "Total variable count of all encoded formulas.",
-	WalkSATFlips:     "Variable flips of the local-search engine.",
 	BDDNodes:         "Node counts of BDD constraint solves.",
 	SGStates:         "State-graph states constructed.",
 	SGStatesMerged:   "States of the quotiented modular graphs.",

@@ -68,7 +68,9 @@ type Key struct {
 	Layout string `json:"layout"`
 	// M is the number of state signals attempted.
 	M int `json:"m"`
-	// Engine and ExpandXor select the solver and encoding.
+	// Engine and ExpandXor select the solver and encoding. Engine is
+	// int(csc.Engine), whose retired numbers are never reused, so a
+	// record can only match the engine that wrote it.
 	Engine    int  `json:"engine"`
 	ExpandXor bool `json:"expand_xor"`
 	// MaxBacktracks and BDDNodeLimit are the search budgets; a

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -79,87 +78,5 @@ func TestMapOrderedResults(t *testing.T) {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
 			}
 		}
-	}
-}
-
-func TestPool(t *testing.T) {
-	p := NewPool(0)
-	if p.Size() != runtime.GOMAXPROCS(0) {
-		t.Errorf("Size() = %d", p.Size())
-	}
-	var sum atomic.Int64
-	if err := p.ForEachIndexed(10, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Errorf("sum = %d", sum.Load())
-	}
-	var zero *Pool
-	if zero.Size() != 1 {
-		t.Errorf("nil pool Size() = %d", zero.Size())
-	}
-}
-
-// TestRacePrefersCanonical: even when a later candidate finishes first
-// with an acceptable result, the race waits for candidate 0 and prefers
-// it — the winner depends only on results, never on timing.
-func TestRacePrefersCanonical(t *testing.T) {
-	accept := func(i int, r int) bool { return r >= 0 }
-	r, idx := Race(accept, nil,
-		func() int { time.Sleep(30 * time.Millisecond); return 100 },
-		func() int { return 200 },
-	)
-	if idx != 0 || r != 100 {
-		t.Errorf("got result %d from candidate %d, want 100 from 0", r, idx)
-	}
-}
-
-func TestRaceFallsBackInIndexOrder(t *testing.T) {
-	accept := func(i int, r int) bool { return r >= 0 }
-	r, idx := Race(accept, nil,
-		func() int { return -1 },
-		func() int { time.Sleep(10 * time.Millisecond); return -1 },
-		func() int { return 300 },
-	)
-	if idx != 2 || r != 300 {
-		t.Errorf("got %d from candidate %d, want 300 from 2", r, idx)
-	}
-}
-
-func TestRaceNoAcceptedReturnsCanonical(t *testing.T) {
-	accept := func(i int, r int) bool { return false }
-	r, idx := Race(accept, nil,
-		func() int { return 11 },
-		func() int { return 22 },
-	)
-	if idx != 0 || r != 11 {
-		t.Errorf("got %d from candidate %d, want canonical 11 from 0", r, idx)
-	}
-}
-
-func TestRaceSetsCancel(t *testing.T) {
-	var cancel atomic.Bool
-	done := make(chan struct{})
-	_, idx := Race(func(i int, r int) bool { return true }, &cancel,
-		func() int { return 1 },
-		func() int {
-			// A cooperative loser polling the cancel flag.
-			for !cancel.Load() {
-				time.Sleep(time.Millisecond)
-			}
-			close(done)
-			return 2
-		},
-	)
-	if idx != 0 {
-		t.Fatalf("winner %d", idx)
-	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("loser never observed cancellation")
 	}
 }

@@ -81,8 +81,6 @@ type OptionsKey struct {
 	Engine        string `json:"engine"`
 	MaxBacktracks int64  `json:"max_backtracks"`
 	ExpandXor     bool   `json:"expand_xor"`
-	FullSupport   bool   `json:"full_support"`
-	ExactMinimize bool   `json:"exact_minimize"`
 	MaxStates     int    `json:"max_states"`
 	TokenBound    int    `json:"token_bound"`
 }
@@ -96,8 +94,6 @@ func OptionsOf(opt asyncsyn.Options) OptionsKey {
 		Engine:        opt.Engine.String(),
 		MaxBacktracks: opt.MaxBacktracks,
 		ExpandXor:     opt.ExpandXor,
-		FullSupport:   opt.FullSupport,
-		ExactMinimize: opt.ExactMinimize,
 		MaxStates:     opt.MaxStates,
 		TokenBound:    opt.TokenBound,
 	}

@@ -1,11 +1,16 @@
 package rundb
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"asyncsyn"
 )
 
 // fakeRecord fabricates a storable record without running synthesis;
@@ -274,5 +279,72 @@ func TestOptionsKeyExcludesNonSemanticKnobs(t *testing.T) {
 	moved.ExpandXor = true
 	if base.Hash() == moved.Hash() {
 		t.Fatal("solver-visible option did not move the hash")
+	}
+}
+
+// TestDefaultOptionsHashGolden pins the options hash of a run with
+// default options. Any change to OptionsKey or OptionsOf moves it and
+// makes every record banked under the old hash miss once (modsyn
+// -project then re-synthesizes each entry once), so such a change must
+// update this value on purpose.
+func TestDefaultOptionsHashGolden(t *testing.T) {
+	const want = "f2012f6482691d16beb1b592816f0fdb803cc17f9c1bd4041346ab180dd3312b"
+	if got := OptionsOf(asyncsyn.Options{}).Hash(); got != want {
+		t.Fatalf("default options hash = %s, want %s", got, want)
+	}
+}
+
+// TestOlderOptionsKeyMissesCleanly: a record banked by a build whose
+// OptionsKey also carried full_support and exact_minimize has another
+// options hash. The database still opens over it, the same run today is
+// a clean miss (not an error, not a hit), and banking the re-synthesis
+// flags nothing divergent.
+func TestOlderOptionsKeyMissesCleanly(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	const canonical = "spec-from-an-older-build"
+	oldOpts := `{"method":"modular","engine":"dpll","max_backtracks":0,"expand_xor":false,` +
+		`"full_support":false,"exact_minimize":false,"max_states":0,"token_bound":0}`
+	sum := sha256.Sum256([]byte(oldOpts))
+	old := Key{Signature: Signature(canonical), OptionsHash: hex.EncodeToString(sum[:])}
+	id := "r000001-" + old.Signature[:8]
+	rec := fmt.Sprintf(`{"schema":%d,"tool":%q,"id":%q,"seq":1,"signature":%q,"options_hash":%q,`+
+		`"options":%s,"model":"old","digest":"digest-old","area":7,"unix_ms":1}`,
+		Schema, Tool, id, old.Signature, old.OptionsHash, oldOpts)
+	for _, path := range []string{
+		filepath.Join(dir, "runs", id+".json"),
+		filepath.Join(dir, "bank", old.hash()+".json"),
+	} {
+		if err := os.WriteFile(path, []byte(rec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatalf("database with an older record fails to open: %v", err)
+	}
+	if db.Len() != 1 {
+		t.Fatalf("history holds %d records, want the older one", db.Len())
+	}
+	if _, ok := db.Lookup(old); !ok {
+		t.Fatal("the older record no longer decodes under its own key")
+	}
+	opts := OptionsOf(asyncsyn.Options{})
+	cur := KeyOf(canonical, opts)
+	if cur == old {
+		t.Fatal("current key equals the older key; the fixture tests nothing")
+	}
+	if got, ok := db.Lookup(cur); ok {
+		t.Fatalf("older record answered the current key: %+v", got)
+	}
+	prev, err := db.Record(&Record{
+		Signature: cur.Signature, OptionsHash: cur.OptionsHash, Options: opts,
+		Model: "old", Digest: "digest-new",
+	})
+	if err != nil || prev != nil {
+		t.Fatalf("banking the re-synthesis: prev %+v, err %v", prev, err)
 	}
 }

@@ -1,7 +1,7 @@
-// Package sat provides a CNF model and two complete/incomplete solvers: a
-// DPLL branch-and-bound procedure with a backtrack budget (the role the
-// SIS SAT program plays in the paper) and a WalkSAT-style local search
-// engine in the spirit of Gu's SAT work.
+// Package sat provides a CNF model and a complete conflict-driven DPLL
+// branch-and-bound procedure with a backtrack budget (the role the SIS
+// SAT program plays in the paper), run fresh, warm-started from learned
+// clauses, or as assumption-guarded steps of one incremental solver.
 package sat
 
 import (

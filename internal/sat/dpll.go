@@ -3,7 +3,6 @@ package sat
 import (
 	"context"
 	"math"
-	"sync/atomic"
 )
 
 // Status is a solver outcome.
@@ -47,7 +46,6 @@ type Result struct {
 	Props      int64
 	Learned    int64
 	Restarts   int64
-	Flips      int64 // local-search flips (WalkSAT only)
 	// StableLearned holds the learned clauses (including learned units)
 	// whose derivations used only the formula's stable prefix — and so
 	// remain implied by any later formula containing that same prefix.
@@ -60,12 +58,6 @@ type Limits struct {
 	// MaxBacktracks bounds the number of conflicts (the branch-and-bound
 	// backtrack budget of the paper's experimental setup).
 	MaxBacktracks int64
-	MaxDecisions  int64
-	// Cancel, when non-nil, is polled at every decision: a true value
-	// stops the search with BacktrackLimit. Used by the portfolio racer
-	// to reap losing engines; a cancelled result is always discarded by
-	// the caller, so the status choice never reaches synthesis output.
-	Cancel *atomic.Bool
 	// Ctx, when non-nil, is polled every few branch-loop iterations: a
 	// canceled context stops the search promptly with Canceled, so a
 	// synthesis run under deadline returns from the middle of a long
@@ -89,13 +81,7 @@ type Limits struct {
 // exceeding the backtrack budget yields BacktrackLimit. The search is
 // deterministic: branching ties break by a fixed initial rank, never by
 // the layout of the order's data structures.
-func Solve(f *Formula, lim Limits) Result {
-	if f.hasEmpty {
-		return Result{Status: Unsat}
-	}
-	s := newSolver(f)
-	return s.run(lim)
-}
+func Solve(f *Formula, lim Limits) Result { return SolveWarm(f, lim, nil) }
 
 // The clause arena. Every clause of a search, original, warm seed or
 // learned, lives in one []Lit as a header word followed by its literals,
@@ -675,14 +661,6 @@ func (s *solver) search(lim Limits) Result {
 			return s.res
 		}
 		s.res.Decisions++
-		if lim.MaxDecisions > 0 && s.res.Decisions > lim.MaxDecisions {
-			s.res.Status = BacktrackLimit
-			return s.res
-		}
-		if lim.Cancel != nil && lim.Cancel.Load() {
-			s.res.Status = BacktrackLimit
-			return s.res
-		}
 		var dec Lit
 		if s.phase[v] {
 			dec = PosLit(v)

@@ -194,7 +194,7 @@ func (inc *Incremental) AddGroup(lits ...Lit) (int, bool) {
 // the reused solver's clause arena, one append each, and appends the
 // seeds after them; no clause is allocated on its own. The result —
 // verdict, model, counters, stable exports — is bit-identical to
-// DPLLEngine.SolveWarm on the equivalent re-encoded formula (the same
+// SolveWarm on the equivalent re-encoded formula (the same
 // clauses without guards, over only the non-inert variables, in the
 // same order, with the same seeds).
 func (inc *Incremental) SolveStep(activePerm int, lim Limits, w *Warm) Result {

@@ -205,7 +205,7 @@ func TestIncrementalLockstep(t *testing.T) {
 					f.Add(c...)
 				}
 				lim := Limits{ExportStable: true}
-				fr := DPLLEngine{}.SolveWarm(f, lim, &Warm{Clauses: seeds})
+				fr := SolveWarm(f, lim, &Warm{Clauses: seeds})
 
 				// Incremental step: same group, aux vars translated.
 				inc.BeginGroup()
@@ -293,7 +293,7 @@ func TestIncrementalLockstepBacktrackLimit(t *testing.T) {
 
 	for _, maxBT := range []int64{1, 3, 10} {
 		lim := Limits{MaxBacktracks: maxBT, ExportStable: true}
-		fr := DPLLEngine{}.SolveWarm(f, lim, nil)
+		fr := SolveWarm(f, lim, nil)
 		ir := inc.SolveStep(inc.NumPermanent(), lim, nil)
 		lockstepCompare(t, fr, ir, n, nil)
 	}

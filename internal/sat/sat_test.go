@@ -46,9 +46,6 @@ func TestEmptyClauseUnsat(t *testing.T) {
 	if r := Solve(f, Limits{}); r.Status != Unsat {
 		t.Fatalf("empty clause must be UNSAT, got %v", r.Status)
 	}
-	if r := LocalSearch(f, LocalSearchOptions{}); r.Status != Unsat {
-		t.Fatalf("local search on empty clause: %v", r.Status)
-	}
 }
 
 func TestTrivialSat(t *testing.T) {
@@ -171,38 +168,6 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 		if r.Status == Sat && !f.Check(r.Model) {
 			t.Fatalf("case %d: returned model does not satisfy the formula", i)
 		}
-	}
-}
-
-// TestLocalSearchFindsModels: WalkSAT must find models for satisfiable
-// instances (verified by the complete solver) and never report Unsat on
-// a non-empty formula.
-func TestLocalSearchFindsModels(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	found := 0
-	for i := 0; i < 100; i++ {
-		f := randomCNF(rng, 10, 20, 3)
-		if Solve(f, Limits{}).Status != Sat {
-			continue
-		}
-		r := LocalSearch(f, LocalSearchOptions{Seed: int64(i)})
-		if r.Status == Sat {
-			if !f.Check(r.Model) {
-				t.Fatalf("case %d: local search model invalid", i)
-			}
-			found++
-		}
-	}
-	if found < 50 {
-		t.Fatalf("local search solved only %d instances", found)
-	}
-}
-
-func TestLocalSearchBudgetExhausted(t *testing.T) {
-	f := pigeonhole(4) // UNSAT: local search must give up
-	r := LocalSearch(f, LocalSearchOptions{MaxFlips: 2000, Restarts: 2, Seed: 3})
-	if r.Status != BacktrackLimit {
-		t.Fatalf("local search on UNSAT: %v, want budget exhaustion", r.Status)
 	}
 }
 

@@ -126,7 +126,7 @@ func trajectoryLines(t *testing.T) []string {
 	for i := 0; i < len(base.Clauses)-base.StablePrefix(); i++ {
 		next.Add(randomClause(rng, base.NumVars, 3)...)
 	}
-	add("warm-seeded", DPLLEngine{}.SolveWarm(next, lim, &Warm{Clauses: br.StableLearned}))
+	add("warm-seeded", SolveWarm(next, lim, &Warm{Clauses: br.StableLearned}))
 
 	for step, r := range incrementalChain(5) {
 		add(fmt.Sprintf("incremental-step%d", step), r)

@@ -10,28 +10,13 @@ type Warm struct {
 	Clauses [][]Lit
 }
 
-// Warmable is the optional warm-start extension of a SAT engine:
-// engines that can ingest previously learned clauses implement it, and
-// callers probe for it with a type assertion, falling back to a cold
-// Solve otherwise.
-type Warmable interface {
-	SolveWarm(f *Formula, lim Limits, w *Warm) Result
-}
-
-// DPLLEngine is the conflict-driven DPLL procedure as an engine value.
-// Solve(f, lim) and DPLLEngine{}.SolveWarm(f, lim, nil) are the same
-// search; a non-nil Warm seeds the clause database before the search
-// starts, which prunes refuted subspaces immediately instead of
-// re-deriving them.
-type DPLLEngine struct{}
-
-var _ Warmable = DPLLEngine{}
-
-// SolveWarm runs the DPLL search with w's clauses pre-loaded as stable
-// learned clauses. Seeding is deterministic: clauses are installed in
-// the given order before the search begins, so two runs with equal
-// (formula, limits, seeds) produce identical results.
-func (DPLLEngine) SolveWarm(f *Formula, lim Limits, w *Warm) Result {
+// SolveWarm is Solve with w's clauses pre-loaded as stable learned
+// clauses; Solve(f, lim) and SolveWarm(f, lim, nil) are the same search.
+// The seeds prune refuted subspaces immediately instead of re-deriving
+// them. Seeding is deterministic: clauses are installed in the given
+// order before the search begins, so two runs with equal (formula,
+// limits, seeds) produce identical results.
+func SolveWarm(f *Formula, lim Limits, w *Warm) Result {
 	if f.hasEmpty {
 		return Result{Status: Unsat}
 	}

@@ -47,7 +47,7 @@ func TestSolveWarmNilMatchesSolve(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		f := hardFormula(seed, 30, 120)
 		cold := Solve(f, Limits{})
-		warm := DPLLEngine{}.SolveWarm(f, Limits{}, nil)
+		warm := SolveWarm(f, Limits{}, nil)
 		if cold.Status != warm.Status || cold.Decisions != warm.Decisions ||
 			cold.Backtracks != warm.Backtracks || cold.Props != warm.Props {
 			t.Fatalf("seed %d: nil-seed SolveWarm diverges: cold %+v warm %+v", seed, cold, warm)
@@ -102,7 +102,7 @@ func TestSolveWarmSeededVerdict(t *testing.T) {
 		cold := Solve(f, Limits{ExportStable: true})
 		w := &Warm{Clauses: cold.StableLearned}
 		w.Clauses = append(w.Clauses, []Lit{PosLit(999)}) // ignored: out of range
-		warm := DPLLEngine{}.SolveWarm(f, Limits{}, w)
+		warm := SolveWarm(f, Limits{}, w)
 		if warm.Status != cold.Status {
 			t.Fatalf("seed %d: verdict flipped under warm seeding: %v vs %v", seed, cold.Status, warm.Status)
 		}
@@ -118,8 +118,8 @@ func TestSolveWarmDeterministic(t *testing.T) {
 	f := hardFormula(4, 30, 120)
 	cold := Solve(f, Limits{ExportStable: true})
 	w := &Warm{Clauses: cold.StableLearned}
-	a := DPLLEngine{}.SolveWarm(f, Limits{}, w)
-	b := DPLLEngine{}.SolveWarm(f, Limits{}, w)
+	a := SolveWarm(f, Limits{}, w)
+	b := SolveWarm(f, Limits{}, w)
 	if a.Status != b.Status || a.Decisions != b.Decisions || a.Backtracks != b.Backtracks {
 		t.Fatalf("seeded search not deterministic: %+v vs %+v", a, b)
 	}

@@ -29,13 +29,11 @@ type Request struct {
 	Bench string `json:"bench,omitempty"`
 
 	Method        string `json:"method,omitempty"`  // modular|direct|lavagno
-	Engine        string `json:"engine,omitempty"`  // dpll|walksat|bdd|portfolio
+	Engine        string `json:"engine,omitempty"`  // dpll|bdd
 	Workers       int    `json:"workers,omitempty"` // per-job pool bound
 	Timeout       string `json:"timeout,omitempty"` // Go duration, capped by MaxTimeout
 	MaxBacktracks int64  `json:"max_backtracks,omitempty"`
 	ExpandXor     bool   `json:"expand_xor,omitempty"`
-	FullSupport   bool   `json:"full_support,omitempty"`
-	ExactMinimize bool   `json:"exact_minimize,omitempty"`
 
 	// Async makes the POST return 202 with a job id immediately; poll
 	// GET /v1/jobs/{id} for the result. Not part of the dedup key.
@@ -199,8 +197,6 @@ func (s *Server) resolveRequest(req Request, wantTrace bool) (*parsedRequest, er
 			Timeout:       timeout,
 			MaxBacktracks: req.MaxBacktracks,
 			ExpandXor:     req.ExpandXor,
-			FullSupport:   req.FullSupport,
-			ExactMinimize: req.ExactMinimize,
 		},
 		trace: wantTrace,
 		async: req.Async,
@@ -215,9 +211,9 @@ func (s *Server) resolveRequest(req Request, wantTrace bool) (*parsedRequest, er
 // share a job.
 func contentKey(src string, opt asyncsyn.Options, wantTrace bool) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%v\x00%v\x00%d\x00%v\x00%d\x00%v%v%v%v\x00", src,
+	fmt.Fprintf(h, "%s\x00%v\x00%v\x00%d\x00%v\x00%d\x00%v%v\x00", src,
 		opt.Method, opt.Engine, opt.Workers, opt.Timeout, opt.MaxBacktracks,
-		opt.ExpandXor, opt.FullSupport, opt.ExactMinimize, wantTrace)
+		opt.ExpandXor, wantTrace)
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 

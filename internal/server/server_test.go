@@ -367,7 +367,11 @@ func TestStatusMapping(t *testing.T) {
 		{"bad-method", `{"bench":"fifo","method":"magic"}`, http.StatusBadRequest, "parse"},
 		{"bad-engine", `{"bench":"fifo","engine":"oracle"}`, http.StatusBadRequest, "parse"},
 		{"bad-timeout", `{"bench":"fifo","timeout":"soon"}`, http.StatusBadRequest, "parse"},
-		{"budget", `{"bench":"fifo","max_backtracks":1,"engine":"walksat"}`, http.StatusUnprocessableEntity, "unsolvable"},
+		{"retired-engine-walksat", `{"bench":"fifo","engine":"walksat"}`, http.StatusBadRequest, "parse"},
+		{"retired-engine-portfolio", `{"bench":"fifo","engine":"portfolio"}`, http.StatusBadRequest, "parse"},
+		{"removed-field-full-support", `{"bench":"fifo","full_support":true}`, http.StatusBadRequest, "parse"},
+		{"removed-field-exact-minimize", `{"bench":"fifo","exact_minimize":true}`, http.StatusBadRequest, "parse"},
+		{"budget", `{"bench":"fifo","max_backtracks":1}`, http.StatusUnprocessableEntity, "unsolvable"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -41,8 +41,8 @@ type FormulaEvent struct {
 }
 
 // Tracer receives pipeline events. Implementations must be safe for
-// concurrent use: parallel stages and portfolio races emit from
-// multiple goroutines.
+// concurrent use: runs that share one tracer (cmd/table1's row pool,
+// for one) emit from multiple goroutines.
 type Tracer interface {
 	StageStart(e StageEvent)
 	StageEnd(e StageEvent)

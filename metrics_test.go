@@ -13,8 +13,8 @@ import (
 )
 
 // counterFingerprint flattens the deterministic counters — graph sizes,
-// formula sizes, module counts, minimizer passes, and (under the default
-// portfolio engine, whose winner is deterministic) the SAT search stats.
+// formula sizes, module counts, minimizer passes and the SAT search
+// stats.
 func counterFingerprint(c *Circuit) string {
 	keys := make([]string, 0, len(c.Counters))
 	for k := range c.Counters {

@@ -1,9 +1,7 @@
 package asyncsyn
 
 // Determinism contract of the parallel pipeline (DESIGN.md §3.8): the
-// synthesized circuit is bit-for-bit identical for every Workers value,
-// and the portfolio engine agrees with plain DPLL whenever DPLL decides
-// within its budget.
+// synthesized circuit is bit-for-bit identical for every Workers value.
 
 import (
 	"fmt"
@@ -97,30 +95,5 @@ func TestRandomSTGDeterminismAcrossWorkers(t *testing.T) {
 		if par.Digest() != seq.Digest() {
 			t.Errorf("seed %d: digest %s != %s", seed, par.Digest(), seq.Digest())
 		}
-	}
-}
-
-// TestPortfolioDeterminism pins the racing engine's contract: repeated
-// portfolio runs are identical to each other, and — because the DPLL
-// verdict is always preferred when it decides within budget — identical
-// to a plain DPLL run.
-func TestPortfolioDeterminism(t *testing.T) {
-	for _, name := range []string{"vbe4a", "nak-pa", "sbuf-send-ctl"} {
-		t.Run(name, func(t *testing.T) {
-			dpll := fingerprint(synthWorkers(t, name, Options{Engine: DPLL}))
-			p1 := synthWorkers(t, name, Options{Engine: Portfolio})
-			p2 := fingerprint(synthWorkers(t, name, Options{Engine: Portfolio}))
-			if got := fingerprint(p1); got != p2 {
-				t.Errorf("portfolio is not self-consistent:\n--- run1 ---\n%s--- run2 ---\n%s", got, p2)
-			}
-			if got := fingerprint(p1); got != dpll {
-				t.Errorf("portfolio diverges from dpll:\n--- portfolio ---\n%s--- dpll ---\n%s", got, dpll)
-			}
-			for _, f := range p1.Formulas {
-				if f.Engine != "portfolio:dpll" && f.Engine != "portfolio:walksat" {
-					t.Errorf("formula %q engine = %q, want portfolio:*", f.Output, f.Engine)
-				}
-			}
-		})
 	}
 }
