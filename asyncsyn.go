@@ -477,6 +477,12 @@ func Synthesize(s *STG, opt Options) (*Circuit, error) {
 // ErrCanceled. Uncanceled runs produce bit-identical circuits to
 // Synthesize: the polls are read-only.
 func SynthesizeContext(ctx context.Context, s *STG, opt Options) (*Circuit, error) {
+	// Method is checked where it dispatches below; an engine value other
+	// than DPLL and BDD (a retired number among them) would otherwise
+	// solve with DPLL and be recorded under an engine it did not use.
+	if opt.Engine != DPLL && opt.Engine != BDD {
+		return nil, fmt.Errorf("asyncsyn: unknown engine %v", opt.Engine)
+	}
 	start := time.Now()
 	if opt.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -676,9 +682,8 @@ func initialLevelsOf(v *sg.Stream) map[string]bool {
 	return levels
 }
 
-// cscEngine maps the facade engine to the internal one. Any value but
-// BDD solves with DPLL under DPLL's cache-key number, so a retired
-// number never reaches the module-cache key.
+// cscEngine maps the facade engine, DPLL or BDD as SynthesizeContext
+// checked, to the internal one.
 func cscEngine(e Engine) csc.Engine {
 	if e == BDD {
 		return csc.BDD

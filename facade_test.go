@@ -166,6 +166,13 @@ func TestSynthesizeOptions(t *testing.T) {
 	if _, err := Synthesize(g3, Options{Method: Method(42)}); err == nil {
 		t.Errorf("bogus method accepted")
 	}
+	// 1 is the retired WalkSAT number; neither may fall back to DPLL.
+	for _, e := range []Engine{1, 7} {
+		g, _ := ParseSTGString(twoPulseSrc)
+		if c, err := Synthesize(g, Options{Engine: e}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Errorf("%v: synthesized (%v), want an unknown-engine error", e, c != nil)
+		}
+	}
 	g4, _ := ParseSTGString(twoPulseSrc)
 	if _, err := Synthesize(g4, Options{MaxStates: 2}); err == nil {
 		t.Errorf("state cap ignored")

@@ -234,23 +234,52 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	}
 }
 
+// TestSynthesizeFullSupportAblation pins the support-restriction
+// ablation on every Table-1 row: the area with the paper's restricted
+// logic supports and with Options.FullSupport. Two rows move, in
+// opposite directions, for totals of 921 and 920.
 func TestSynthesizeFullSupportAblation(t *testing.T) {
-	spec, err := bench.Load("sbuf-read-ctl")
-	if err != nil {
-		t.Fatal(err)
+	pins := []struct {
+		name             string
+		restricted, full int
+	}{
+		{"mr0", 186, 186}, {"mr1", 50, 50}, {"mmu0", 37, 37}, {"mmu1", 36, 36},
+		{"sbuf-ram-write", 57, 55}, {"vbe4a", 42, 42}, {"nak-pa", 59, 59},
+		{"pe-rcv-ifc-fc", 76, 76}, {"ram-read-sbuf", 62, 63}, {"alex-nonfc", 43, 43},
+		{"sbuf-send-pkt2", 39, 39}, {"sbuf-send-ctl", 21, 21}, {"atod", 22, 22},
+		{"pa", 37, 37}, {"alloc-outbound", 20, 20}, {"wrdata", 21, 21},
+		{"fifo", 29, 29}, {"sbuf-read-ctl", 25, 25}, {"nouse", 23, 23},
+		{"vbe-ex2", 7, 7}, {"nousc-ser", 14, 14}, {"sendr-done", 8, 8}, {"vbe-ex1", 7, 7},
 	}
-	restricted, err := Synthesize(context.Background(), spec, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if names := bench.Names(); len(pins) != len(names) {
+		t.Fatalf("%d pinned rows for %d Table-1 rows", len(pins), len(names))
 	}
-	spec2, _ := bench.Load("sbuf-read-ctl")
-	full, err := Synthesize(context.Background(), spec2, Options{FullSupport: true})
-	if err != nil {
-		t.Fatal(err)
+	area := func(name string, opt Options) int {
+		spec, err := bench.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Synthesize(context.Background(), spec, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return res.Area
 	}
-	// The support restriction is one of the paper's area mechanisms; it
-	// must never hurt here.
-	if restricted.Area > full.Area {
-		t.Errorf("restricted support area %d > full support %d", restricted.Area, full.Area)
+	totalR, totalF := 0, 0
+	for _, p := range pins {
+		r, f := area(p.name, Options{}), area(p.name, Options{FullSupport: true})
+		if r != p.restricted || f != p.full {
+			t.Errorf("%s: area %d restricted, %d full support; pinned %d and %d", p.name, r, f, p.restricted, p.full)
+		}
+		// The support restriction is one of the paper's area mechanisms;
+		// it must never hurt here.
+		if p.name == "sbuf-read-ctl" && r > f {
+			t.Errorf("sbuf-read-ctl: restricted support area %d > full support %d", r, f)
+		}
+		totalR += r
+		totalF += f
+	}
+	if totalR != 921 || totalF != 920 {
+		t.Errorf("total area %d restricted, %d full support; want 921 and 920", totalR, totalF)
 	}
 }

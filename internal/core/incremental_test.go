@@ -16,6 +16,7 @@ import (
 	"asyncsyn/internal/csc"
 	"asyncsyn/internal/metrics"
 	"asyncsyn/internal/modcache"
+	"asyncsyn/internal/stg"
 )
 
 // fingerprint flattens every externally visible synthesis result into a
@@ -62,30 +63,38 @@ func formulaLines(r *Result) []string {
 	return out
 }
 
-// synthCounted runs one modular synthesis of a Table-1 row with a fresh
-// per-run solve cache, as the facade's default does, and returns the
-// result with the run's counters.
-func synthCounted(t *testing.T, name string, opt Options) (*Result, map[string]int64) {
+// synthCounted runs one modular synthesis of spec with a fresh per-run
+// solve cache, as the facade's default does, and returns the result with
+// the run's counters.
+func synthCounted(t *testing.T, spec *stg.G, opt Options) (*Result, map[string]int64) {
 	t.Helper()
-	spec, err := bench.Load(name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mc := metrics.New()
 	opt.SAT.Cache = modcache.New()
 	res, err := Synthesize(metrics.With(context.Background(), mc), spec, opt)
 	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+		t.Fatalf("%s: %v", spec.Name, err)
 	}
 	return res, mc.Map()
 }
 
+// TestIncrementalMatchesFresh runs every Table-1 row at Workers 1 and 4,
+// and handshake k=3 at Workers 1, on both SAT paths.
 func TestIncrementalMatchesFresh(t *testing.T) {
-	for _, name := range []string{"vbe4a", "nak-pa", "sbuf-ram-write"} {
-		t.Run(name, func(t *testing.T) {
-			for _, w := range []int{1, 4} {
-				ri, ci := synthCounted(t, name, Options{Workers: w})
-				rf, cf := synthCounted(t, name, Options{Workers: w, SAT: SATOptions{NoIncremental: true}})
+	type row struct {
+		name    string
+		load    func() (*stg.G, error)
+		workers []int
+	}
+	var rows []row
+	for _, name := range bench.Names() {
+		rows = append(rows, row{name, func() (*stg.G, error) { return bench.Load(name) }, []int{1, 4}})
+	}
+	rows = append(rows, row{"handshake-k3", func() (*stg.G, error) { return stg.Handshakes("", 3, 2) }, []int{1}})
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			for _, w := range r.workers {
+				ri, ci := synthCounted(t, loadSpec(t, r.load), Options{Workers: w})
+				rf, cf := synthCounted(t, loadSpec(t, r.load), Options{Workers: w, SAT: SATOptions{NoIncremental: true}})
 				if got, want := fingerprint(ri), fingerprint(rf); got != want {
 					t.Fatalf("workers=%d: incremental circuit diverges from fresh:\nincremental:\n%s\nfresh:\n%s", w, got, want)
 				}
@@ -117,4 +126,13 @@ func TestIncrementalMatchesFresh(t *testing.T) {
 			}
 		})
 	}
+}
+
+func loadSpec(t *testing.T, load func() (*stg.G, error)) *stg.G {
+	t.Helper()
+	spec, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }

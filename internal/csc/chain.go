@@ -16,8 +16,11 @@ import (
 // instead of re-encoding each formula from scratch. The column-major
 // variable layout makes chain formulas share a literal prefix: the
 // edge-compatibility clauses of column k are identical in every formula
-// that has column k, so they are encoded once as permanent clauses and
-// only the per-attempt pair/symmetry constraints are re-emitted, into a
+// that has column k. The solver keeps each column's variables, and each
+// step generates the active columns' edge blocks from the graph straight
+// into the solver's clause arena as the step's stable block, so a
+// formula is written once and no clause is stored between steps. Only
+// the per-attempt pair/symmetry constraints are emitted into a
 // retire-and-replace assumption group. Columns beyond the current
 // attempt's m are deactivated rather than discarded, so a chain can
 // shrink m (the greedy insertion loop's m=1 attempts after a joint m=2
@@ -25,22 +28,17 @@ import (
 //
 // The incremental path is exact, not approximate: SolveStep's result is
 // bit-identical to the re-encode path's (verdict, model, counters,
-// stable exports), which the parity tests pin. Like WarmChain, a
-// ChainSolver is bound to one graph structure and rebinds (resetting
-// the solver) when the chain moves to a structurally different graph;
-// it is not safe for concurrent use — chains are per-module and modules
+// stable exports), which the parity tests pin. A ChainSolver is bound to
+// one graph and resets when it is handed a different one; a step is
+// bit-identical to a fresh solve whether or not the solver was reset.
+// It is not safe for concurrent use — chains are per-module and modules
 // solve sequentially.
 type ChainSolver struct {
-	fp     string
-	inc    *sat.Incremental
-	n      int
-	cols   int // columns encoded so far
-	aVar   [][]int
-	bVar   [][]int
-	colLo  []int  // first solver variable of column k's 2n-variable block
-	colOff []bool // column k currently deactivated
-	colCl  []int  // permanent clauses through column k (cumulative)
-	colLit []int  // permanent literals through column k (cumulative)
+	g       *sg.Graph // the bound graph
+	inc     *sat.Incremental
+	blockCl int    // edge-compatibility clauses per column, four literals each
+	lay     layout // lay.lo[k]: first solver variable of column k
+	colOff  []bool // column k currently deactivated
 
 	// Variable translation between the solver's space and the space of
 	// the equivalent one-shot Encode formula, for warm-chain seeds in
@@ -51,6 +49,7 @@ type ChainSolver struct {
 	// Fresh-formula-equivalent sizes of the current assumption group.
 	grpAux, grpCl, grpLit int
 
+	emit     emitter
 	seedBuf  [][]sat.Lit
 	seedLits []sat.Lit
 }
@@ -58,24 +57,26 @@ type ChainSolver struct {
 // NewChainSolver returns an empty, unbound chain solver.
 func NewChainSolver() *ChainSolver { return &ChainSolver{} }
 
-// rebind attaches the solver to g's structure, resetting it when the
-// chain moves to a structurally different graph (same fingerprint as
-// WarmChain.Rebind: appending phase columns does not invalidate it).
+// rebind attaches the solver to g, resetting it when g is not the bound
+// graph.
 func (c *ChainSolver) rebind(g *sg.Graph) {
-	fp := graphFingerprint(g)
-	if c.fp == fp {
+	if c.g == g {
 		return
 	}
-	c.fp = fp
+	c.g = g
 	c.inc = sat.NewIncremental()
-	c.n = len(g.States)
-	c.cols = 0
-	c.aVar = make([][]int, c.n)
-	c.bVar = make([][]int, c.n)
-	c.colLo = c.colLo[:0]
+	c.blockCl = 0
+	for _, ed := range g.Edges {
+		switch {
+		case ed.From == ed.To:
+		case g.InputEdge(ed):
+			c.blockCl += len(inputBlock)
+		default:
+			c.blockCl += len(outputBlock)
+		}
+	}
+	c.lay = layout{n: len(g.States), lo: c.lay.lo[:0]}
 	c.colOff = c.colOff[:0]
-	c.colCl = c.colCl[:0]
-	c.colLit = c.colLit[:0]
 	c.incToFresh = c.incToFresh[:0]
 	c.freshToInc = c.freshToInc[:0]
 }
@@ -89,75 +90,86 @@ func (c *ChainSolver) padTranslation() {
 	}
 }
 
-// clauseLit is Encode's value-falsifying literal helper.
-func clauseLit(v int, val bool) sat.Lit {
-	if val {
-		return sat.NegLit(v)
+// edgeBlock lists an edge's edge-compatibility clauses, one per blocked
+// phase pair in Encode's order, as literal offsets: the clause of an
+// edge from s to t in column k is A(s)+o[0], A(s)+o[1], A(t)+o[2],
+// A(t)+o[3] with A(s) = sat.PosLit(a(s, k)), the four literals Encode
+// emits for the pair.
+func edgeBlock(blocked [][2]sg.Phase) [][4]sat.Lit {
+	out := make([][4]sat.Lit, len(blocked))
+	for i, bp := range blocked {
+		pa, pb := phaseBits(bp[0])
+		qa, qb := phaseBits(bp[1])
+		out[i] = [4]sat.Lit{clauseLit(0, pa), clauseLit(1, pb), clauseLit(0, qa), clauseLit(1, qb)}
 	}
-	return sat.PosLit(v)
+	return out
 }
 
-// ensureColumns encodes columns c.cols..m-1: their state variables
-// (with Encode's phase preference) and their permanent edge-compatibility
-// clause blocks, in exactly Encode's emission order.
-func (c *ChainSolver) ensureColumns(g *sg.Graph, m int) {
-	for k := c.cols; k < m; k++ {
+var (
+	outputBlock = edgeBlock(blockedOutputEdge)
+	inputBlock  = edgeBlock(blockedInputEdge)
+)
+
+// ensureColumns allocates the state variables of columns up to m, with
+// Encode's phase preference. It emits no clause: appendBlocks generates
+// the columns' edge blocks at every step.
+func (c *ChainSolver) ensureColumns(m int) {
+	for k := len(c.lay.lo); k < m; k++ {
 		c.padTranslation()
-		c.colLo = append(c.colLo, c.inc.NumVars())
+		c.lay.lo = append(c.lay.lo, c.inc.NumVars())
 		c.colOff = append(c.colOff, false)
-		for s := 0; s < c.n; s++ {
+		for s := 0; s < c.lay.n; s++ {
 			av := c.inc.NewVar()
-			bv := c.inc.NewVar()
+			c.inc.NewVar()
 			c.inc.Prefer(av, false)
-			c.aVar[s] = append(c.aVar[s], av)
-			c.bVar[s] = append(c.bVar[s], bv)
-			fa := int32(2 * (k*c.n + s))
+			fa := int32(2 * (k*c.lay.n + s))
 			c.incToFresh = append(c.incToFresh, fa, fa+1)
-			c.freshToInc = append(c.freshToInc, int32(av), int32(bv))
+			c.freshToInc = append(c.freshToInc, int32(av), int32(av+1))
 		}
-		nCl, nLit := 0, 0
-		for _, ed := range g.Edges {
-			blocked := blockedOutputEdge
-			if g.InputEdge(ed) {
-				blocked = blockedInputEdge
-			}
-			for _, bp := range blocked {
-				pa, pb := phaseBits(bp[0])
-				qa, qb := phaseBits(bp[1])
-				ln, added := c.inc.AddPermanent(
-					clauseLit(c.aVar[ed.From][k], pa), clauseLit(c.bVar[ed.From][k], pb),
-					clauseLit(c.aVar[ed.To][k], qa), clauseLit(c.bVar[ed.To][k], qb),
-				)
-				if added {
-					nCl++
-					nLit += ln
-				}
-			}
-		}
-		prevCl, prevLit := 0, 0
-		if k > 0 {
-			prevCl, prevLit = c.colCl[k-1], c.colLit[k-1]
-		}
-		c.colCl = append(c.colCl, prevCl+nCl)
-		c.colLit = append(c.colLit, prevLit+nLit)
-		c.cols++
 	}
 }
 
 // setActive (de)activates column variable blocks so exactly the first m
 // columns take part in the next step's search.
 func (c *ChainSolver) setActive(m int) {
-	for k := 0; k < c.cols; k++ {
+	for k := range c.colOff {
 		off := k >= m
 		if c.colOff[k] == off {
 			continue
 		}
 		c.colOff[k] = off
-		lo := c.colLo[k]
-		for v := lo; v < lo+2*c.n; v++ {
+		lo := c.lay.lo[k]
+		for v := lo; v < lo+2*c.lay.n; v++ {
 			c.inc.SetInert(v, off)
 		}
 	}
+}
+
+// appendBlocks writes a step's sat.Block: the edge-compatibility clauses
+// of the first m columns, generated from the bound graph in Encode's
+// order (column, edge, blocked pair). A self-loop edge writes
+// nothing. EdgeCompatible(x, x) always holds, so every blocked pair
+// (p, q) has p ≠ q, and on a single state each of its clauses holds a
+// variable and its complement: a tautology, which Encode's Formula.Add
+// drops. Every other clause holds four distinct variables.
+func (c *ChainSolver) appendBlocks(arena []sat.Lit, m int) []sat.Lit {
+	g := c.g
+	for k := 0; k < m; k++ {
+		for _, ed := range g.Edges {
+			if ed.From == ed.To {
+				continue
+			}
+			block := outputBlock
+			if g.InputEdge(ed) {
+				block = inputBlock
+			}
+			from, to := sat.PosLit(c.lay.a(ed.From, k)), sat.PosLit(c.lay.a(ed.To, k))
+			for _, o := range block {
+				arena = sat.AppendStable(arena, from+o[0], from+o[1], to+o[2], to+o[3])
+			}
+		}
+	}
+	return arena
 }
 
 // chainSink routes the shared pair/symmetry emission into the solver's
@@ -169,7 +181,7 @@ func (s chainSink) newVar() int {
 	return s.c.inc.NewGroupVar()
 }
 
-func (s chainSink) add(lits ...sat.Lit) {
+func (s chainSink) add(lits []sat.Lit) {
 	n, added := s.c.inc.AddGroup(lits...)
 	if added {
 		s.c.grpCl++
@@ -203,19 +215,6 @@ func (c *ChainSolver) translateSeeds(w *sat.Warm) *sat.Warm {
 	return &sat.Warm{Clauses: c.seedBuf}
 }
 
-// decodePhases is Encoding.DecodePhases over the solver's variables.
-func (c *ChainSolver) decodePhases(model []bool, m int) [][]sg.Phase {
-	out := make([][]sg.Phase, m)
-	for k := 0; k < m; k++ {
-		col := make([]sg.Phase, c.n)
-		for s := 0; s < c.n; s++ {
-			col[s] = bitsPhase(model[c.aVar[s][k]], model[c.bVar[s][k]])
-		}
-		out[k] = col
-	}
-	return out
-}
-
 // solve is the incremental counterpart of solveUncached's encode-search-
 // decode-tighten path, with the same outputs, side effects (metrics,
 // tracing, warm-chain absorption) and error contract.
@@ -230,14 +229,14 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 		}
 	}
 	c.rebind(g)
-	c.ensureColumns(g, m)
+	c.ensureColumns(m)
 	c.setActive(m)
 
 	c.inc.BeginGroup()
 	c.grpAux, c.grpCl, c.grpLit = 0, 0, 0
-	sink := chainSink{c}
-	emitPairsTseitin(sink, c.aVar, c.bVar, m, conf)
-	emitSymmetry(sink, c.aVar, c.bVar, m)
+	c.emit.sink, c.emit.lay = chainSink{c}, c.lay
+	c.emit.pairsTseitin(m, conf)
+	c.emit.symmetry(m)
 	c.padTranslation()
 
 	seeds := opt.Chain.Seed(len(g.States), m)
@@ -247,7 +246,9 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 	metrics.From(ctx).Add(metrics.SATAssumptions, 1)
 	exportStable := opt.Chain != nil
 	t0 := time.Now()
-	r := c.inc.SolveStep(c.colCl[m-1], sat.Limits{
+	block := sat.Block{Clauses: m * c.blockCl, Literals: 4 * m * c.blockCl,
+		Append: func(arena []sat.Lit) []sat.Lit { return c.appendBlocks(arena, m) }}
+	r := c.inc.SolveStep(block, sat.Limits{
 		MaxBacktracks: opt.MaxBacktracks, Ctx: ctx, ExportStable: exportStable,
 	}, c.translateSeeds(seeds))
 	search := time.Since(t0)
@@ -275,8 +276,8 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 	}
 
 	stats = FormulaStats{
-		Signals: m, Vars: 2*c.n*m + c.grpAux, Clauses: c.colCl[m-1] + c.grpCl,
-		Literals: c.colLit[m-1] + c.grpLit, Status: r.Status,
+		Signals: m, Vars: 2*c.lay.n*m + c.grpAux, Clauses: block.Clauses + c.grpCl,
+		Literals: block.Literals + c.grpLit, Status: r.Status,
 		SolveTime: time.Since(start), SearchTime: search, Engine: "dpll",
 	}
 	if r.Status == sat.Canceled {
@@ -291,7 +292,7 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 	if r.Status != sat.Sat {
 		return nil, stats, norm, nil
 	}
-	cols = c.decodePhases(r.Model, m)
+	cols = c.lay.decode(r.Model, m)
 	Tighten(g, conf, cols)
 	return cols, stats, norm, nil
 }

@@ -57,8 +57,42 @@ type Encoding struct {
 	G *sg.Graph
 	M int
 
-	aVar [][]int // [state][k]
-	bVar [][]int
+	lay layout
+}
+
+// layout places the state variables of a SAT-CSC formula over n states:
+// column k's (a, b) bit pair for state s is variables a(s, k) = lo[k]+2s
+// and b(s, k) = a(s, k)+1. Encode's column-major layout has lo[k] = 2kn;
+// the incremental ChainSolver's has lo[k] at the first variable it
+// allocated for column k.
+type layout struct {
+	n  int
+	lo []int
+}
+
+func (l layout) a(s, k int) int { return l.lo[k] + 2*s }
+func (l layout) b(s, k int) int { return l.lo[k] + 2*s + 1 }
+
+// decode extracts the phase columns of the first m columns from a model.
+func (l layout) decode(model []bool, m int) [][]sg.Phase {
+	out := make([][]sg.Phase, m)
+	for k := 0; k < m; k++ {
+		col := make([]sg.Phase, l.n)
+		for s := range col {
+			col[s] = bitsPhase(model[l.a(s, k)], model[l.b(s, k)])
+		}
+		out[k] = col
+	}
+	return out
+}
+
+// clauseLit returns the clause literal that is false exactly when
+// variable v takes value val.
+func clauseLit(v int, val bool) sat.Lit {
+	if val {
+		return sat.NegLit(v)
+	}
+	return sat.PosLit(v)
 }
 
 // blockedPairsFor lists the (predecessor, successor) phase pairs
@@ -97,26 +131,22 @@ func Encode(g *sg.Graph, conf *sg.Conflicts, m int, opt Options) (*Encoding, err
 	}
 	e := &Encoding{F: sat.NewFormula(), G: g, M: m}
 	n := len(g.States)
-	e.aVar = make([][]int, n)
-	e.bVar = make([][]int, n)
-	for s := 0; s < n; s++ {
-		e.aVar[s] = make([]int, m)
-		e.bVar[s] = make([]int, m)
-	}
 	// Column-major variable layout: column k's (a,b) pairs for every
-	// state precede column k+1's, so a[s][k] = 2(kn+s) and b[s][k] is
+	// state precede column k+1's, so a(s, k) = 2(kn+s) and b(s, k) is
 	// its successor. The formulas of a widening chain thereby share a
 	// variable prefix — formula m's state variables are exactly the
 	// first 2nm variables of formula m+1 — which is what lets the
 	// incremental solver (ChainSolver) grow columns in place and keeps
 	// warm-chain clause instantiation layout-stable along the chain.
+	e.lay = layout{n: n, lo: make([]int, m)}
 	for k := 0; k < m; k++ {
+		e.lay.lo[k] = 2 * k * n
 		for s := 0; s < n; s++ {
-			e.aVar[s][k] = e.F.NewVar("")
-			e.bVar[s][k] = e.F.NewVar("")
+			a := e.F.NewVar("")
+			e.F.NewVar("")
 			// Prefer stable phases: every needlessly excited state
 			// multiplies the expanded state graph.
-			e.F.Prefer(e.aVar[s][k], false)
+			e.F.Prefer(a, false)
 		}
 	}
 
@@ -124,12 +154,6 @@ func Encode(g *sg.Graph, conf *sg.Conflicts, m int, opt Options) (*Encoding, err
 	// block the eight incompatible phase pairs. Emission is grouped by
 	// column for the same reason the variables are: column k's clause
 	// block is identical in every formula of the chain that has column k.
-	lit := func(v int, val bool) sat.Lit {
-		if val {
-			return sat.NegLit(v) // clause literal that *falsifies* value val
-		}
-		return sat.PosLit(v)
-	}
 	for k := 0; k < m; k++ {
 		for _, ed := range g.Edges {
 			blocked := blockedOutputEdge
@@ -140,8 +164,8 @@ func Encode(g *sg.Graph, conf *sg.Conflicts, m int, opt Options) (*Encoding, err
 				pa, pb := phaseBits(bp[0])
 				qa, qb := phaseBits(bp[1])
 				e.F.Add(
-					lit(e.aVar[ed.From][k], pa), lit(e.bVar[ed.From][k], pb),
-					lit(e.aVar[ed.To][k], qa), lit(e.bVar[ed.To][k], qb),
+					clauseLit(e.lay.a(ed.From, k), pa), clauseLit(e.lay.b(ed.From, k), pb),
+					clauseLit(e.lay.a(ed.To, k), qa), clauseLit(e.lay.b(ed.To, k), qb),
 				)
 			}
 		}
@@ -159,9 +183,9 @@ func Encode(g *sg.Graph, conf *sg.Conflicts, m int, opt Options) (*Encoding, err
 		// not a solving path).
 		e.encodePairsExpanded(conf)
 	} else {
-		sink := formulaSink{e.F}
-		emitPairsTseitin(sink, e.aVar, e.bVar, m, conf)
-		emitSymmetry(sink, e.aVar, e.bVar, m)
+		em := emitter{sink: formulaSink{e.F}, lay: e.lay}
+		em.pairsTseitin(m, conf)
+		em.symmetry(m)
 	}
 	return e, nil
 }
@@ -172,52 +196,68 @@ func Encode(g *sg.Graph, conf *sg.Conflicts, m int, opt Options) (*Encoding, err
 // the same clauses into the solver's current assumption group.
 type encSink interface {
 	newVar() int
-	add(lits ...sat.Lit)
+	// add adds one clause. lits is the emitter's scratch: the sink
+	// copies what it keeps.
+	add(lits []sat.Lit)
 }
 
 type formulaSink struct{ f *sat.Formula }
 
-func (s formulaSink) newVar() int         { return s.f.NewVar("") }
-func (s formulaSink) add(lits ...sat.Lit) { s.f.Add(lits...) }
+func (s formulaSink) newVar() int        { return s.f.NewVar("") }
+func (s formulaSink) add(lits []sat.Lit) { s.f.Add(lits...) }
 
-// emitSymmetry adds lexicographic ordering between adjacent signal
-// columns. The m inserted signals are fully interchangeable in every
-// constraint, so without this the solver explores (and on UNSAT
-// instances must refute) all m! permutations of each assignment — joint
-// m ≥ 4 UNSAT proofs become intractable. The standard prefix-equality
-// chain costs 4 clauses per state bit per adjacent pair.
-func emitSymmetry(sink encSink, aVar, bVar [][]int, m int) {
-	n := len(aVar)
+// emitter emits the per-problem clauses of a formula over the state
+// variables of lay through sink. Every clause is built in buffers the
+// emitter keeps, so an owner that reuses the emitter emits without
+// allocating.
+type emitter struct {
+	sink encSink
+	lay  layout
+	ds   []sat.Lit // the current pair's separation literals
+	cl   []sat.Lit // the clause being built
+}
+
+// add emits one clause.
+func (e *emitter) add(lits ...sat.Lit) {
+	e.cl = append(e.cl[:0], lits...)
+	e.sink.add(e.cl)
+}
+
+// symmetry adds lexicographic ordering between adjacent signal columns.
+// The m inserted signals are fully interchangeable in every constraint,
+// so without this the solver explores (and on UNSAT instances must
+// refute) all m! permutations of each assignment — joint m ≥ 4 UNSAT
+// proofs become intractable. The standard prefix-equality chain costs 4
+// clauses per state bit per adjacent pair. A column's bits are taken in
+// variable order: a(0, k), b(0, k), a(1, k), ...
+func (e *emitter) symmetry(m int) {
+	bits := 2 * e.lay.n
 	for k := 0; k+1 < m; k++ {
-		bits := make([][2]int, 0, 2*n)
-		for s := 0; s < n; s++ {
-			bits = append(bits, [2]int{aVar[s][k], aVar[s][k+1]})
-			bits = append(bits, [2]int{bVar[s][k], bVar[s][k+1]})
-		}
+		xlo, ylo := e.lay.lo[k], e.lay.lo[k+1]
 		prevEq := -1 // -1 means "true"
-		for i, xy := range bits {
-			x, y := xy[0], xy[1]
+		for i := 0; i < bits; i++ {
+			x, y := xlo+i, ylo+i
 			if prevEq < 0 {
-				sink.add(sat.NegLit(x), sat.PosLit(y)) // x ≤ y
+				e.add(sat.NegLit(x), sat.PosLit(y)) // x ≤ y
 			} else {
-				sink.add(sat.NegLit(prevEq), sat.NegLit(x), sat.PosLit(y))
+				e.add(sat.NegLit(prevEq), sat.NegLit(x), sat.PosLit(y))
 			}
-			if i == len(bits)-1 {
+			if i == bits-1 {
 				break
 			}
-			eq := sink.newVar()
+			eq := e.sink.newVar()
 			// eq ← prevEq ∧ (x ↔ y): both directions so the chain
 			// propagates and stays consistent.
 			if prevEq < 0 {
-				sink.add(sat.PosLit(eq), sat.PosLit(x), sat.PosLit(y))
-				sink.add(sat.PosLit(eq), sat.NegLit(x), sat.NegLit(y))
+				e.add(sat.PosLit(eq), sat.PosLit(x), sat.PosLit(y))
+				e.add(sat.PosLit(eq), sat.NegLit(x), sat.NegLit(y))
 			} else {
-				sink.add(sat.PosLit(eq), sat.NegLit(prevEq), sat.PosLit(x), sat.PosLit(y))
-				sink.add(sat.PosLit(eq), sat.NegLit(prevEq), sat.NegLit(x), sat.NegLit(y))
-				sink.add(sat.NegLit(eq), sat.PosLit(prevEq))
+				e.add(sat.PosLit(eq), sat.NegLit(prevEq), sat.PosLit(x), sat.PosLit(y))
+				e.add(sat.PosLit(eq), sat.NegLit(prevEq), sat.NegLit(x), sat.NegLit(y))
+				e.add(sat.NegLit(eq), sat.PosLit(prevEq))
 			}
-			sink.add(sat.NegLit(eq), sat.PosLit(x), sat.NegLit(y))
-			sink.add(sat.NegLit(eq), sat.NegLit(x), sat.PosLit(y))
+			e.add(sat.NegLit(eq), sat.PosLit(x), sat.NegLit(y))
+			e.add(sat.NegLit(eq), sat.NegLit(x), sat.PosLit(y))
 			prevEq = eq
 		}
 	}
@@ -249,45 +289,43 @@ var uscBlockedPairs = [][2]sg.Phase{
 	{sg.PUp, sg.PDown}, {sg.PDown, sg.PUp},
 }
 
-// emitPairsTseitin introduces, per pair and signal, an auxiliary
-// variable d_k → (signal k stably separates the pair):
+// pairsTseitin introduces, per pair and signal, an auxiliary variable
+// d_k → (signal k stably separates the pair):
 // d_k → ¬a_A ∧ ¬a_B ∧ (b_A ⊕ b_B). CSC pairs assert ∨_k d_k; USC pairs
 // assert, for every k and blocked phase pair, (∨_k d_k) ∨ ¬blocked.
-func emitPairsTseitin(sink encSink, aVar, bVar [][]int, m int, conf *sg.Conflicts) {
-	sepVars := func(p sg.Pair) []sat.Lit {
-		ds := make([]sat.Lit, m)
-		for k := 0; k < m; k++ {
-			d := sink.newVar()
-			ds[k] = sat.PosLit(d)
-			ai, aj := aVar[p.A][k], aVar[p.B][k]
-			bi, bj := bVar[p.A][k], bVar[p.B][k]
-			sink.add(sat.NegLit(d), sat.NegLit(ai))
-			sink.add(sat.NegLit(d), sat.NegLit(aj))
-			sink.add(sat.NegLit(d), sat.PosLit(bi), sat.PosLit(bj))
-			sink.add(sat.NegLit(d), sat.NegLit(bi), sat.NegLit(bj))
-		}
-		return ds
-	}
-	lit := func(v int, val bool) sat.Lit {
-		if val {
-			return sat.NegLit(v)
-		}
-		return sat.PosLit(v)
-	}
+func (e *emitter) pairsTseitin(m int, conf *sg.Conflicts) {
 	for _, p := range conf.CSC {
-		sink.add(sepVars(p)...)
+		e.sepVars(p, m)
+		e.sink.add(e.ds)
 	}
 	for _, p := range conf.USC {
-		ds := sepVars(p)
+		e.sepVars(p, m)
 		for k := 0; k < m; k++ {
 			for _, bp := range uscBlockedPairs {
 				pa, pb := phaseBits(bp[0])
 				qa, qb := phaseBits(bp[1])
-				sink.add(append(append([]sat.Lit(nil), ds...),
-					lit(aVar[p.A][k], pa), lit(bVar[p.A][k], pb),
-					lit(aVar[p.B][k], qa), lit(bVar[p.B][k], qb))...)
+				e.cl = append(append(e.cl[:0], e.ds...),
+					clauseLit(e.lay.a(p.A, k), pa), clauseLit(e.lay.b(p.A, k), pb),
+					clauseLit(e.lay.a(p.B, k), qa), clauseLit(e.lay.b(p.B, k), qb))
+				e.sink.add(e.cl)
 			}
 		}
+	}
+}
+
+// sepVars allocates pair p's separation variables d_0..d_{m-1}, emits
+// their defining clauses and leaves their positive literals in e.ds.
+func (e *emitter) sepVars(p sg.Pair, m int) {
+	e.ds = e.ds[:0]
+	for k := 0; k < m; k++ {
+		d := e.sink.newVar()
+		e.ds = append(e.ds, sat.PosLit(d))
+		ai, aj := e.lay.a(p.A, k), e.lay.a(p.B, k)
+		bi, bj := e.lay.b(p.A, k), e.lay.b(p.B, k)
+		e.add(sat.NegLit(d), sat.NegLit(ai))
+		e.add(sat.NegLit(d), sat.NegLit(aj))
+		e.add(sat.NegLit(d), sat.PosLit(bi), sat.PosLit(bj))
+		e.add(sat.NegLit(d), sat.NegLit(bi), sat.NegLit(bj))
 	}
 }
 
@@ -299,8 +337,8 @@ func (e *Encoding) encodePairsExpanded(conf *sg.Conflicts) {
 	// CNF(sep_k) has four clauses: (¬a_A), (¬a_B), (b_A ∨ b_B),
 	// (¬b_A ∨ ¬b_B). CNF(∨_k sep_k) picks one of them per k.
 	clauseOf := func(p sg.Pair, k, choice int) []sat.Lit {
-		ai, aj := e.aVar[p.A][k], e.aVar[p.B][k]
-		bi, bj := e.bVar[p.A][k], e.bVar[p.B][k]
+		ai, aj := e.lay.a(p.A, k), e.lay.a(p.B, k)
+		bi, bj := e.lay.b(p.A, k), e.lay.b(p.B, k)
 		switch choice {
 		case 0:
 			return []sat.Lit{sat.NegLit(ai)}
@@ -324,12 +362,6 @@ func (e *Encoding) encodePairsExpanded(conf *sg.Conflicts) {
 		}
 		return lits
 	}
-	lit := func(v int, val bool) sat.Lit {
-		if val {
-			return sat.NegLit(v)
-		}
-		return sat.PosLit(v)
-	}
 	for _, p := range conf.CSC {
 		for idx := 0; idx < total; idx++ {
 			e.F.Add(build(p, idx)...)
@@ -343,8 +375,8 @@ func (e *Encoding) encodePairsExpanded(conf *sg.Conflicts) {
 					pa, pb := phaseBits(bp[0])
 					qa, qb := phaseBits(bp[1])
 					e.F.Add(append(append([]sat.Lit(nil), base...),
-						lit(e.aVar[p.A][k], pa), lit(e.bVar[p.A][k], pb),
-						lit(e.aVar[p.B][k], qa), lit(e.bVar[p.B][k], qb))...)
+						clauseLit(e.lay.a(p.A, k), pa), clauseLit(e.lay.b(p.A, k), pb),
+						clauseLit(e.lay.a(p.B, k), qa), clauseLit(e.lay.b(p.B, k), qb))...)
 				}
 			}
 		}
@@ -352,14 +384,4 @@ func (e *Encoding) encodePairsExpanded(conf *sg.Conflicts) {
 }
 
 // DecodePhases extracts the per-signal phase columns from a model.
-func (e *Encoding) DecodePhases(model []bool) [][]sg.Phase {
-	out := make([][]sg.Phase, e.M)
-	for k := 0; k < e.M; k++ {
-		col := make([]sg.Phase, len(e.G.States))
-		for s := range e.G.States {
-			col[s] = bitsPhase(model[e.aVar[s][k]], model[e.bVar[s][k]])
-		}
-		out[k] = col
-	}
-	return out
-}
+func (e *Encoding) DecodePhases(model []bool) [][]sg.Phase { return e.lay.decode(model, e.M) }

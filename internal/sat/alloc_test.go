@@ -2,7 +2,10 @@
 
 package sat
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestLearnedClausesShareTheArena: learned clauses are appended to the
 // solver's one clause arena, so a search that learns thousands of them
@@ -21,4 +24,42 @@ func TestLearnedClausesShareTheArena(t *testing.T) {
 		t.Fatalf("%.0f allocations per solve for %d learned clauses, want fewer than %.0f", allocs, r.Learned, limit)
 	}
 	t.Logf("%.0f allocations per solve, %d learned clauses", allocs, r.Learned)
+}
+
+// TestIncrementalLoadAllocatesNothing: a step's stable block and group
+// are written into the solver's reused arena and the search is set up in
+// reused buffers, so once a step has run, loading the next step of the
+// same shape allocates nothing.
+func TestIncrementalLoadAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 60
+	inc := NewIncremental()
+	for v := 0; v < n; v++ {
+		inc.NewVar()
+	}
+	perm := newPermBlock(n)
+	for i := 0; i < 3*n; i++ {
+		perm.add(randomClause(rng, n, 3)...)
+	}
+	inc.BeginGroup()
+	aux := inc.NewGroupVar()
+	for i := 0; i < n; i++ {
+		c := randomClause(rng, n, 3)
+		if i%3 == 0 {
+			c[0] = PosLit(aux)
+		}
+		inc.AddGroup(c...)
+	}
+	b := perm.block(perm.len())
+	if r := inc.SolveStep(b, Limits{}, nil); r.Backtracks == 0 {
+		t.Fatalf("first step: %v with no conflict, want a search that learns", r.Status)
+	}
+	var s *solver
+	allocs := testing.AllocsPerRun(20, func() { s = inc.load(b, nil) })
+	if s == nil {
+		t.Fatal("load: trivially unsatisfiable step")
+	}
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations to load a step of the same shape, want 0", allocs)
+	}
 }

@@ -114,6 +114,16 @@ func appendClause(arena, lits []Lit, flags Lit) []Lit {
 	return append(arena, lits...)
 }
 
+// scoreWeight[k] is 2^-k, the branching score a clause of k core
+// literals adds to each of them; setup falls back to math.Ldexp, which
+// gives the same values, past the table's end.
+var scoreWeight = func() (w [64]float64) {
+	for k := range w {
+		w[k] = math.Ldexp(1, -k)
+	}
+	return w
+}()
+
 type solver struct {
 	f       *Formula
 	vals    []int8 // per literal: 1 true, 0 false, -1 unassigned
@@ -177,7 +187,7 @@ func newSolver(f *Formula) *solver {
 		}
 		s.arena = appendClause(s.arena, c, flags)
 	}
-	s.setup(f.NumVars, f.prefer, nil, -1)
+	s.setup(f.NumVars, f.prefer, nil, -1) // callers turn away a formula with an empty clause
 	return s
 }
 
@@ -198,8 +208,9 @@ func grown[T any](s []T, n int) []T {
 // every variable but the guard and those marked in inert is ranked and
 // enters the branching order's rank tier, with the heap empty. A
 // variable's initial activity is its score sum; its phase is its prefer
-// hint, or the sign it scored higher with.
-func (s *solver) setup(n int, prefer []int8, inert []bool, guard int) {
+// hint, or the sign it scored higher with. setup reports whether a
+// clause's core is empty, which makes the formula unsatisfiable.
+func (s *solver) setup(n int, prefer []int8, inert []bool, guard int) (empty bool) {
 	s.res = Result{}
 	s.actInc = 1
 	s.analyzeStable = false
@@ -252,7 +263,13 @@ func (s *solver) setup(n int, prefer []int8, inert []bool, guard int) {
 		if h&flagGuarded != 0 {
 			lits = lits[:k-1]
 		}
-		w := math.Ldexp(1, -len(lits))
+		var w float64
+		if len(lits) < len(scoreWeight) {
+			w = scoreWeight[len(lits)]
+		} else {
+			w = math.Ldexp(1, -len(lits))
+		}
+		empty = empty || len(lits) == 0
 		for _, l := range lits {
 			if l.Sign() {
 				neg[l.Var()] += w
@@ -301,6 +318,7 @@ func (s *solver) setup(n int, prefer []int8, inert []bool, guard int) {
 		h = append(h, slot{act: s.activity[v], v: int32(v)})
 	}
 	s.rankOrder(h)
+	return empty
 }
 
 // watch adds the clause at cr to the watch lists of its first two

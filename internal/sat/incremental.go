@@ -7,13 +7,15 @@ import "fmt"
 // structural prefix (the edge-compatibility clauses of a widening chain)
 // plus one short-lived group of per-problem clauses (the CSC pair
 // constraints of the current attempt). Instead of re-encoding and
-// re-loading the whole formula for every step, the prefix is kept
-// resident and each step only swaps the group:
+// re-loading the whole formula for every step, the variables and their
+// branching hints stay allocated and each step only swaps the group:
 //
-//   - Permanent clauses (AddPermanent) accumulate monotonically. A step
-//     activates a prefix of them (clauses are appended column by column,
-//     so a step solving fewer columns than have been encoded activates a
-//     shorter prefix).
+//   - The stable block (Block) is the step's structural prefix. The
+//     caller writes it straight into the solver's clause arena at every
+//     step, flagged stable, so the solver keeps no copy of it: a caller
+//     that can generate the prefix (csc.ChainSolver generates the edge
+//     blocks of the active columns from the graph) writes each formula
+//     once.
 //   - Group clauses (AddGroup) each carry a trailing guard literal ¬A
 //     for the group's assumption variable A (BeginGroup). A step assumes
 //     A true at level 0, which makes the guards inert; retiring the
@@ -22,21 +24,21 @@ import "fmt"
 //   - Inert variables (SetInert: retired group variables, state
 //     variables of inactive columns) are excluded from branching.
 //
-// Permanent and group clauses are stored in the solver's clause-arena
-// format (a header word, then the literals; see dpll.go), so SolveStep
-// loads a step by copying the active permanent prefix and the group into
-// the reused solver's arena, one append each, then installs the warm
-// seeds and runs the standard search. The load reproduces, bit for bit,
-// the solver state newSolver would build for the guard-free re-encoded
-// formula: guard literals are excluded from branching scores (a guarded
-// clause scores by its core), the guard variable and the inert variables
-// never enter the branching order, the guard is placed on the trail with
-// propagation starting past it, and the unit scan treats a one-literal
-// core as a unit clause. The search trail, counters, learned clauses,
-// stable exports and model are then identical (modulo the caller's
-// variable translation, which preserves index order and so the initial
-// rank) to a fresh solve — which is what lets the csc layer pin the
-// incremental path against the re-encode path in tests.
+// SolveStep presizes the reused solver's arena to the block plus the
+// group, has the block written into it, appends the group (kept in the
+// arena format: a header word, then the literals; see dpll.go), then
+// installs the warm seeds and runs the standard search. The load
+// reproduces, bit for bit, the solver state newSolver would build for
+// the guard-free re-encoded formula: guard literals are excluded from
+// branching scores (a guarded clause scores by its core), the guard
+// variable and the inert variables never enter the branching order, the
+// guard is placed on the trail with propagation starting past it, and
+// the unit scan treats a one-literal core as a unit clause. The search
+// trail, counters, learned clauses, stable exports and model are then
+// identical (modulo the caller's variable translation, which preserves
+// index order and so the initial rank) to a fresh solve — which is what
+// lets the csc layer pin the incremental path against the re-encode path
+// in tests.
 //
 // Learned clauses are NOT retained across steps. They persist only
 // through the caller's export/absorb/seed cycle (csc.WarmChain), so a
@@ -47,17 +49,10 @@ type Incremental struct {
 	prefer  []int8
 	inert   []bool
 
-	// Permanent clauses in arena format, flagged stable; permEnd[i] is
-	// the offset just past clause i.
-	perm      []Lit
-	permEnd   []int32
-	emptyPerm []int32 // indices of empty permanent clauses
-
 	// Current assumption group. guard is -1 before the first BeginGroup.
-	guard    int
-	grp      []Lit // arena format, flagged guarded: each clause ends with ¬guard
-	grpVars  []int // auxiliary variables owned by the current group
-	grpEmpty bool
+	guard   int
+	grp     []Lit // arena format, flagged guarded: each clause ends with ¬guard
+	grpVars []int // auxiliary variables owned by the current group
 
 	// The reusable solver, whose arena and setup buffers carry over
 	// from step to step.
@@ -66,16 +61,30 @@ type Incremental struct {
 	normBuf []Lit
 }
 
+// Block is the stable prefix of one Incremental step, written by the
+// caller into the solver's clause arena.
+type Block struct {
+	// Clauses and Literals are the number of clauses Append writes and
+	// their total literal count; SolveStep sizes the arena by them.
+	Clauses, Literals int
+	// Append appends the clauses to arena with AppendStable, in formula
+	// order, and returns the extended arena. Each clause must be
+	// normalized as Formula.Add normalizes (no duplicate literal, no
+	// complementary pair) and mention only allocated variables.
+	Append func(arena []Lit) []Lit
+}
+
+// AppendStable appends lits to arena as one clause of a Block.
+func AppendStable(arena []Lit, lits ...Lit) []Lit {
+	return appendClause(arena, lits, flagStable)
+}
+
 // NewIncremental returns an empty incremental solver.
 func NewIncremental() *Incremental { return &Incremental{guard: -1} }
 
 // NumVars returns the number of allocated variables (including guards
 // and retired group variables).
 func (inc *Incremental) NumVars() int { return inc.numVars }
-
-// NumPermanent returns the number of permanent clauses added so far;
-// callers record it per column block to pick SolveStep's active prefix.
-func (inc *Incremental) NumPermanent() int { return len(inc.permEnd) }
 
 // NewVar allocates a fresh variable.
 func (inc *Incremental) NewVar() int {
@@ -127,23 +136,6 @@ func (inc *Incremental) norm(lits []Lit) ([]Lit, bool) {
 	return out, false
 }
 
-// AddPermanent appends a permanent (structural prefix) clause. It
-// returns the normalized core length and whether the clause was kept
-// (tautologies are dropped, as Formula.Add drops them), so callers can
-// maintain fresh-formula-equivalent size statistics.
-func (inc *Incremental) AddPermanent(lits ...Lit) (int, bool) {
-	out, taut := inc.norm(lits)
-	if taut {
-		return 0, false
-	}
-	if len(out) == 0 {
-		inc.emptyPerm = append(inc.emptyPerm, int32(len(inc.permEnd)))
-	}
-	inc.perm = appendClause(inc.perm, out, flagStable)
-	inc.permEnd = append(inc.permEnd, int32(len(inc.perm)))
-	return len(out), true
-}
-
 // BeginGroup retires the current assumption group — its guard and
 // auxiliary variables become permanently inert, its clauses are dropped
 // (equivalently: its guard is assumed false forever, satisfying them) —
@@ -157,7 +149,6 @@ func (inc *Incremental) BeginGroup() {
 	}
 	inc.grp = inc.grp[:0]
 	inc.grpVars = inc.grpVars[:0]
-	inc.grpEmpty = false
 	inc.guard = inc.NewVar()
 }
 
@@ -170,7 +161,10 @@ func (inc *Incremental) NewGroupVar() int {
 }
 
 // AddGroup appends a clause to the current group; the guard literal is
-// attached internally. Return values as for AddPermanent.
+// attached internally. It returns the normalized core length and whether
+// the clause was kept (tautologies are dropped, as Formula.Add drops
+// them), so callers can maintain fresh-formula-equivalent size
+// statistics.
 func (inc *Incremental) AddGroup(lits ...Lit) (int, bool) {
 	if inc.guard < 0 {
 		panic("sat: AddGroup before BeginGroup")
@@ -179,26 +173,22 @@ func (inc *Incremental) AddGroup(lits ...Lit) (int, bool) {
 	if taut {
 		return 0, false
 	}
-	if len(out) == 0 {
-		inc.grpEmpty = true
-	}
 	core := len(out)
 	inc.normBuf = append(out, NegLit(inc.guard))
 	inc.grp = appendClause(inc.grp, inc.normBuf, flagGuarded)
 	return core, true
 }
 
-// SolveStep solves the conjunction of the first activePerm permanent
-// clauses, the current group, and the warm seeds, under the group
-// assumption. It copies the active permanent prefix and the group into
-// the reused solver's clause arena, one append each, and appends the
-// seeds after them; no clause is allocated on its own. The result —
-// verdict, model, counters, stable exports — is bit-identical to
-// SolveWarm on the equivalent re-encoded formula (the same
-// clauses without guards, over only the non-inert variables, in the
-// same order, with the same seeds).
-func (inc *Incremental) SolveStep(activePerm int, lim Limits, w *Warm) Result {
-	s := inc.load(activePerm, w)
+// SolveStep solves the conjunction of the stable block b, the current
+// group, and the warm seeds, under the group assumption. b's clauses and
+// the group are written once, into the reused solver's arena, presized
+// to hold exactly them; the seeds follow. The result — verdict, model,
+// counters, stable exports — is bit-identical to SolveWarm on the
+// equivalent re-encoded formula (b's clauses, marked as the stable
+// prefix, then the group's without guards, over only the non-inert
+// variables, in the same order, with the same seeds).
+func (inc *Incremental) SolveStep(b Block, lim Limits, w *Warm) Result {
+	s := inc.load(b, w)
 	if s == nil {
 		return Result{Status: Unsat}
 	}
@@ -208,28 +198,24 @@ func (inc *Incremental) SolveStep(activePerm int, lim Limits, w *Warm) Result {
 // load sets the reusable solver up for one step, as SolveStep describes,
 // and returns it ready to run; nil means an active clause is empty, so
 // the step is trivially unsatisfiable.
-func (inc *Incremental) load(activePerm int, w *Warm) *solver {
-	if inc.grpEmpty {
-		return nil
-	}
-	for _, i := range inc.emptyPerm {
-		if int(i) < activePerm {
-			return nil
-		}
-	}
-
+func (inc *Incremental) load(b Block, w *Warm) *solver {
 	inc.f.NumVars = inc.numVars
 	s := &inc.sol
 	s.f = &inc.f
-	end := 0
-	if activePerm > 0 {
-		end = int(inc.permEnd[activePerm-1])
+	words := b.Clauses + b.Literals // a header word per clause
+	if need := words + len(inc.grp); cap(s.arena) < need {
+		s.arena = make([]Lit, 0, need)
 	}
-	s.arena = append(s.arena[:0], inc.perm[:end]...)
+	s.arena = b.Append(s.arena[:0])
+	if len(s.arena) != words {
+		panic(fmt.Sprintf("sat: block of %d clauses and %d literals wrote %d arena words, want %d", b.Clauses, b.Literals, len(s.arena), words))
+	}
 	s.arena = append(s.arena, inc.grp...)
 	// The branching order holds the live variables only: the image, under
 	// the chain's variable translation, of the fresh formula's full order.
-	s.setup(inc.numVars, inc.prefer, inc.inert, inc.guard)
+	if s.setup(inc.numVars, inc.prefer, inc.inert, inc.guard) {
+		return nil
+	}
 	if w != nil {
 		for _, c := range w.Clauses {
 			s.seed(c)

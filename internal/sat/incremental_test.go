@@ -6,6 +6,41 @@ import (
 	"testing"
 )
 
+// permBlock holds a test's permanent clauses over a fixed variable count,
+// normalized as Formula.Add normalizes them (duplicates removed,
+// tautologies dropped, empty clauses kept), and writes a prefix of them
+// as an Incremental step's stable block.
+type permBlock struct{ f *Formula }
+
+func newPermBlock(numVars int) permBlock {
+	f := NewFormula()
+	for v := 0; v < numVars; v++ {
+		f.NewVar("")
+	}
+	return permBlock{f}
+}
+
+func (p permBlock) add(lits ...Lit) { p.f.Add(lits...) }
+
+// len returns the number of clauses kept so far.
+func (p permBlock) len() int { return len(p.f.Clauses) }
+
+// block returns the first n kept clauses as a stable block.
+func (p permBlock) block(n int) Block {
+	clauses := p.f.Clauses[:n]
+	b := Block{Clauses: n}
+	for _, c := range clauses {
+		b.Literals += len(c)
+	}
+	b.Append = func(arena []Lit) []Lit {
+		for _, c := range clauses {
+			arena = AppendStable(arena, c...)
+		}
+		return arena
+	}
+	return b
+}
+
 // lockstepCompare asserts that an incremental step and its re-encoded
 // fresh twin produced identical results: verdict, every search counter,
 // the stable exports (which mention only shared prefix variables, so
@@ -55,7 +90,7 @@ func lockstepCompare(t *testing.T, fr, ir Result, nPrefix int, incAux []int) {
 }
 
 // TestIncrementalLockstep drives an Incremental solver through multi-step
-// chains — growing permanent prefix, per-step assumption groups with
+// chains — growing permanent prefix written as each step's stable block, per-step assumption groups with
 // auxiliary variables, warm seeds carried between steps, and an active
 // prefix that shrinks and regrows — and checks every step against a
 // from-scratch re-encode of the same formula. The two paths must agree
@@ -126,14 +161,15 @@ func TestIncrementalLockstep(t *testing.T) {
 					inc.Prefer(v, pref[v] == 1)
 				}
 			}
+			perm := newPermBlock(n1)
 			for _, c := range col0 {
-				inc.AddPermanent(c...)
+				perm.add(c...)
 			}
-			p0 := inc.NumPermanent()
+			p0 := perm.len()
 			for _, c := range col1 {
-				inc.AddPermanent(c...)
+				perm.add(c...)
 			}
-			p1 := inc.NumPermanent()
+			p1 := perm.len()
 
 			// Step 0 solves both columns, step 1 shrinks back to column 0
 			// (the m=2 → m=1 transition of a real widening chain), step 2
@@ -228,7 +264,7 @@ func TestIncrementalLockstep(t *testing.T) {
 					}
 					inc.AddGroup(tc...)
 				}
-				ir := inc.SolveStep(activePerm, lim, &Warm{Clauses: seeds})
+				ir := inc.SolveStep(perm.block(activePerm), lim, &Warm{Clauses: seeds})
 
 				lockstepCompare(t, fr, ir, nPrefix, incAux)
 				prevExports = fr.StableLearned
@@ -271,8 +307,9 @@ func TestIncrementalLockstepBacktrackLimit(t *testing.T) {
 	for v := 0; v < n; v++ {
 		inc.NewVar()
 	}
+	perm := newPermBlock(n)
 	for _, c := range clauses[:split] {
-		inc.AddPermanent(c...)
+		perm.add(c...)
 	}
 	inc.BeginGroup()
 	for _, c := range clauses[split:] {
@@ -294,40 +331,42 @@ func TestIncrementalLockstepBacktrackLimit(t *testing.T) {
 	for _, maxBT := range []int64{1, 3, 10} {
 		lim := Limits{MaxBacktracks: maxBT, ExportStable: true}
 		fr := SolveWarm(f, lim, nil)
-		ir := inc.SolveStep(inc.NumPermanent(), lim, nil)
+		ir := inc.SolveStep(perm.block(perm.len()), lim, nil)
 		lockstepCompare(t, fr, ir, n, nil)
 	}
 }
 
 // TestIncrementalEmptyClauses pins the trivial-UNSAT short circuits: an
-// empty group clause and an empty active permanent clause must answer
+// empty group clause and an empty clause in the stable block must answer
 // Unsat exactly as the fresh formula's hasEmpty check does, and an empty
-// permanent clause beyond the active prefix must not.
+// permanent clause left out of the block must not.
 func TestIncrementalEmptyClauses(t *testing.T) {
 	inc := NewIncremental()
 	a := inc.NewVar()
-	inc.AddPermanent(PosLit(a))
-	p0 := inc.NumPermanent()
+	perm := newPermBlock(1)
+	perm.add(PosLit(a))
+	p0 := perm.len()
 	inc.BeginGroup()
 	inc.AddGroup(PosLit(a), NegLit(a)) // tautology: dropped
 	inc.AddGroup()                     // empty: trivially unsat
-	if r := inc.SolveStep(p0, Limits{}, nil); r.Status != Unsat || r.Decisions != 0 {
+	if r := inc.SolveStep(perm.block(p0), Limits{}, nil); r.Status != Unsat || r.Decisions != 0 {
 		t.Fatalf("empty group clause: %+v, want immediate Unsat", r)
 	}
 
 	inc = NewIncremental()
 	a = inc.NewVar()
-	inc.AddPermanent(PosLit(a))
-	p0 = inc.NumPermanent()
-	inc.AddPermanent() // empty, in column 2
-	p1 := inc.NumPermanent()
+	perm = newPermBlock(1)
+	perm.add(PosLit(a))
+	p0 = perm.len()
+	perm.add() // empty, in column 2
+	p1 := perm.len()
 	inc.BeginGroup()
 	inc.AddGroup(NegLit(a), PosLit(a), NegLit(a)) // tautology with duplicate
-	if r := inc.SolveStep(p0, Limits{}, nil); r.Status != Sat {
+	if r := inc.SolveStep(perm.block(p0), Limits{}, nil); r.Status != Sat {
 		t.Fatalf("active prefix before empty clause: %v, want Sat", r.Status)
 	}
 	inc.BeginGroup()
-	if r := inc.SolveStep(p1, Limits{}, nil); r.Status != Unsat || r.Decisions != 0 {
+	if r := inc.SolveStep(perm.block(p1), Limits{}, nil); r.Status != Unsat || r.Decisions != 0 {
 		t.Fatalf("active prefix covering empty clause: %+v, want immediate Unsat", r)
 	}
 }

@@ -275,8 +275,9 @@ func orderIncremental(t *testing.T, rng *rand.Rand) (*solver, []int) {
 	for v := 0; v < n; v++ {
 		inc.NewVar()
 	}
+	perm := newPermBlock(n)
 	for i := 0; i < 2*n; i++ {
-		inc.AddPermanent(randomClause(rng, n/2, 3)...)
+		perm.add(randomClause(rng, n/2, 3)...)
 	}
 	inc.BeginGroup()
 	inc.NewGroupVar()
@@ -293,7 +294,7 @@ func orderIncremental(t *testing.T, rng *rand.Rand) (*solver, []int) {
 	for v := n / 2; v < n; v++ {
 		inc.SetInert(v, true)
 	}
-	s := inc.load(inc.NumPermanent(), nil)
+	s := inc.load(perm.block(perm.len()), nil)
 	if s == nil {
 		t.Fatal("load: trivially unsatisfiable step")
 	}

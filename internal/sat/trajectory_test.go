@@ -28,8 +28,8 @@ const trajectoryGolden = "testdata/trajectory.golden"
 //
 //	go test ./internal/sat -run TestTrajectoryGolden -update
 //
-// and says so; the single incremental CDCL core of ROADMAP.md item 3 is
-// the change expected to do that.
+// and says so; ROADMAP.md's "One incremental CDCL core, aimed at the
+// cost the profile shows" is the change expected to do that.
 func TestTrajectoryGolden(t *testing.T) {
 	got := trajectoryLines(t)
 	path := filepath.FromSlash(trajectoryGolden)
@@ -169,10 +169,11 @@ func randomClause(rng *rand.Rand, nv, k int) []Lit {
 }
 
 // incrementalChain drives one Incremental solver through a widening
-// chain: a two-column permanent prefix, then steps over both columns,
-// column 0 alone (column 1's variables inert) and both again, each with
-// a fresh assumption group of auxiliary variables and seeded with the
-// previous step's stable exports that fit the active prefix.
+// chain: a two-column permanent prefix, written as each step's stable
+// block, then steps over both columns, column 0 alone (column 1's
+// variables inert) and both again, each with a fresh assumption group of
+// auxiliary variables and seeded with the previous step's stable exports
+// that fit the active prefix.
 func incrementalChain(seed int64) []Result {
 	rng := rand.New(rand.NewSource(seed))
 	const c0, c1 = 40, 30
@@ -183,14 +184,15 @@ func incrementalChain(seed int64) []Result {
 			inc.Prefer(v, v%8 == 0)
 		}
 	}
+	perm := newPermBlock(c0 + c1)
 	for i := 0; i < 3*c0; i++ {
-		inc.AddPermanent(randomClause(rng, c0, 3)...)
+		perm.add(randomClause(rng, c0, 3)...)
 	}
-	p0 := inc.NumPermanent()
+	p0 := perm.len()
 	for i := 0; i < 3*c1; i++ {
-		inc.AddPermanent(randomClause(rng, c0+c1, 3)...)
+		perm.add(randomClause(rng, c0+c1, 3)...)
 	}
-	p1 := inc.NumPermanent()
+	p1 := perm.len()
 
 	var out []Result
 	var prev [][]Lit
@@ -221,7 +223,7 @@ func incrementalChain(seed int64) []Result {
 				seeds = append(seeds, c)
 			}
 		}
-		r := inc.SolveStep(active, Limits{ExportStable: true}, &Warm{Clauses: seeds})
+		r := inc.SolveStep(perm.block(active), Limits{ExportStable: true}, &Warm{Clauses: seeds})
 		prev = r.StableLearned
 		out = append(out, r)
 	}
