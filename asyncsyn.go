@@ -64,9 +64,10 @@ var (
 	// ErrConflictsPersist reports coding conflicts surviving every
 	// repair round (incremental insertion or expansion refinement).
 	ErrConflictsPersist = synerr.ErrConflictsPersist
-	// ErrParse reports an STG source that failed to parse or validate.
-	// Every error returned by ParseSTG and ParseSTGString matches it;
-	// the concrete cause (e.g. stg.ParseError with its line number)
+	// ErrParse reports an STG source that failed to parse or validate,
+	// or an invalid option set (see Options.Normalize). Every error
+	// returned by ParseSTG, ParseSTGString and Options.Normalize matches
+	// it; the concrete cause (e.g. stg.ParseError with its line number)
 	// stays reachable through errors.As/Unwrap.
 	ErrParse = synerr.ErrParse
 )
@@ -123,20 +124,6 @@ func NewSolveCache() *SolveCache { return modcache.New() }
 // long-lived callers (the synthesis daemon) can share one disk-backed
 // instance across every run.
 func NewDiskSolveCache(dir string) (*SolveCache, error) { return modcache.NewDisk(dir) }
-
-// solveCacheFor resolves the cache configuration of one run.
-func solveCacheFor(opt Options) (*SolveCache, error) {
-	switch {
-	case opt.DisableSolveCache:
-		return nil, nil
-	case opt.Cache != nil:
-		return opt.Cache, nil
-	case opt.CacheDir != "":
-		return modcache.NewDisk(opt.CacheDir)
-	default:
-		return modcache.New(), nil
-	}
-}
 
 // STG is a parsed or programmatically built signal transition graph.
 type STG struct {
@@ -256,21 +243,26 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("unknown engine %q", s)
 }
 
-// Options configures Synthesize.
+// Options configures Synthesize. Normalize gives an option set its
+// canonical form: a budget given at its default is the same as zero,
+// and an invalid value is an error matching ErrParse.
 type Options struct {
 	Method Method
 	Engine Engine
-	// MaxBacktracks bounds each SAT search (default 2,000,000); exceeding
-	// it aborts the run with Circuit.Aborted set, mirroring the paper's
-	// "SAT Backtrack Limit" table entries.
+	// MaxBacktracks bounds each SAT search (0 means the default of
+	// 2,000,000; negative is rejected); exceeding it aborts the run with
+	// Circuit.Aborted set, mirroring the paper's "SAT Backtrack Limit"
+	// table entries.
 	MaxBacktracks int64
 	// ExpandXor switches the CSC separation constraints to the paper's
 	// non-auxiliary CNF expansion (exponential in the signal count); used
 	// for clause-growth experiments.
 	ExpandXor bool
-	// MaxStates caps state graph generation (default 100,000).
+	// MaxStates caps state graph generation (0 means the default of
+	// 100,000; negative is rejected).
 	MaxStates int
-	// TokenBound is the per-place token bound (default 1: safe nets).
+	// TokenBound is the per-place token bound (0 means the default of
+	// 1, safe nets; negative is rejected).
 	TokenBound int
 	// Workers bounds the worker pool used by the pipeline's independent
 	// scans — the module stage's conflict counts and scans, whole-graph
@@ -300,19 +292,51 @@ type Options struct {
 	// a module CSC problem laid out byte for byte like a previous one
 	// and solved under the same solver options is answered by a
 	// bit-identical replay instead of a fresh SAT search. Create one
-	// with NewSolveCache. When nil, each run uses its own in-memory
-	// cache, which answers only exact repeats within the run.
+	// with NewSolveCache. With Cache nil and CacheDir empty, the run
+	// searches every formula uncached.
 	Cache *SolveCache
 	// CacheDir, when non-empty (and Cache is nil), backs the run's
 	// solve cache with content-addressed JSON records under this
 	// directory, persisting solves across processes. The directory is
 	// created if missing.
 	CacheDir string
-	// DisableSolveCache turns the module solve cache off entirely;
-	// every formula is searched from scratch. Results are identical
-	// with or without the cache (pinned by TestCacheBitIdentical) —
-	// this exists for measurement and debugging.
-	DisableSolveCache bool
+}
+
+// Normalize returns the canonical form of opt, the one every option
+// key (the run database's, the daemon's) is derived from. It rejects
+// an unknown Method or Engine and a negative MaxBacktracks, MaxStates
+// or TokenBound with an error matching ErrParse, and it maps a budget
+// given at its default to zero, so spelling a default out does not
+// make another run. Every other field passes through unchanged.
+// SynthesizeContext runs it first.
+func (opt Options) Normalize() (Options, error) {
+	invalid := func(format string, args ...any) (Options, error) {
+		return Options{}, synerr.Parse(fmt.Errorf("asyncsyn: "+format, args...))
+	}
+	switch {
+	case opt.Method != Modular && opt.Method != Direct && opt.Method != Lavagno:
+		return invalid("unknown method %v", opt.Method)
+	case opt.Engine != DPLL && opt.Engine != BDD:
+		// A retired engine number would otherwise solve with DPLL and
+		// be recorded under an engine it did not use.
+		return invalid("unknown engine %v", opt.Engine)
+	case opt.MaxBacktracks < 0:
+		return invalid("negative MaxBacktracks %d", opt.MaxBacktracks)
+	case opt.MaxStates < 0:
+		return invalid("negative MaxStates %d", opt.MaxStates)
+	case opt.TokenBound < 0:
+		return invalid("negative TokenBound %d", opt.TokenBound)
+	}
+	if opt.MaxBacktracks == csc.DefaultMaxBacktracks {
+		opt.MaxBacktracks = 0
+	}
+	if opt.MaxStates == sg.DefaultMaxStates {
+		opt.MaxStates = 0
+	}
+	if opt.TokenBound == sg.DefaultTokenBound {
+		opt.TokenBound = 0
+	}
+	return opt, nil
 }
 
 // FormulaStat describes one SAT instance solved during synthesis.
@@ -475,13 +499,12 @@ func Synthesize(s *STG, opt Options) (*Circuit, error) {
 // every long-running loop in the pipeline polls the context, down to
 // the SAT engines' inner branch loops — and returns an error matching
 // ErrCanceled. Uncanceled runs produce bit-identical circuits to
-// Synthesize: the polls are read-only.
+// Synthesize: the polls are read-only. An option set that Normalize
+// rejects returns its ErrParse error before any work.
 func SynthesizeContext(ctx context.Context, s *STG, opt Options) (*Circuit, error) {
-	// Method is checked where it dispatches below; an engine value other
-	// than DPLL and BDD (a retired number among them) would otherwise
-	// solve with DPLL and be recorded under an engine it did not use.
-	if opt.Engine != DPLL && opt.Engine != BDD {
-		return nil, fmt.Errorf("asyncsyn: unknown engine %v", opt.Engine)
+	opt, err := opt.Normalize()
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	if opt.Timeout > 0 {
@@ -496,18 +519,15 @@ func SynthesizeContext(ctx context.Context, s *STG, opt Options) (*Circuit, erro
 		ctx = metrics.With(ctx, opt.Metrics)
 	}
 	before := opt.Metrics.Snapshot()
-	cache, err := solveCacheFor(opt)
+	copt, err := coreOptions(opt)
 	if err != nil {
 		return nil, err
 	}
 	var c *Circuit
-	switch opt.Method {
-	case Modular:
-		c, err = synthesizeModular(ctx, s, opt, cache, start)
-	case Direct, Lavagno:
-		c, err = synthesizeWholeGraph(ctx, s, opt, cache, start)
-	default:
-		return nil, fmt.Errorf("asyncsyn: unknown method %v", opt.Method)
+	if opt.Method == Modular {
+		c, err = synthesizeModular(ctx, s, copt, start)
+	} else {
+		c, err = synthesizeWholeGraph(ctx, s, opt.Method, copt, start)
 	}
 	if c != nil {
 		// The collector may be shared across runs; the circuit reports
@@ -517,8 +537,26 @@ func SynthesizeContext(ctx context.Context, s *STG, opt Options) (*Circuit, erro
 	return c, err
 }
 
-func sgOptions(opt Options) sg.Options {
-	return sg.Options{Bound: opt.TokenBound, MaxStates: opt.MaxStates}
+// coreOptions maps normalized facade options to the pipeline's, the one
+// place the facade builds internal options: the run solves uncached
+// unless Cache or CacheDir opts in, and the whole-graph baselines take
+// their csc.SolveOptions and budget from the SAT part.
+func coreOptions(opt Options) (core.Options, error) {
+	cache := opt.Cache
+	var err error
+	if cache == nil && opt.CacheDir != "" {
+		cache, err = modcache.NewDisk(opt.CacheDir)
+	}
+	return core.Options{
+		SAT: core.SATOptions{
+			Engine:        csc.Engine(opt.Engine),
+			Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
+			MaxBacktracks: opt.MaxBacktracks,
+			Cache:         cache,
+		},
+		StateGraph: sg.Options{Bound: opt.TokenBound, MaxStates: opt.MaxStates},
+		Workers:    opt.Workers,
+	}, err
 }
 
 // finishAborted maps the internal error taxonomy to the facade's abort
@@ -538,17 +576,8 @@ func finishAborted(c *Circuit, err error, start time.Time) (*Circuit, error, boo
 	return nil, err, false
 }
 
-func synthesizeModular(ctx context.Context, s *STG, opt Options, cache *SolveCache, start time.Time) (*Circuit, error) {
-	res, err := core.Synthesize(ctx, s.g, core.Options{
-		SAT: core.SATOptions{
-			Engine:        cscEngine(opt.Engine),
-			Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
-			MaxBacktracks: opt.MaxBacktracks,
-			Cache:         cache,
-		},
-		StateGraph: sgOptions(opt),
-		Workers:    opt.Workers,
-	})
+func synthesizeModular(ctx context.Context, s *STG, opt core.Options, start time.Time) (*Circuit, error) {
+	res, err := core.Synthesize(ctx, s.g, opt)
 	if res == nil {
 		return nil, err
 	}
@@ -582,14 +611,8 @@ func synthesizeModular(ctx context.Context, s *STG, opt Options, cache *SolveCac
 
 // synthesizeWholeGraph runs the Direct and Lavagno baselines as a stage
 // list on the shared pipeline driver: elaborate → csc → expand → logic.
-func synthesizeWholeGraph(ctx context.Context, s *STG, opt Options, cache *SolveCache, start time.Time) (*Circuit, error) {
-	c := &Circuit{Name: s.g.Name, Method: opt.Method}
-	coreOpt := core.Options{SAT: core.SATOptions{
-		Engine:        cscEngine(opt.Engine),
-		Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
-		MaxBacktracks: opt.MaxBacktracks,
-		Cache:         cache,
-	}, Workers: opt.Workers}
+func synthesizeWholeGraph(ctx context.Context, s *STG, method Method, coreOpt core.Options, start time.Time) (*Circuit, error) {
+	c := &Circuit{Name: s.g.Name, Method: method}
 
 	var (
 		full     *sg.Graph
@@ -598,7 +621,7 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, opt Options, cache *Solve
 	)
 	stages := []pipeline.Stage{
 		{Name: "elaborate", Run: func(ctx context.Context) error {
-			g, err := sg.FromSTGContext(ctx, s.g, sgOptions(opt))
+			g, err := sg.FromSTGContext(ctx, s.g, coreOpt.StateGraph)
 			if err != nil {
 				return err
 			}
@@ -608,14 +631,9 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, opt Options, cache *Solve
 			return nil
 		}},
 		{Name: "csc", Run: func(ctx context.Context) error {
-			switch opt.Method {
+			switch method {
 			case Direct:
-				dr, err := csc.Solve(ctx, full, csc.SolveOptions{
-					Engine:        cscEngine(opt.Engine),
-					Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
-					MaxBacktracks: opt.MaxBacktracks,
-					Cache:         cache,
-				})
+				dr, err := csc.Solve(ctx, full, coreOpt.SAT.SolveOptions())
 				if dr != nil {
 					inserted = dr.Inserted
 					for _, f := range dr.Formulas {
@@ -624,7 +642,7 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, opt Options, cache *Solve
 				}
 				return err
 			default: // Lavagno
-				lr, err := lavagno.Solve(ctx, full, lavagno.Options{MaxBacktracks: opt.MaxBacktracks})
+				lr, err := lavagno.Solve(ctx, full, lavagno.Options{MaxBacktracks: coreOpt.SAT.MaxBacktracks})
 				if lr != nil {
 					inserted = lr.Inserted
 					for _, f := range lr.Formulas {
@@ -680,15 +698,6 @@ func initialLevelsOf(v *sg.Stream) map[string]bool {
 		levels[b.Name] = code&(1<<i) != 0
 	}
 	return levels
-}
-
-// cscEngine maps the facade engine, DPLL or BDD as SynthesizeContext
-// checked, to the internal one.
-func cscEngine(e Engine) csc.Engine {
-	if e == BDD {
-		return csc.BDD
-	}
-	return csc.DPLL
 }
 
 func formulaStat(output string, f csc.FormulaStats) FormulaStat {

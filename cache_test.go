@@ -1,28 +1,17 @@
 package asyncsyn
 
 // Facade contract for the module solve cache: caching is a pure
-// performance layer. Every cache configuration — disabled, the default
-// per-run cache, a shared in-memory cache serving its second run
-// entirely from hits, and an on-disk cache re-read by a fresh process
-// stand-in — must synthesize the bit-identical circuit, at every worker
-// count. This is the acceptance test the cache subsystem is gated on.
+// performance layer that a run opts into. A default run searches every
+// formula uncached, and every cache configuration — a shared in-memory
+// cache serving its second run entirely from hits, and an on-disk cache
+// re-read by a fresh process stand-in — must synthesize the
+// bit-identical circuit, at every worker count. This is the acceptance
+// test the cache subsystem is gated on.
 
 import (
 	"fmt"
 	"testing"
-
-	"asyncsyn/internal/benchrec"
 )
-
-// circuitDigest mirrors cmd/bench digestOf: the machine-independent
-// outputs of a run, hashed order-independently.
-func circuitDigest(c *Circuit) string {
-	parts := []string{fmt.Sprintf("shape %d/%d/%d/%d", c.FinalStates, c.FinalSignals, c.StateSignals, c.Area)}
-	for _, f := range c.Functions {
-		parts = append(parts, f.String())
-	}
-	return benchrec.Digest(parts)
-}
 
 func TestCacheBitIdentical(t *testing.T) {
 	for _, name := range []string{"vbe4a", "nak-pa"} {
@@ -34,23 +23,21 @@ func TestCacheBitIdentical(t *testing.T) {
 					return synthWorkers(t, name, opt)
 				}
 
-				ref := run(Options{DisableSolveCache: true})
-				want := circuitDigest(ref)
-				if ref.Counters["modcache_hits"]+ref.Counters["modcache_misses"] != 0 {
-					t.Fatalf("DisableSolveCache still touched the cache: %v", ref.Counters)
-				}
-
-				if got := circuitDigest(run(Options{})); got != want {
-					t.Errorf("default per-run cache changed the circuit: %s vs %s", got, want)
+				ref := run(Options{})
+				want := ref.Digest()
+				for _, k := range []string{"modcache_hits", "modcache_misses", "modcache_inflight"} {
+					if ref.Counters[k] != 0 {
+						t.Fatalf("default run touched a solve cache: %s = %d", k, ref.Counters[k])
+					}
 				}
 
 				shared := NewSolveCache()
 				first := run(Options{Cache: shared})
-				if got := circuitDigest(first); got != want {
+				if got := first.Digest(); got != want {
 					t.Errorf("shared cache cold run changed the circuit: %s vs %s", got, want)
 				}
 				second := run(Options{Cache: shared})
-				if got := circuitDigest(second); got != want {
+				if got := second.Digest(); got != want {
 					t.Errorf("shared cache warm run changed the circuit: %s vs %s", got, want)
 				}
 				if second.Counters["modcache_hits"] == 0 {
@@ -58,13 +45,13 @@ func TestCacheBitIdentical(t *testing.T) {
 				}
 
 				dir := t.TempDir()
-				if got := circuitDigest(run(Options{CacheDir: dir})); got != want {
+				if got := run(Options{CacheDir: dir}).Digest(); got != want {
 					t.Errorf("disk cache cold run changed the circuit: %s vs %s", got, want)
 				}
 				// A fresh Options.CacheDir run builds a new Cache over the
 				// same directory — the cross-process reuse path.
 				warmDisk := run(Options{CacheDir: dir})
-				if got := circuitDigest(warmDisk); got != want {
+				if got := warmDisk.Digest(); got != want {
 					t.Errorf("disk cache warm run changed the circuit: %s vs %s", got, want)
 				}
 				if warmDisk.Counters["modcache_hits"] == 0 {

@@ -52,7 +52,7 @@ func TestClusterMatchesLibrary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := asyncsyn.Synthesize(stg, asyncsyn.Options{DisableSolveCache: true, Workers: 1})
+		c, err := asyncsyn.Synthesize(stg, asyncsyn.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

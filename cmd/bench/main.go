@@ -408,7 +408,7 @@ func cacheSweep(maxBT int64, workers int) ([]benchrec.CacheRow, error) {
 			Hits:              warm.Counters["modcache_hits"],
 			Misses:            warm.Counters["modcache_misses"],
 			WarmClauses:       cold.Counters["sat_warm_clauses"],
-			DigestMatch:       digestOf(cold) == digestOf(warm),
+			DigestMatch:       cold.Digest() == warm.Digest(),
 		}
 		fmt.Fprintf(os.Stderr, "bench: cache %-12s modules %.3fs cold -> %.3fs warm, %d hits, digest match %v\n",
 			name, row.ColdModuleSeconds, row.WarmModuleSeconds, row.Hits, row.DigestMatch)
@@ -473,7 +473,7 @@ func flatten(c *asyncsyn.Circuit) benchrec.MethodResult {
 	res.Signals = c.FinalSignals
 	res.StateSignals = c.StateSignals
 	res.Area = c.Area
-	res.Digest = digestOf(c)
+	res.Digest = c.Digest()
 	for _, m := range c.Modules {
 		ms := benchrec.ModuleStat{Output: m.Output, States: m.MergedStates, Conflicts: m.Conflicts}
 		// Largest formula the module's pass attempted.
@@ -486,13 +486,6 @@ func flatten(c *asyncsyn.Circuit) benchrec.MethodResult {
 	}
 	return res
 }
-
-// digestOf hashes the machine-independent outputs of a run: the circuit
-// shape and every synthesized equation. Workers, GOMAXPROCS and the
-// host never move it; a code change that alters any cover does. The
-// recipe lives on the facade so the daemon's responses use the same
-// digest (Circuit.Digest).
-func digestOf(c *asyncsyn.Circuit) string { return c.Digest() }
 
 // clauseSweep reproduces the formula-size comparison (paper-style
 // expanded CNF): the direct method's largest formula against every

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	modsyn [-method modular|direct|lavagno] [-engine dpll|bdd]
-//	       [-workers N] [-timeout D] [-trace file] [-cachedir dir] [-nocache]
-//	       [-expandxor] [-v] file.g
+//	       [-workers N] [-timeout D] [-trace file] [-cachedir dir]
+//	       [-maxbacktracks N] [-expandxor] [-v] file.g
 //	modsyn -bench name        # synthesize an embedded benchmark
 //	modsyn -project dir/      # incremental suite mode over a directory
 //	       [-rundb dir] [-recheck]
@@ -58,14 +58,13 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool for the parallel pipeline stages (0 = GOMAXPROCS, 1 = sequential; output is identical for any value)")
 	expandXor := flag.Bool("expandxor", false, "use the paper-style expanded CNF for separation constraints")
 	benchName := flag.String("bench", "", "synthesize the named embedded benchmark instead of a file")
-	maxBT := flag.Int64("maxbacktracks", 0, "SAT backtrack budget per formula (0 = default)")
+	maxBT := flag.Int64("maxbacktracks", 0, "SAT backtrack budget per formula (0 = default; negative is rejected)")
 	verbose := flag.Bool("v", false, "print per-output module reports and SAT formula statistics")
 	pla := flag.Bool("pla", false, "print each function in Berkeley PLA format")
 	verilog := flag.Bool("verilog", false, "print the circuit as a structural Verilog module")
 	dotSTG := flag.Bool("dot", false, "print the STG in Graphviz DOT format and exit")
 	verify := flag.Bool("verify", false, "closed-loop-simulate the circuit against the specification")
 	cacheDir := flag.String("cachedir", "", "back the module solve cache with JSON records under this directory (persists solves across runs)")
-	noCache := flag.Bool("nocache", false, "disable the module solve cache entirely")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound for the run (0 = none; e.g. 30s)")
 	tracePath := flag.String("trace", "", "write JSON-lines trace events (stage and formula) to this file (\"-\" = stderr)")
 	project := flag.String("project", "", "incremental suite mode: synthesize every .g file under this directory, skipping entries banked in the run database")
@@ -78,9 +77,7 @@ func main() {
 		MaxBacktracks: *maxBT,
 		Workers:       *workers,
 		Timeout:       *timeout,
-
-		CacheDir:          *cacheDir,
-		DisableSolveCache: *noCache,
+		CacheDir:      *cacheDir,
 	}
 	if *tracePath != "" {
 		w := os.Stderr

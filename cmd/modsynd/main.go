@@ -8,7 +8,7 @@
 //
 //	modsynd [-addr host:port] [-cachedir dir] [-rundb dir]
 //	        [-maxinflight N] [-queuedepth N] [-timeout D] [-maxtimeout D]
-//	        [-workers N] [-retryafter D] [-nocache]
+//	        [-workers N] [-retryafter D]
 //	        [-peers host1,host2,...] [-peertimeout D]
 //	modsynd -shards host1,host2,... [-addr host:port]
 //	        [-shardtimeout D] [-replicas N]
@@ -63,7 +63,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8713", "listen address")
 	cacheDir := flag.String("cachedir", "", "back the shared solve cache with on-disk records under this directory")
 	runDBDir := flag.String("rundb", "", "record every completed synthesis in a run database under this directory and serve history on /v1/runs")
-	noCache := flag.Bool("nocache", false, "disable the shared solve cache")
 	maxInflight := flag.Int("maxinflight", 0, "max concurrently running synthesis jobs (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queuedepth", -1, "max admitted jobs waiting for a slot (0 = reject when busy; -1 = default 64)")
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-request synthesis deadline")
@@ -94,7 +93,6 @@ func main() {
 		RetryAfter:     *retryAfter,
 		Workers:        *workers,
 		CacheDir:       *cacheDir,
-		DisableCache:   *noCache,
 		RunDBDir:       *runDBDir,
 		Peers:          splitList(*peers),
 		PeerTimeout:    *peerTimeout,

@@ -1,6 +1,7 @@
 package asyncsyn
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -162,20 +163,53 @@ func TestSynthesizeOptions(t *testing.T) {
 	if err != nil || c1.Aborted {
 		t.Fatalf("ExpandXor: %v", err)
 	}
-	g3, _ := ParseSTGString(twoPulseSrc)
-	if _, err := Synthesize(g3, Options{Method: Method(42)}); err == nil {
-		t.Errorf("bogus method accepted")
-	}
-	// 1 is the retired WalkSAT number; neither may fall back to DPLL.
-	for _, e := range []Engine{1, 7} {
-		g, _ := ParseSTGString(twoPulseSrc)
-		if c, err := Synthesize(g, Options{Engine: e}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
-			t.Errorf("%v: synthesized (%v), want an unknown-engine error", e, c != nil)
-		}
-	}
 	g4, _ := ParseSTGString(twoPulseSrc)
 	if _, err := Synthesize(g4, Options{MaxStates: 2}); err == nil {
 		t.Errorf("state cap ignored")
+	}
+
+	// Normalization: the defaults spelled out are the zero option set
+	// (one circuit, one options key), and an invalid option set returns
+	// no circuit and an ErrParse error before any work.
+	fifo, _ := bench.Source("fifo")
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		err  string // "" = synthesizes fifo's default circuit
+	}{
+		{"zero", Options{}, ""},
+		{"spelled-out-defaults", Options{Method: Modular, Engine: DPLL, MaxBacktracks: 2000000, MaxStates: 100000, TokenBound: 1}, ""},
+		{"unknown-method", Options{Method: Method(42)}, "unknown method"},
+		// 1 is the retired WalkSAT number; neither may fall back to DPLL.
+		{"retired-engine", Options{Engine: Engine(1)}, "unknown engine"},
+		{"unknown-engine", Options{Engine: Engine(7)}, "unknown engine"},
+		{"negative-backtracks", Options{MaxBacktracks: -1}, "negative MaxBacktracks"},
+		{"negative-states", Options{MaxStates: -5}, "negative MaxStates"},
+		{"negative-token-bound", Options{TokenBound: -1}, "negative TokenBound"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			norm, nerr := tc.opt.Normalize()
+			g, _ := ParseSTGString(fifo)
+			c, err := Synthesize(g, tc.opt)
+			if tc.err != "" {
+				if c != nil || !errors.Is(err, ErrParse) || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("synthesized %v, error %v; want no circuit and an ErrParse %q error", c != nil, err, tc.err)
+				}
+				if !errors.Is(nerr, ErrParse) {
+					t.Fatalf("Normalize: %v, want an ErrParse error", nerr)
+				}
+				return
+			}
+			if nerr != nil || norm != (Options{}) {
+				t.Fatalf("Normalize = %+v, %v; want the zero option set", norm, nerr)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := c.Digest(); d != "67af59f6d8c7" {
+				t.Fatalf("fifo digest %s, want 67af59f6d8c7", d)
+			}
+		})
 	}
 }
 

@@ -63,9 +63,9 @@ func formulaLines(r *Result) []string {
 	return out
 }
 
-// synthCounted runs one modular synthesis of spec with a fresh per-run
-// solve cache, as the facade's default does, and returns the result with
-// the run's counters.
+// synthCounted runs one modular synthesis of spec with a fresh solve
+// cache, so both SAT paths also go through the cache's solve path, and
+// returns the result with the run's counters.
 func synthCounted(t *testing.T, spec *stg.G, opt Options) (*Result, map[string]int64) {
 	t.Helper()
 	mc := metrics.New()

@@ -18,7 +18,7 @@ import (
 type SATOptions struct {
 	Engine        csc.Engine
 	Encoding      csc.Options
-	MaxBacktracks int64 // per formula; default 2,000,000
+	MaxBacktracks int64 // per formula; default csc.DefaultMaxBacktracks
 	MaxSignals    int   // per modular graph; default 6
 	NamePrefix    string
 	BDDNodeLimit  int // BDD engine budget; default one million nodes
@@ -44,12 +44,15 @@ type SATOptions struct {
 	NoIncremental bool
 }
 
-// solveOptions adapts SATOptions to the csc attempt interface.
-func (o SATOptions) solveOptions() csc.SolveOptions {
+// SolveOptions adapts SATOptions to the csc solve interface: every
+// csc solve of the pipeline, the direct baseline's included, takes its
+// options from here.
+func (o SATOptions) SolveOptions() csc.SolveOptions {
 	return csc.SolveOptions{
 		Engine:        o.Engine,
 		Encoding:      o.Encoding,
 		MaxBacktracks: o.MaxBacktracks,
+		NamePrefix:    o.NamePrefix,
 		BDDNodeLimit:  o.BDDNodeLimit,
 		Cache:         o.Cache,
 		Chain:         o.Chain,
@@ -60,7 +63,7 @@ func (o SATOptions) solveOptions() csc.SolveOptions {
 
 func (o SATOptions) withDefaults() SATOptions {
 	if o.MaxBacktracks == 0 {
-		o.MaxBacktracks = 2000000
+		o.MaxBacktracks = csc.DefaultMaxBacktracks
 	}
 	if o.MaxSignals == 0 {
 		o.MaxSignals = 6
@@ -148,7 +151,7 @@ func PartitionSAT(ctx context.Context, g *sg.Graph, is InputSet, opt SATOptions)
 		jointCap = opt.MaxSignals
 	}
 	for ; m <= jointCap; m++ {
-		cols, stats, err := csc.Attempt(ctx, merged.Graph, conf, m, opt.solveOptions())
+		cols, stats, err := csc.Attempt(ctx, merged.Graph, conf, m, opt.SolveOptions())
 		if err != nil {
 			return res, err
 		}
@@ -169,7 +172,7 @@ func PartitionSAT(ctx context.Context, g *sg.Graph, is InputSet, opt SATOptions)
 	before := len(merged.Graph.StateSigs)
 	inserted, stats, err := csc.InsertIncremental(ctx, merged.Graph,
 		func() *sg.Conflicts { return sg.OutputConflictsWorkers(merged.Graph, implied, opt.Workers) },
-		opt.solveOptions(), opt.MaxSignals)
+		opt.SolveOptions(), opt.MaxSignals)
 	res.Formulas = append(res.Formulas, stats...)
 	if err != nil {
 		if errors.Is(err, synerr.ErrBacktrackLimit) || errors.Is(err, synerr.ErrCanceled) {

@@ -173,12 +173,7 @@ func Synthesize(ctx context.Context, spec *stg.G, opt Options) (*Result, error) 
 			// solutions is not guaranteed optimal or even complete in
 			// theory; in practice this pass is a no-op).
 			if conf := sg.AnalyzeWorkers(full, opt.Workers); conf.N() > 0 {
-				dr, err := csc.Solve(ctx, full, csc.SolveOptions{
-					Engine: opt.SAT.Engine, Encoding: opt.SAT.Encoding,
-					MaxBacktracks: opt.SAT.MaxBacktracks, NamePrefix: opt.SAT.NamePrefix,
-					BDDNodeLimit: opt.SAT.BDDNodeLimit, Cache: opt.SAT.Cache,
-					NoIncremental: opt.SAT.NoIncremental,
-				})
+				dr, err := csc.Solve(ctx, full, opt.SAT.SolveOptions())
 				if dr != nil {
 					res.Fallback = append(res.Fallback, dr.Formulas...)
 					res.Inserted += dr.Inserted
@@ -438,7 +433,7 @@ func refinementConflicts(g *sg.Graph, origin []int, conf *sg.Conflicts) *sg.Conf
 // Budget exhaustion returns an error matching synerr.ErrBacktrackLimit.
 func solveRefinement(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, opt Options, round int) ([]csc.FormulaStats, error) {
 	var stats []csc.FormulaStats
-	cols, st, err := csc.Attempt(ctx, g, conf, 1, opt.SAT.solveOptions())
+	cols, st, err := csc.Attempt(ctx, g, conf, 1, opt.SAT.SolveOptions())
 	if err != nil {
 		return stats, err
 	}
@@ -467,7 +462,7 @@ func solveRefinement(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, opt O
 		out.USC = overlapUSC(g, out.CSC)
 		return out
 	}
-	sopt := opt.SAT.solveOptions()
+	sopt := opt.SAT.SolveOptions()
 	sopt.NamePrefix = fmt.Sprintf("%sx%d_", opt.SAT.NamePrefix, round)
 	_, istats, err := csc.InsertIncremental(ctx, g, refresh, sopt, opt.SAT.MaxSignals)
 	stats = append(stats, istats...)

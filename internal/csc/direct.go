@@ -30,12 +30,17 @@ const (
 	BDD Engine = 2
 )
 
+// DefaultMaxBacktracks is the SAT backtrack budget per formula when
+// none is set: the default of every engine and method.
+const DefaultMaxBacktracks = 2000000
+
 // SolveOptions configures direct CSC solving.
 type SolveOptions struct {
 	Encoding Options
 	Engine   Engine
-	// MaxBacktracks bounds the DPLL search per formula (default 2,000,000;
-	// the paper's direct method aborts at a backtrack limit on mr0/mmu0).
+	// MaxBacktracks bounds the DPLL search per formula (default
+	// DefaultMaxBacktracks; the paper's direct method aborts at a
+	// backtrack limit on mr0/mmu0).
 	MaxBacktracks int64
 	// MaxSignals bounds state-signal insertion (default 8).
 	MaxSignals int
@@ -68,7 +73,7 @@ type SolveOptions struct {
 
 func (o SolveOptions) withDefaults() SolveOptions {
 	if o.MaxBacktracks == 0 {
-		o.MaxBacktracks = 2000000
+		o.MaxBacktracks = DefaultMaxBacktracks
 	}
 	if o.MaxSignals == 0 {
 		o.MaxSignals = 8

@@ -25,14 +25,14 @@ import (
 
 // Options configures the baseline.
 type Options struct {
-	MaxBacktracks int64 // per SAT instance (default 2,000,000)
+	MaxBacktracks int64 // per SAT instance (default csc.DefaultMaxBacktracks)
 	MaxSignals    int   // total insertion cap (default 10)
 	NamePrefix    string
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxBacktracks == 0 {
-		o.MaxBacktracks = 2000000
+		o.MaxBacktracks = csc.DefaultMaxBacktracks
 	}
 	if o.MaxSignals == 0 {
 		o.MaxSignals = 10

@@ -60,11 +60,17 @@ var ErrDivergence = fmt.Errorf("digest diverged from banked record for unchanged
 // under an unchanged key, and the runner escalates it).
 //
 // opt carries the synthesis options applied to every entry; its cache,
-// metrics and tracer fields are used as given. logf, when non-nil,
-// receives one line per entry as the suite progresses.
+// metrics and tracer fields are used as given. An option set that
+// asyncsyn.Options.Normalize rejects fails the suite with its error
+// (matching asyncsyn.ErrParse) before any lookup or solve. logf, when
+// non-nil, receives one line per entry as the suite progresses.
 func RunProject(ctx context.Context, db *DB, dir string, opt asyncsyn.Options, recheck bool, logf func(format string, args ...any)) (*ProjectResult, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
+	}
+	opts, err := OptionsOf(opt)
+	if err != nil {
+		return nil, err
 	}
 	files, err := projectFiles(dir)
 	if err != nil {
@@ -74,7 +80,6 @@ func RunProject(ctx context.Context, db *DB, dir string, opt asyncsyn.Options, r
 		return nil, fmt.Errorf("rundb: no .g files under %s", dir)
 	}
 
-	opts := OptionsOf(opt)
 	res := &ProjectResult{}
 	for _, name := range files {
 		if err := ctx.Err(); err != nil {

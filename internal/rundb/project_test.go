@@ -79,6 +79,19 @@ func TestProjectIncrementalContract(t *testing.T) {
 		}
 	}
 
+	// Defaults spelled out normalize to the same key and skip too; an
+	// invalid option set fails with ErrParse before any lookup or solve.
+	spelled := opt
+	spelled.MaxBacktracks, spelled.MaxStates, spelled.TokenBound = 2000000, 100000, 1
+	if res, err = RunProject(context.Background(), db, dir, spelled, false, nil); err != nil || res.Skipped != 2 {
+		t.Fatalf("spelled-out defaults: %+v, %v; want 2 skipped", res, err)
+	}
+	bad := opt
+	bad.MaxBacktracks = -1
+	if res, err := RunProject(context.Background(), db, dir, bad, false, nil); res != nil || !errors.Is(err, asyncsyn.ErrParse) {
+		t.Fatalf("negative budget: %+v, %v; want no result and an ErrParse error", res, err)
+	}
+
 	// Comment-only edit: the canonical rendering is unchanged, so the
 	// key — and the skip — must hold.
 	fifoPath := filepath.Join(dir, "fifo.g")
@@ -173,7 +186,11 @@ func TestProjectDivergenceHardFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := KeyOf(g.Format(), OptionsOf(opt))
+	opts, err := OptionsOf(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf(g.Format(), opts)
 	path := filepath.Join(dbDir, "bank", key.hash()+".json")
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -16,10 +16,12 @@
 //     and declaration noise never move it, a semantic edit always
 //     does.
 //   - OptionsHash is the hex SHA-256 of the canonical JSON of exactly
-//     the solver-visible options (method, engine, budgets, encodings).
-//     Workers, timeouts, caching and tracing are excluded: the
-//     pipeline's determinism contract (DESIGN.md §3.7) guarantees they
-//     never change the circuit.
+//     the solver-visible options (method, engine, budgets, encodings)
+//     of the normalized option set (asyncsyn.Options.Normalize), so a
+//     budget spelled out at its default hashes like a zero one and an
+//     invalid set has no hash at all. Workers, timeouts, caching and
+//     tracing are excluded: the pipeline's determinism contract
+//     (DESIGN.md §3.7) guarantees they never change the circuit.
 //
 // The record layout mirrors modcache's content-addressed files: every
 // write goes to a private temp file first and is published by rename,
@@ -85,10 +87,17 @@ type OptionsKey struct {
 	TokenBound    int    `json:"token_bound"`
 }
 
-// OptionsOf projects the canonical option set out of facade options.
-// Workers, Timeout, Tracer, Metrics and every cache knob are dropped:
-// the determinism contract pins the circuit bit-identical across them.
-func OptionsOf(opt asyncsyn.Options) OptionsKey {
+// OptionsOf normalizes facade options and projects the canonical option
+// set out of the result; an option set Normalize rejects returns its
+// error, which matches asyncsyn.ErrParse. Workers, Timeout, Tracer,
+// Metrics and every cache knob are dropped: the determinism contract
+// pins the circuit bit-identical across them. This is the one list of
+// the solver-visible fields every option key is derived from.
+func OptionsOf(opt asyncsyn.Options) (OptionsKey, error) {
+	opt, err := opt.Normalize()
+	if err != nil {
+		return OptionsKey{}, err
+	}
 	return OptionsKey{
 		Method:        opt.Method.String(),
 		Engine:        opt.Engine.String(),
@@ -96,7 +105,7 @@ func OptionsOf(opt asyncsyn.Options) OptionsKey {
 		ExpandXor:     opt.ExpandXor,
 		MaxStates:     opt.MaxStates,
 		TokenBound:    opt.TokenBound,
-	}
+	}, nil
 }
 
 // Hash returns the hex SHA-256 of the canonical JSON encoding.

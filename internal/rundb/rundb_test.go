@@ -289,8 +289,32 @@ func TestOptionsKeyExcludesNonSemanticKnobs(t *testing.T) {
 // update this value on purpose.
 func TestDefaultOptionsHashGolden(t *testing.T) {
 	const want = "f2012f6482691d16beb1b592816f0fdb803cc17f9c1bd4041346ab180dd3312b"
-	if got := OptionsOf(asyncsyn.Options{}).Hash(); got != want {
+	opts, err := OptionsOf(asyncsyn.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := opts.Hash(); got != want {
 		t.Fatalf("default options hash = %s, want %s", got, want)
+	}
+}
+
+// TestOptionsOfNormalizes: the options hash covers the normalized set,
+// so the defaults spelled out hash like the zero set (the golden above).
+// An invalid set's ErrParse error is pinned through RunProject.
+func TestOptionsOfNormalizes(t *testing.T) {
+	zero, err := OptionsOf(asyncsyn.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spelled, err := OptionsOf(asyncsyn.Options{
+		Method: asyncsyn.Modular, Engine: asyncsyn.DPLL,
+		MaxBacktracks: 2000000, MaxStates: 100000, TokenBound: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spelled != zero || spelled.Hash() != zero.Hash() {
+		t.Fatalf("spelled-out defaults project to %+v, want %+v", spelled, zero)
 	}
 }
 
@@ -332,7 +356,10 @@ func TestOlderOptionsKeyMissesCleanly(t *testing.T) {
 	if _, ok := db.Lookup(old); !ok {
 		t.Fatal("the older record no longer decodes under its own key")
 	}
-	opts := OptionsOf(asyncsyn.Options{})
+	opts, err := OptionsOf(asyncsyn.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cur := KeyOf(canonical, opts)
 	if cur == old {
 		t.Fatal("current key equals the older key; the fixture tests nothing")

@@ -112,7 +112,8 @@ type Response struct {
 	Trace []json.RawMessage `json:"trace,omitempty"`
 }
 
-// parsedRequest is a validated request ready for admission.
+// parsedRequest is a validated request ready for admission; the job
+// it admits carries it.
 type parsedRequest struct {
 	key   string // content hash of (STG text, options, trace)
 	stg   *asyncsyn.STG
@@ -120,6 +121,7 @@ type parsedRequest struct {
 	sig   string // canonical problem signature (rundb.Signature of canon)
 	bench string // embedded benchmark name, when the request used one
 	opts  asyncsyn.Options
+	okey  rundb.OptionsKey // canonical solver-visible options of opts
 	trace bool
 	async bool
 }
@@ -201,19 +203,21 @@ func (s *Server) resolveRequest(req Request, wantTrace bool) (*parsedRequest, er
 		trace: wantTrace,
 		async: req.Async,
 	}
-	p.key = contentKey(src, p.opts, p.trace)
+	if p.okey, err = rundb.OptionsOf(p.opts); err != nil {
+		return nil, err // matches ErrParse
+	}
+	p.key = contentKey(src, p.okey.Hash(), p.opts, p.trace)
 	p.sig = rundb.Signature(p.canon)
 	return p, nil
 }
 
 // contentKey hashes everything a run's outcome (including its trace
 // section) depends on, so only truly identical concurrent requests
-// share a job.
-func contentKey(src string, opt asyncsyn.Options, wantTrace bool) string {
+// share a job: the source, the canonical options hash, and the knobs
+// that shape the response but not the circuit.
+func contentKey(src, optionsHash string, opt asyncsyn.Options, wantTrace bool) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%v\x00%v\x00%d\x00%v\x00%d\x00%v%v\x00", src,
-		opt.Method, opt.Engine, opt.Workers, opt.Timeout, opt.MaxBacktracks,
-		opt.ExpandXor, wantTrace)
+	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%v\x00%v\x00", src, optionsHash, opt.Workers, opt.Timeout, wantTrace)
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
@@ -222,7 +226,6 @@ func contentKey(src string, opt asyncsyn.Options, wantTrace bool) string {
 func (s *Server) synthesize(ctx context.Context, j *job) (*Response, int) {
 	opts := j.opts
 	opts.Cache = s.cache
-	opts.DisableSolveCache = s.cache == nil
 	opts.Metrics = s.collector
 	var buf *trace.BufferTracer
 	if j.trace {
@@ -244,11 +247,11 @@ func (s *Server) synthesize(ctx context.Context, j *job) (*Response, int) {
 // recordRun banks one completed synthesis in the run database and
 // returns the record id (empty when the write failed — history is
 // best-effort, the response is not). A digest that diverged from the
-// / banked record under an unchanged key is a determinism regression:
+// banked record under an unchanged key is a determinism regression:
 // it stays flagged on the record and bumps the divergence counter so
 // a scrape catches it the moment it appears.
 func (s *Server) recordRun(c *asyncsyn.Circuit, j *job) string {
-	rec := rundb.RecordOf(c, j.canon, rundb.OptionsOf(j.opts))
+	rec := rundb.RecordOf(c, j.canon, j.okey)
 	rec.Bench = j.bench
 	if _, err := s.rundb.Record(rec); err != nil {
 		return ""
@@ -260,7 +263,7 @@ func (s *Server) recordRun(c *asyncsyn.Circuit, j *job) string {
 	return rec.ID
 }
 
-// / buildResponse maps a facade outcome to the wire: errors classify
+// buildResponse maps a facade outcome to the wire: errors classify
 // through synerr.ClassOf; a budget abort (Circuit.Aborted) answers 422
 // with the partial statistics, mirroring the paper's Table 1 rows that
 // print aborted runs.

@@ -29,12 +29,6 @@ import (
 // record named by the digest, 404 when this node doesn't hold it.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if s.cache == nil {
-		s.writeJSON(w, http.StatusServiceUnavailable, &Response{
-			Error: "solve cache disabled", Class: "cache_disabled",
-		}, start)
-		return
-	}
 	rec, ok := s.cache.Export(r.PathValue("key"))
 	if !ok {
 		s.writeJSON(w, http.StatusNotFound, &Response{
@@ -53,12 +47,6 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 // and its key's digest must match the path.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if s.cache == nil {
-		s.writeJSON(w, http.StatusServiceUnavailable, &Response{
-			Error: "solve cache disabled", Class: "cache_disabled",
-		}, start)
-		return
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBody))
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, &Response{

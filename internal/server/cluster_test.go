@@ -49,7 +49,7 @@ func startCluster(t *testing.T, n int, cfg Config) ([]*shardFixture, *Router) {
 }
 
 // libraryDigests computes the reference digests every topology must
-// reproduce bit for bit: the direct library path with caching off.
+// reproduce bit for bit: the direct library path, uncached.
 func libraryDigests(t *testing.T, names []string) map[string]string {
 	t.Helper()
 	want := make(map[string]string, len(names))
@@ -62,7 +62,7 @@ func libraryDigests(t *testing.T, names []string) map[string]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := asyncsyn.Synthesize(stg, asyncsyn.Options{DisableSolveCache: true, Workers: 1})
+		c, err := asyncsyn.Synthesize(stg, asyncsyn.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -347,17 +347,6 @@ func TestCacheExchangeEndpoints(t *testing.T) {
 	}
 	if back.Key != key {
 		t.Fatalf("round-tripped key %+v != %+v", back.Key, key)
-	}
-
-	// A cache-disabled shard refuses the exchange.
-	off := startShard(t, Config{MaxInFlight: 1, DisableCache: true})
-	resp2, err := http.Get(off.ts.URL + "/v1/cache/" + digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("cache-disabled GET status %d, want 503", resp2.StatusCode)
 	}
 }
 

@@ -31,15 +31,8 @@ func (st jobState) String() string {
 // job is one admitted synthesis run. Several requests may share a job
 // (dedup); exactly one goroutine executes it.
 type job struct {
-	id  string
-	key string // content hash of (STG text, options)
-
-	stg   *asyncsyn.STG
-	canon string // canonical STG rendering (run-database content key)
-	sig   string // canonical problem signature (reported on responses)
-	bench string // embedded benchmark name, when the request used one
-	opts  asyncsyn.Options
-	trace bool
+	id string
+	parsedRequest
 
 	mu    sync.Mutex
 	state jobState
@@ -113,15 +106,9 @@ func (s *Server) admit(req *parsedRequest) (j *job, deduped bool, httpStatus int
 
 	s.seq++
 	j = &job{
-		id:    fmt.Sprintf("j%06d-%s", s.seq, req.key[:8]),
-		key:   req.key,
-		stg:   req.stg,
-		canon: req.canon,
-		sig:   req.sig,
-		bench: req.bench,
-		opts:  req.opts,
-		trace: req.trace,
-		done:  make(chan struct{}),
+		id:            fmt.Sprintf("j%06d-%s", s.seq, req.key[:8]),
+		parsedRequest: *req,
+		done:          make(chan struct{}),
 	}
 	if running {
 		j.state = jobRunning

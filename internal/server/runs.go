@@ -55,8 +55,7 @@ func summarize(rec *rundb.Record) RunSummary {
 }
 
 // rundbDisabled answers 503 when the daemon runs without a run
-// database (no -rundb flag), mirroring the cache exchange's
-// cache_disabled contract.
+// database (no -rundb flag).
 func (s *Server) rundbDisabled(w http.ResponseWriter, start time.Time) bool {
 	if s.rundb != nil {
 		return false

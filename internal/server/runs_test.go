@@ -119,6 +119,31 @@ func TestRunsAPI(t *testing.T) {
 	}
 }
 
+// TestRunOptionsHashNormalized: a request that spells the default
+// backtrack budget out is the same run as one that leaves it out, so
+// both record the default options hash.
+func TestRunOptionsHashNormalized(t *testing.T) {
+	s := newTestServer(t, Config{MaxInFlight: 1, RunDBDir: t.TempDir()})
+	h := s.Handler()
+	want, err := rundb.OptionsOf(asyncsyn.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{`{"bench":"fifo"}`, `{"bench":"fifo","max_backtracks":2000000}`} {
+		resp, w := postSynth(t, h, body, "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, w.Code, w.Body.String())
+		}
+		var rec rundb.Record
+		if w := getJSON(t, h, "/v1/runs/"+resp.Run, &rec); w.Code != http.StatusOK {
+			t.Fatalf("%s: /v1/runs/%s status %d", body, resp.Run, w.Code)
+		}
+		if rec.OptionsHash != want.Hash() {
+			t.Errorf("%s: options hash %s, want the default %s", body, rec.OptionsHash, want.Hash())
+		}
+	}
+}
+
 // TestRunsDisabled pins the no-database contract: both endpoints
 // answer 503 rundb_disabled, and synthesis responses carry a signature
 // but no run id.

@@ -91,14 +91,12 @@ type Config struct {
 	// CacheDir, when non-empty, backs the shared solve cache with
 	// on-disk records so warm starts survive daemon restarts.
 	CacheDir string
-	// DisableCache turns the shared solve cache off (measurement only).
-	DisableCache bool
 	// MaxJobs bounds the finished jobs retained for GET /v1/jobs/{id}
 	// (default 256; oldest finished jobs are evicted first).
 	MaxJobs int
 	// Peers lists sibling shard base URLs (e.g. "http://host:8713")
 	// whose caches this node may pull from on a local solve-cache miss
-	// (the /v1/cache exchange). Requires the cache to be enabled.
+	// (the /v1/cache exchange).
 	Peers []string
 	// PeerTimeout bounds one peer cache fetch (default 2s). A fetch
 	// that misses, fails, or times out falls through to a local solve.
@@ -197,16 +195,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.run = s.synthesize
-	if !cfg.DisableCache {
-		if cfg.CacheDir != "" {
-			c, err := asyncsyn.NewDiskSolveCache(cfg.CacheDir)
-			if err != nil {
-				return nil, err
-			}
-			s.cache = c
-		} else {
-			s.cache = asyncsyn.NewSolveCache()
-		}
+	var err error
+	if cfg.CacheDir != "" {
+		s.cache, err = asyncsyn.NewDiskSolveCache(cfg.CacheDir)
+	} else {
+		s.cache = asyncsyn.NewSolveCache()
+	}
+	if err != nil {
+		return nil, err
 	}
 	if cfg.RunDBDir != "" {
 		db, err := rundb.Open(cfg.RunDBDir)
@@ -216,9 +212,6 @@ func New(cfg Config) (*Server, error) {
 		s.rundb = db
 	}
 	if len(cfg.Peers) > 0 {
-		if s.cache == nil {
-			return nil, fmt.Errorf("server: peers configured with the cache disabled")
-		}
 		peers, err := normalizePeers(cfg.Peers)
 		if err != nil {
 			return nil, err
@@ -298,8 +291,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Cache exposes the shared solve cache (nil when disabled); tests and
-// embedding callers use it to pre-warm or inspect.
+// Cache exposes the shared solve cache; tests and embedding callers use
+// it to pre-warm or inspect.
 func (s *Server) Cache() *asyncsyn.SolveCache { return s.cache }
 
 // Metrics exposes the shared synthesis counter collector.

@@ -82,8 +82,8 @@ func TestDigestParityAndWarmCache(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("empty quick set")
 	}
-	// Direct library path: per-benchmark digests with caching disabled,
-	// the reference the HTTP responses must reproduce bit for bit.
+	// Direct library path: per-benchmark digests of uncached runs, the
+	// reference the HTTP responses must reproduce bit for bit.
 	want := make(map[string]string, len(names))
 	for _, name := range names {
 		src, err := bench.Source(name)
@@ -94,7 +94,7 @@ func TestDigestParityAndWarmCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := asyncsyn.Synthesize(stg, asyncsyn.Options{DisableSolveCache: true, Workers: 1})
+		c, err := asyncsyn.Synthesize(stg, asyncsyn.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -367,6 +367,7 @@ func TestStatusMapping(t *testing.T) {
 		{"bad-method", `{"bench":"fifo","method":"magic"}`, http.StatusBadRequest, "parse"},
 		{"bad-engine", `{"bench":"fifo","engine":"oracle"}`, http.StatusBadRequest, "parse"},
 		{"bad-timeout", `{"bench":"fifo","timeout":"soon"}`, http.StatusBadRequest, "parse"},
+		{"negative-budget", `{"bench":"fifo","max_backtracks":-1}`, http.StatusBadRequest, "parse"},
 		{"retired-engine-walksat", `{"bench":"fifo","engine":"walksat"}`, http.StatusBadRequest, "parse"},
 		{"retired-engine-portfolio", `{"bench":"fifo","engine":"portfolio"}`, http.StatusBadRequest, "parse"},
 		{"removed-field-full-support", `{"bench":"fifo","full_support":true}`, http.StatusBadRequest, "parse"},

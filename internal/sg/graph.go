@@ -153,18 +153,24 @@ func (g *Graph) ImpliedValue(s, sig int) uint8 {
 	return 0
 }
 
+// The state graph generation defaults, applied to a zero Options field.
+const (
+	DefaultTokenBound = 1      // safe nets
+	DefaultMaxStates  = 100000 // reachable markings explored
+)
+
 // Options controls state graph generation.
 type Options struct {
-	Bound     int // token bound per place; default 1 (safe nets)
-	MaxStates int // exploration cap; default 100000
+	Bound     int // token bound per place; default DefaultTokenBound
+	MaxStates int // exploration cap; default DefaultMaxStates
 }
 
 func (o Options) withDefaults() Options {
 	if o.Bound == 0 {
-		o.Bound = 1
+		o.Bound = DefaultTokenBound
 	}
 	if o.MaxStates == 0 {
-		o.MaxStates = 100000
+		o.MaxStates = DefaultMaxStates
 	}
 	return o
 }

@@ -6,11 +6,12 @@ import (
 	"net/http"
 )
 
-// ErrParse reports an STG specification that failed to parse or
-// validate. The facade wraps every parser and validation error with it
-// (see Parse), so transports classify invalid input uniformly: the
-// daemon answers 400, the CLI exits 2.
-var ErrParse = errors.New("invalid STG specification")
+// ErrParse reports invalid input: an STG specification that failed to
+// parse or validate, or an invalid option set (asyncsyn's
+// Options.Normalize, a malformed daemon request). The facade wraps every
+// such error with it (see Parse), so transports classify invalid input
+// uniformly: the daemon answers 400, the CLI exits 2.
+var ErrParse = errors.New("invalid input")
 
 // parseError adapts an arbitrary parser error into the taxonomy: it
 // matches ErrParse via Is and unwraps to the cause, so callers can
