@@ -61,7 +61,7 @@ func main() {
 	maxBT := flag.Int64("maxbacktracks", 0, "SAT backtrack budget per formula (0 = default; negative is rejected)")
 	verbose := flag.Bool("v", false, "print per-output module reports and SAT formula statistics")
 	pla := flag.Bool("pla", false, "print each function in Berkeley PLA format")
-	verilog := flag.Bool("verilog", false, "print the circuit as a structural Verilog module")
+	verilog := flag.Bool("verilog", false, "print the circuit as a Verilog module with one assign (one atomic complex gate) per function")
 	dotSTG := flag.Bool("dot", false, "print the STG in Graphviz DOT format and exit")
 	verify := flag.Bool("verify", false, "closed-loop-simulate the circuit against the specification")
 	cacheDir := flag.String("cachedir", "", "back the module solve cache with JSON records under this directory (persists solves across runs)")

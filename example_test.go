@@ -77,6 +77,27 @@ func ExampleCircuit_Verify() {
 	// violations: 0
 }
 
+// Verilog writes each function as one assign of its whole cover: the
+// atomic complex gate that Verify simulates and Area counts.
+func ExampleCircuit_Verilog() {
+	g, _ := asyncsyn.ParseSTGString(twoPulse)
+	c, err := asyncsyn.Synthesize(g, asyncsyn.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(c.Verilog())
+	// Output:
+	// // atomic complex-gate model: each assign is one gate (8 literals)
+	// module twopulse(a, b, csc0);
+	//   input  a;
+	//   output b;
+	//   output csc0;
+	//
+	//   assign b = ~a & ~csc0 | a & csc0;
+	//   assign csc0 = ~b & csc0 | ~a & b;
+	// endmodule
+}
+
 // SynthesizeContext obeys deadlines: an expired context stops the run
 // at the next cancellation poll, and the error matches both the
 // package's ErrCanceled sentinel and the underlying context error.

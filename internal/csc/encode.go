@@ -142,8 +142,8 @@ func Encode(g *sg.Graph, conf *sg.Conflicts, m int, opt Options) (*Encoding, err
 	for k := 0; k < m; k++ {
 		e.lay.lo[k] = 2 * k * n
 		for s := 0; s < n; s++ {
-			a := e.F.NewVar("")
-			e.F.NewVar("")
+			a := e.F.NewVar()
+			e.F.NewVar()
 			// Prefer stable phases: every needlessly excited state
 			// multiplies the expanded state graph.
 			e.F.Prefer(a, false)
@@ -203,7 +203,7 @@ type encSink interface {
 
 type formulaSink struct{ f *sat.Formula }
 
-func (s formulaSink) newVar() int        { return s.f.NewVar("") }
+func (s formulaSink) newVar() int        { return s.f.NewVar() }
 func (s formulaSink) add(lits []sat.Lit) { s.f.Add(lits...) }
 
 // emitter emits the per-problem clauses of a formula over the state

@@ -39,7 +39,6 @@ func (l Lit) String() string {
 type Formula struct {
 	NumVars  int
 	Clauses  [][]Lit
-	names    []string
 	prefer   []int8 // -1 none, 0 prefer false, 1 prefer true
 	hasEmpty bool
 	// stablePrefix marks the first clauses as structural: invariant
@@ -87,21 +86,11 @@ func (f *Formula) Preferred(v int) int8 {
 // NewFormula returns an empty formula.
 func NewFormula() *Formula { return &Formula{} }
 
-// NewVar allocates a fresh variable, optionally named for diagnostics,
-// and returns its index.
-func (f *Formula) NewVar(name string) int {
+// NewVar allocates a fresh variable and returns its index.
+func (f *Formula) NewVar() int {
 	v := f.NumVars
 	f.NumVars++
-	f.names = append(f.names, name)
 	return v
-}
-
-// VarName returns the diagnostic name of variable v.
-func (f *Formula) VarName(v int) string {
-	if v < len(f.names) && f.names[v] != "" {
-		return f.names[v]
-	}
-	return fmt.Sprintf("x%d", v)
 }
 
 // Add appends a clause. Duplicate literals are removed; a clause holding

@@ -15,7 +15,7 @@ type permBlock struct{ f *Formula }
 func newPermBlock(numVars int) permBlock {
 	f := NewFormula()
 	for v := 0; v < numVars; v++ {
-		f.NewVar("")
+		f.NewVar()
 	}
 	return permBlock{f}
 }
@@ -223,7 +223,7 @@ func TestIncrementalLockstep(t *testing.T) {
 				// Fresh twin: re-encode from scratch.
 				f := NewFormula()
 				for v := 0; v < nPrefix; v++ {
-					f.NewVar("")
+					f.NewVar()
 					if pref[v] >= 0 {
 						f.Prefer(v, pref[v] == 1)
 					}
@@ -233,7 +233,7 @@ func TestIncrementalLockstep(t *testing.T) {
 				}
 				f.MarkStablePrefix()
 				for j := 0; j < nAux; j++ {
-					if av := f.NewVar(""); av != nPrefix+j {
+					if av := f.NewVar(); av != nPrefix+j {
 						t.Fatalf("fresh aux var = %d, want %d", av, nPrefix+j)
 					}
 				}
@@ -318,7 +318,7 @@ func TestIncrementalLockstepBacktrackLimit(t *testing.T) {
 
 	f := NewFormula()
 	for v := 0; v < n; v++ {
-		f.NewVar("")
+		f.NewVar()
 	}
 	for _, c := range clauses[:split] {
 		f.Add(c...)

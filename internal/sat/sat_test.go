@@ -25,8 +25,8 @@ func TestLitEncoding(t *testing.T) {
 
 func TestFormulaTautologyAndDuplicates(t *testing.T) {
 	f := NewFormula()
-	a := f.NewVar("a")
-	b := f.NewVar("b")
+	a := f.NewVar()
+	b := f.NewVar()
 	f.Add(PosLit(a), NegLit(a)) // tautology: dropped
 	if f.NumClauses() != 0 {
 		t.Fatalf("tautology not dropped")
@@ -50,8 +50,8 @@ func TestEmptyClauseUnsat(t *testing.T) {
 
 func TestTrivialSat(t *testing.T) {
 	f := NewFormula()
-	a := f.NewVar("a")
-	b := f.NewVar("b")
+	a := f.NewVar()
+	b := f.NewVar()
 	f.Add(PosLit(a))
 	f.Add(NegLit(b))
 	r := Solve(f, Limits{})
@@ -62,8 +62,8 @@ func TestTrivialSat(t *testing.T) {
 
 func TestSimpleUnsat(t *testing.T) {
 	f := NewFormula()
-	a := f.NewVar("a")
-	b := f.NewVar("b")
+	a := f.NewVar()
+	b := f.NewVar()
 	f.Add(PosLit(a), PosLit(b))
 	f.Add(PosLit(a), NegLit(b))
 	f.Add(NegLit(a), PosLit(b))
@@ -80,7 +80,7 @@ func pigeonhole(n int) *Formula {
 	for p := 0; p <= n; p++ {
 		v[p] = make([]int, n)
 		for h := 0; h < n; h++ {
-			v[p][h] = f.NewVar("")
+			v[p][h] = f.NewVar()
 		}
 	}
 	for p := 0; p <= n; p++ {
@@ -122,7 +122,7 @@ func TestBacktrackLimit(t *testing.T) {
 func randomCNF(rng *rand.Rand, vars, clauses, k int) *Formula {
 	f := NewFormula()
 	for i := 0; i < vars; i++ {
-		f.NewVar("")
+		f.NewVar()
 	}
 	for c := 0; c < clauses; c++ {
 		lits := make([]Lit, k)
@@ -173,8 +173,8 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 
 func TestPreferredPolarity(t *testing.T) {
 	f := NewFormula()
-	a := f.NewVar("a")
-	b := f.NewVar("b")
+	a := f.NewVar()
+	b := f.NewVar()
 	f.Add(PosLit(a), PosLit(b)) // a ∨ b: both (1,0) and (0,1) work
 	f.Prefer(a, false)
 	f.Prefer(b, true)
@@ -189,8 +189,8 @@ func TestPreferredPolarity(t *testing.T) {
 
 func TestDIMACS(t *testing.T) {
 	f := NewFormula()
-	a := f.NewVar("a")
-	b := f.NewVar("b")
+	a := f.NewVar()
+	b := f.NewVar()
 	f.Add(PosLit(a), NegLit(b))
 	out := f.DIMACS()
 	if !strings.HasPrefix(out, "p cnf 2 1\n") || !strings.Contains(out, "1 -2 0") {
@@ -203,7 +203,7 @@ func TestDIMACS(t *testing.T) {
 func TestQuickModelCheck(t *testing.T) {
 	f := NewFormula()
 	for i := 0; i < 6; i++ {
-		f.NewVar("")
+		f.NewVar()
 	}
 	f.Add(PosLit(0), NegLit(1), PosLit(2))
 	f.Add(NegLit(3), PosLit(4))

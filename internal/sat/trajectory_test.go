@@ -116,7 +116,7 @@ func trajectoryLines(t *testing.T) []string {
 	add("warm-base", br)
 	next := NewFormula()
 	for v := 0; v < base.NumVars; v++ {
-		next.NewVar("")
+		next.NewVar()
 	}
 	for _, c := range base.Clauses[:base.StablePrefix()] {
 		next.Add(c...)

@@ -12,7 +12,7 @@ func hardFormula(seed int64, vars, clauses int) *Formula {
 	rng := rand.New(rand.NewSource(seed))
 	f := NewFormula()
 	for v := 0; v < vars; v++ {
-		f.NewVar("")
+		f.NewVar()
 	}
 	add := func(k int) {
 		lits := make([]Lit, 0, 3)
@@ -73,7 +73,7 @@ func TestExportedClausesImpliedByPrefix(t *testing.T) {
 			exported++
 			ref := NewFormula()
 			for v := 0; v < f.NumVars; v++ {
-				ref.NewVar("")
+				ref.NewVar()
 			}
 			for _, pc := range f.Clauses[:f.StablePrefix()] {
 				ref.Add(pc...)

@@ -61,9 +61,6 @@ type Graph struct {
 // MaxSignals caps the total signal count so state codes fit in a uint64.
 const MaxSignals = 58
 
-// NumBase returns the number of base signals.
-func (g *Graph) NumBase() int { return len(g.Base) }
-
 // NumStates returns the number of states.
 func (g *Graph) NumStates() int { return len(g.States) }
 
@@ -356,18 +353,6 @@ func (g *Graph) SignalIndex(name string) (int, bool) {
 		}
 	}
 	return -1, false
-}
-
-// AllSignalNames returns base then state signal names.
-func (g *Graph) AllSignalNames() []string {
-	out := make([]string, 0, len(g.Base)+len(g.StateSigs))
-	for _, b := range g.Base {
-		out = append(out, b.Name)
-	}
-	for _, s := range g.StateSigs {
-		out = append(out, s.Name)
-	}
-	return out
 }
 
 // Clone returns a deep copy of the graph (markings are shared; they are

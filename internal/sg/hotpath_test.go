@@ -26,55 +26,6 @@ func legacyCodeGroups(g *Graph) ([]uint64, map[uint64][]int) {
 	return keys, groups
 }
 
-// legacyRegions is the pre-bitset reference implementation of
-// ExcitationRegions: map-based enabled set and visited set, sorted-keys
-// start order.
-func legacyRegions(g *Graph, sig int) []Region {
-	enabled := make(map[int]stg.Dir)
-	for _, e := range g.Edges {
-		if e.Sig == sig {
-			enabled[e.From] = e.Dir
-		}
-	}
-	visited := make(map[int]bool)
-	var regions []Region
-	keys := make([]int, 0, len(enabled))
-	for s := range enabled {
-		keys = append(keys, s)
-	}
-	sort.Ints(keys)
-	for _, start := range keys {
-		if visited[start] {
-			continue
-		}
-		dir := enabled[start]
-		var comp []int
-		stack := []int{start}
-		visited[start] = true
-		for len(stack) > 0 {
-			s := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, s)
-			walk := func(other int) {
-				if d, ok := enabled[other]; ok && d == dir && !visited[other] {
-					visited[other] = true
-					stack = append(stack, other)
-				}
-			}
-			for _, ei := range g.Out[s] {
-				walk(g.Edges[ei].To)
-			}
-			for _, ei := range g.In[s] {
-				walk(g.Edges[ei].From)
-			}
-		}
-		sort.Ints(comp)
-		regions = append(regions, Region{Sig: sig, Dir: dir, States: comp})
-	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i].States[0] < regions[j].States[0] })
-	return regions
-}
-
 // propertyGraphs builds the test corpus: random STGs across seeds (the
 // generator mixes all three branch classes — pulse, handshake, double
 // pulse — across this seed range) plus handshake ladders, with a state
@@ -203,18 +154,4 @@ func legacyAnalyze(g *Graph) *Conflicts {
 		}
 	}
 	return res
-}
-
-// TestRegionsMatchLegacy pins the pooled-bitset region flooding against
-// the legacy map-based implementation on every signal of every graph.
-func TestRegionsMatchLegacy(t *testing.T) {
-	for gi, g := range propertyGraphs(t) {
-		for sig := range g.Base {
-			got := g.ExcitationRegions(sig)
-			want := legacyRegions(g, sig)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("graph %d signal %d: regions diverge\n new %+v\n old %+v", gi, sig, got, want)
-			}
-		}
-	}
 }

@@ -162,12 +162,3 @@ func (b *Builder) Build() (*G, error) {
 	}
 	return b.g, nil
 }
-
-// MustBuild is Build that panics on error; for tests and examples.
-func (b *Builder) MustBuild() *G {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
-}

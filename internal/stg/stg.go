@@ -123,19 +123,6 @@ func (g *G) SignalNames() []string {
 	return out
 }
 
-// NonInputs returns the indices of output and internal signals, sorted by
-// name for deterministic iteration.
-func (g *G) NonInputs() []int {
-	var idx []int
-	for i, s := range g.Signals {
-		if s.Kind != Input {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool { return g.Signals[idx[a]].Name < g.Signals[idx[b]].Name })
-	return idx
-}
-
 // Outputs returns indices of output signals sorted by name.
 func (g *G) Outputs() []int {
 	var idx []int

@@ -2,8 +2,10 @@ package asyncsyn
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
-	"asyncsyn/internal/netlist"
+	"asyncsyn/internal/logic"
 	"asyncsyn/internal/sim"
 )
 
@@ -52,13 +54,119 @@ func (f Function) PLA() string {
 	return s + ".e\n"
 }
 
-// Verilog renders the whole circuit as a structural Verilog module: one
-// inverter per complemented input, one AND per cube, one OR per
-// function, with feedback wired by name.
+// Verilog renders the circuit in the gate model that Verify checks and
+// Area prices: each function is one atomic complex gate, written as one
+// continuous assignment of its whole two-level cover. A cube without
+// literals is 1'b1 and an empty cover 1'b0. The ports are the signals
+// the functions read but do not drive (inputs), then the driven signals
+// (outputs), each sorted by name. Feedback closes by name; there are no
+// intermediate wires. Splitting an assignment into AND and OR gates
+// makes a different circuit, one that can glitch where the complex gate
+// does not (DESIGN.md §3.6).
 func (c *Circuit) Verilog() string {
-	fns := make([]netlist.Function, 0, len(c.Functions))
+	declared := make(map[string]bool, len(c.Functions))
+	var inputs, outputs []string
 	for _, f := range c.Functions {
-		fns = append(fns, netlist.Function{Name: f.Name, Inputs: f.Inputs, Cover: f.cover})
+		declared[f.Name] = true
+		outputs = append(outputs, f.Name)
 	}
-	return netlist.Build(c.Name, fns).Verilog()
+	literals := 0
+	for _, f := range c.Functions {
+		literals += f.Literals()
+		for _, in := range f.Inputs {
+			if !declared[in] {
+				declared[in] = true
+				inputs = append(inputs, in)
+			}
+		}
+	}
+	sort.Strings(inputs)
+	sort.Strings(outputs)
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "// atomic complex-gate model: each assign is one gate (%d literals)\n", literals)
+	ports := make([]string, 0, len(inputs)+len(outputs))
+	for _, p := range inputs {
+		ports = append(ports, verilogName(p))
+	}
+	for _, p := range outputs {
+		ports = append(ports, verilogName(p))
+	}
+	fmt.Fprintf(&b, "module %s(%s);\n", verilogName(c.Name), strings.Join(ports, ", "))
+	for _, in := range inputs {
+		fmt.Fprintf(&b, "  input  %s;\n", verilogName(in))
+	}
+	for _, out := range outputs {
+		fmt.Fprintf(&b, "  output %s;\n", verilogName(out))
+	}
+	b.WriteString("\n")
+	for _, f := range c.Functions {
+		terms := make([]string, len(f.cover))
+		for i, cube := range f.cover {
+			var lits []string
+			for v := 0; v < cube.N(); v++ {
+				switch cube.Var(v) {
+				case logic.VTrue:
+					lits = append(lits, verilogName(f.Inputs[v]))
+				case logic.VFalse:
+					lits = append(lits, "~"+verilogName(f.Inputs[v]))
+				}
+			}
+			terms[i] = strings.Join(lits, " & ")
+			if len(lits) == 0 {
+				terms[i] = "1'b1"
+			}
+		}
+		rhs := strings.Join(terms, " | ")
+		if len(terms) == 0 {
+			rhs = "1'b0"
+		}
+		fmt.Fprintf(&b, "  assign %s = %s;\n", verilogName(f.Name), rhs)
+	}
+	b.WriteString("endmodule\n")
+	return b.String()
+}
+
+// verilogKeywords holds the reserved words of IEEE 1364-2005, none of
+// which can name a signal or a module unescaped, each between spaces.
+const verilogKeywords = " always and assign automatic begin buf bufif0 bufif1 case casex casez" +
+	" cell cmos config deassign default defparam design disable edge else end endcase" +
+	" endconfig endfunction endgenerate endmodule endprimitive endspecify endtable endtask" +
+	" event for force forever fork function generate genvar highz0 highz1 if ifnone incdir" +
+	" include initial inout input instance integer join large liblist library localparam" +
+	" macromodule medium module nand negedge nmos nor noshowcancelled not notif0 notif1 or" +
+	" output parameter pmos posedge primitive pull0 pull1 pulldown pullup" +
+	" pulsestyle_ondetect pulsestyle_onevent rcmos real realtime reg release repeat rnmos" +
+	" rpmos rtran rtranif0 rtranif1 scalared showcancelled signed small specify specparam" +
+	" strong0 strong1 supply0 supply1 table task time tran tranif0 tranif1 tri tri0 tri1" +
+	" triand trior trireg unsigned use uwire vectored wait wand weak0 weak1 while wire wor" +
+	" xnor xor "
+
+// verilogName prints a module or signal name as a Verilog identifier. A
+// simple identifier that is not a keyword stays as it is; any other name
+// becomes an escaped identifier, a backslash then the name then the
+// space that ends it (r.0 prints as `\r.0 `), with '_' for each byte no
+// identifier can hold (whitespace, control and non-ASCII bytes). An
+// empty name, such as the module of a spec without .model, prints as
+// "unnamed".
+func verilogName(s string) string {
+	if s == "" {
+		return "unnamed"
+	}
+	simple := !strings.Contains(verilogKeywords, " "+s+" ")
+	for i := 0; i < len(s) && simple; i++ {
+		ch := s[i]
+		simple = ch == '_' || ch >= 'a' && ch <= 'z' || ch >= 'A' && ch <= 'Z' ||
+			i > 0 && (ch == '$' || ch >= '0' && ch <= '9')
+	}
+	if simple {
+		return s
+	}
+	esc := []byte(s)
+	for i, ch := range esc {
+		if ch <= ' ' || ch > '~' {
+			esc[i] = '_'
+		}
+	}
+	return `\` + string(esc) + " "
 }
