@@ -498,19 +498,15 @@ func overlapUSC(g *sg.Graph, cscPairs []sg.Pair) []sg.Pair {
 		}
 		return a == b
 	}
-	groups := make(map[uint64][]int)
+	// Pairs come in ascending base code, then ascending states: the
+	// order of the refinement encoding's clauses.
+	codes := make([]uint64, len(g.States))
 	for s := range g.States {
-		c := g.States[s].Code & g.Active
-		groups[c] = append(groups[c], s)
+		codes[s] = g.States[s].Code & g.Active
 	}
-	keys := make([]uint64, 0, len(groups))
-	for c := range groups {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	_, groups := sg.GroupCodes(codes)
 	var out []sg.Pair
-	for _, c := range keys {
-		states := groups[c]
+	for _, states := range groups {
 		for i := 0; i < len(states); i++ {
 		pair:
 			for j := i + 1; j < len(states); j++ {

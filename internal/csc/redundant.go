@@ -17,66 +17,76 @@ func Redundant(g *sg.Graph, k int) bool {
 	if k < 0 || k >= len(g.StateSigs) {
 		return false
 	}
-	var rest []int
-	for j := range g.StateSigs {
-		if j != k {
-			rest = append(rest, j)
+	return newPruner(g).redundant(k)
+}
+
+// Prune removes redundant state-signal columns (latest insertions first)
+// and returns the names of the removed signals.
+func Prune(g *sg.Graph) []string {
+	if len(g.StateSigs) == 0 {
+		return nil
+	}
+	p := newPruner(g)
+	var removed []string
+	for k := len(g.StateSigs) - 1; k >= 0; k-- {
+		if p.redundant(k) {
+			removed = append(removed, g.StateSigs[k].Name)
+			g.StateSigs = append(g.StateSigs[:k], g.StateSigs[k+1:]...)
 		}
 	}
-	// Group states by their code without column k.
-	code := func(s int) uint64 {
-		c := g.States[s].Code & g.Active
-		for bi, j := range rest {
-			if g.StateSigs[j].Phases[s].Level() == 1 {
-				c |= 1 << (uint(len(g.Base)) + uint(bi))
+	sort.Strings(removed)
+	return removed
+}
+
+// pruner holds what every column's redundancy test of one graph
+// shares: the enabled non-input set of each state, which removing a
+// column does not change, and the code buffer.
+type pruner struct {
+	g       *sg.Graph
+	enabled []uint64
+	codes   []uint64
+}
+
+func newPruner(g *sg.Graph) *pruner {
+	return &pruner{g: g, enabled: g.EnabledNonInputsAll(nil), codes: make([]uint64, len(g.States))}
+}
+
+// redundant is Redundant on p's graph.
+func (p *pruner) redundant(k int) bool {
+	g := p.g
+	// Group states by their full code without column k: the base code
+	// under the active mask, then the levels of the other columns.
+	codes := p.codes
+	for s := range g.States {
+		codes[s] = g.States[s].Code & g.Active
+	}
+	bit := uint(len(g.Base))
+	for j, ss := range g.StateSigs {
+		if j == k {
+			continue
+		}
+		for s, ph := range ss.Phases {
+			if ph.Level() == 1 {
+				codes[s] |= 1 << bit
 			}
 		}
-		return c
+		bit++
 	}
-	groups := make(map[uint64][]int)
-	for s := range g.States {
-		groups[code(s)] = append(groups[code(s)], s)
-	}
-	keys := make([]uint64, 0, len(groups))
-	for c := range groups {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	stableComplement := func(a, b sg.Phase) bool {
-		return (a == sg.P0 && b == sg.P1) || (a == sg.P1 && b == sg.P0)
-	}
-	blocked := func(a, b sg.Phase) bool {
-		switch {
-		case a == sg.P0 && b == sg.PUp, a == sg.PUp && b == sg.P0:
-			return true
-		case a == sg.P1 && b == sg.PDown, a == sg.PDown && b == sg.P1:
-			return true
-		case a == sg.PUp && b == sg.PDown, a == sg.PDown && b == sg.PUp:
-			return true
-		}
-		return false
-	}
-	for _, c := range keys {
-		states := groups[c]
-		for i := 0; i < len(states); i++ {
-			for j := i + 1; j < len(states); j++ {
-				a, b := states[i], states[j]
-				sep := false
-				for _, r := range rest {
-					if stableComplement(g.StateSigs[r].Phases[a], g.StateSigs[r].Phases[b]) {
-						sep = true
-						break
+	_, groups := sg.GroupCodes(codes)
+	for _, states := range groups {
+		for i, a := range states {
+		pair:
+			for _, b := range states[i+1:] {
+				for j, ss := range g.StateSigs {
+					if j != k && stableComplement(ss.Phases[a], ss.Phases[b]) {
+						continue pair
 					}
 				}
-				if sep {
-					continue
-				}
-				if g.EnabledNonInputs(a) != g.EnabledNonInputs(b) {
+				if p.enabled[a] != p.enabled[b] {
 					return false // a CSC conflict would reappear
 				}
-				for _, r := range rest {
-					if blocked(g.StateSigs[r].Phases[a], g.StateSigs[r].Phases[b]) {
+				for j, ss := range g.StateSigs {
+					if j != k && blocked(ss.Phases[a], ss.Phases[b]) {
 						return false
 					}
 				}
@@ -86,16 +96,22 @@ func Redundant(g *sg.Graph, k int) bool {
 	return true
 }
 
-// Prune removes redundant state-signal columns (latest insertions first)
-// and returns the names of the removed signals.
-func Prune(g *sg.Graph) []string {
-	var removed []string
-	for k := len(g.StateSigs) - 1; k >= 0; k-- {
-		if Redundant(g, k) {
-			removed = append(removed, g.StateSigs[k].Name)
-			g.StateSigs = append(g.StateSigs[:k], g.StateSigs[k+1:]...)
-		}
+// stableComplement reports whether a and b are complementary stable
+// levels, which separate two states.
+func stableComplement(a, b sg.Phase) bool {
+	return (a == sg.P0 && b == sg.P1) || (a == sg.P1 && b == sg.P0)
+}
+
+// blocked reports whether a and b are the excitation pairs that two
+// states of one code must not carry.
+func blocked(a, b sg.Phase) bool {
+	switch {
+	case a == sg.P0 && b == sg.PUp, a == sg.PUp && b == sg.P0:
+		return true
+	case a == sg.P1 && b == sg.PDown, a == sg.PDown && b == sg.P1:
+		return true
+	case a == sg.PUp && b == sg.PDown, a == sg.PDown && b == sg.PUp:
+		return true
 	}
-	sort.Strings(removed)
-	return removed
+	return false
 }

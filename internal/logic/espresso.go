@@ -94,18 +94,20 @@ func MinimizeContext(ctx context.Context, spec Spec, opt Options) (Cover, error)
 	// Initial cover: one cube per ON minterm, expanded. The minterm
 	// cubes of one function share most of their EXPAND work (on the k=5
 	// handshake, 12 096 minterms expand into 16 distinct primes through
-	// 37 distinct partial assignments), so one OFF-count memo serves
-	// every EXPAND call of this minimization. Cubes are held as literal
-	// sets through every pass; only the returned cover is built as Cubes.
-	oc := newOffCounts(off)
+	// 37 distinct partial assignments), so each pass expands all its
+	// cubes in one walk over the partial assignments they reach, with
+	// one OFF-count memo serving every pass of this minimization. Cubes
+	// are held as literal sets through every pass; only the returned
+	// cover is built as Cubes.
+	x := newExpander(off, len(spec.On))
 	mc := metrics.From(ctx)
 	mc.Add(metrics.EspressoExpand, 1)
 	cover := make([]assignment, len(spec.On))
-	minterm := assignment{vars: 1<<spec.NumVars - 1}
+	full := uint64(1)<<spec.NumVars - 1
 	for i, m := range spec.On {
-		minterm.vals = m
-		cover[i] = expand(minterm, oc, 0)
+		cover[i] = assignment{vars: full, vals: m}
 	}
+	x.expand(cover, 0)
 	cover = irredundant(cover, on)
 
 	best := cover
@@ -117,9 +119,7 @@ func MinimizeContext(ctx context.Context, spec Spec, opt Options) (Cover, error)
 		mc.Add(metrics.EspressoReduce, 1)
 		mc.Add(metrics.EspressoExpand, 1)
 		next := reduce(cover, on)
-		for i, a := range next {
-			next[i] = expand(a, oc, pass)
-		}
+		x.expand(next, pass)
 		next = irredundant(next, on)
 		lits := literalCount(next)
 		if lits >= bestLits {
@@ -147,9 +147,9 @@ type mintermMatrix struct {
 
 func newMintermMatrix(nvars int, ms []uint64) *mintermMatrix {
 	w := (len(ms) + 63) / 64
+	flat := make([]uint64, (nvars+1)*w) // the columns, then full
 	m := &mintermMatrix{nvars: nvars, n: len(ms), words: w, ms: ms,
-		cols: make([][]uint64, nvars), full: make([]uint64, w)}
-	flat := make([]uint64, nvars*w)
+		cols: make([][]uint64, nvars), full: flat[nvars*w:]}
 	for v := range m.cols {
 		m.cols[v] = flat[v*w : (v+1)*w]
 	}
@@ -211,8 +211,8 @@ type offCounts struct {
 // newOffCounts sizes the memo for a typical function: of the 141
 // minimizations of a Table 1 pass, half make at most 9 entries and nine
 // in ten at most 30.
-func newOffCounts(off *mintermMatrix) *offCounts {
-	return &offCounts{off: off, index: make(map[assignment]int, 16),
+func newOffCounts(off *mintermMatrix) offCounts {
+	return offCounts{off: off, index: make(map[assignment]int, 16),
 		counts: make([]int32, 0, 16*(off.nvars+1)), mask: make([]uint64, off.words)}
 }
 
@@ -242,71 +242,171 @@ func (oc *offCounts) lookup(a assignment) []int32 {
 	return cnt
 }
 
-// expand grows the cube with literals a into a prime not intersecting
-// any OFF minterm and returns the prime's literals. The literals kept
-// are chosen by greedy column covering of the blocking matrix: each step
-// keeps the literal that excludes the most OFF minterms not yet
-// excluded, `rot` rotating the tie-break so successive passes explore
-// different primes, until every OFF minterm is excluded.
+// expander runs ESPRESSO's EXPAND over all the cubes of a pass at once.
+// Each cube grows into a prime that meets no OFF minterm: the literals
+// kept are chosen by greedy column covering of the blocking matrix, each
+// step keeping the literal that excludes the most OFF minterms not yet
+// excluded, the first in the cube's literal order rotated by `rot`
+// among equals (so successive passes explore different primes), until
+// every OFF minterm is excluded; the primality pass then raises, in
+// ascending variable order, each kept literal but the last whose
+// removal lets no OFF minterm in.
 //
 // The minterms still to exclude after keeping the literals of S are
-// exactly the OFF minterms that agree with a on S, and literal v
-// excludes those among them whose value of v differs from a's. So every
-// count the covering needs is an offCounts entry keyed by a restricted
-// to S, and those keys repeat across cubes: the many minterm cubes of
-// one minimization walk the same few prefixes. The primality pass asks
-// the same memo: with S excluding every OFF minterm, raising kept
-// literal v keeps the cube OFF-free exactly when no OFF minterm agrees
-// with a on S \ {v}.
-func expand(a assignment, oc *offCounts, rot int) assignment {
-	var buf, rbuf [64]int
-	lowered := buf[:0]
-	for vs := a.vars; vs != 0; vs &= vs - 1 {
-		lowered = append(lowered, bits.TrailingZeros64(vs))
+// exactly the OFF minterms that agree with the cube on S, and literal v
+// excludes those among them whose value of v differs from the cube's.
+// So every count a step needs is the offCounts entry of the partial
+// assignment kept so far, and that assignment, with the cube's rotated
+// literal order, decides the step. The walk therefore visits decision
+// states: the cubes of one literal set (every minterm cube of the first
+// pass; each literal set of a reduced cover in later passes, since the
+// rotated order depends on it) start together at the empty assignment,
+// each state makes one lookup, each member picks the literal it keeps
+// there, and the members keeping one literal go on together to its
+// child state. A child whose literal excludes every remaining OFF
+// minterm is a terminal: it runs the primality pass once and gives the
+// prime to all its members. Within one literal set, members share a
+// state exactly when they agree on the literals kept so far, so each
+// state is visited once, and its work is proportional to its members,
+// an index range of one permutation array, never to the ON-set.
+type expander struct {
+	offCounts
+	cover []assignment // the pass's cubes, overwritten by their primes
+	// ms is the permutation array: each state's members are a range of
+	// it, with the literal each member keeps at that state.
+	ms []member
+	// rotated[:nrot] is the current literal set's variables in rotated
+	// order.
+	rotated [64]int8
+	nrot    int
+}
+
+// member is one cube of a pass: its index in the cover and the literal
+// it keeps at the state being split (2v plus its value of v, with
+// closes set when the literal excludes every remaining OFF minterm,
+// or -1 when no literal excludes any).
+type member struct{ idx, lit int32 }
+
+const closes = 1 << 7
+
+// newExpander returns an expander for passes of up to n cubes against
+// the OFF-set off.
+func newExpander(off *mintermMatrix, n int) *expander {
+	return &expander{offCounts: newOffCounts(off), ms: make([]member, 0, n)}
+}
+
+// expand replaces each cube of cover with its prime under rotation rot.
+// A cube that meets the OFF-set (a caller bug) is left as it is.
+func (x *expander) expand(cover []assignment, rot int) {
+	x.cover = cover
+	x.ms = x.ms[:0]
+	mixed := false
+	for i, a := range cover {
+		x.ms = append(x.ms, member{idx: int32(i)})
+		mixed = mixed || a.vars != cover[0].vars
 	}
-	// The greedy scan runs over the literals rotated by rot, the first
-	// of equal counts winning.
-	rotated := rbuf[:0]
-	if L := len(lowered); L > 0 {
-		rotated = append(append(rotated, lowered[rot%L:]...), lowered[:rot%L]...)
+	if mixed {
+		slices.SortStableFunc(x.ms, func(p, q member) int {
+			return cmp.Compare(cover[p.idx].vars, cover[q.idx].vars)
+		})
 	}
-	var kept assignment
-	// The literal kept last is needed: the ones kept before it left OFF
-	// minterms, and primality only ever takes literals away.
-	last := -1
-	for cnt := oc.lookup(kept); cnt[0] > 0; cnt = oc.lookup(kept) {
+	for lo := 0; lo < len(x.ms); {
+		vars := cover[x.ms[lo].idx].vars
+		hi := lo + 1
+		for hi < len(x.ms) && cover[x.ms[hi].idx].vars == vars {
+			hi++
+		}
+		L := bits.OnesCount64(vars)
+		x.nrot = 0
+		for vs := vars; vs != 0; vs &= vs - 1 {
+			x.rotated[(x.nrot-rot%L+L)%L] = int8(bits.TrailingZeros64(vs))
+			x.nrot++
+		}
+		x.walk(assignment{}, -1, lo, hi)
+		lo = hi
+	}
+}
+
+// walk splits the members ms[lo:hi], which have kept the literals of
+// kept (last the latest), by the literal each keeps next.
+func (x *expander) walk(kept assignment, last, lo, hi int) {
+	cnt := x.lookup(kept)
+	total := cnt[0]
+	if total == 0 {
+		x.prime(kept, last, lo, hi)
+		return
+	}
+	ms := x.ms
+	for i := lo; i < hi; i++ {
+		vals := x.cover[ms[i].idx].vals
 		best, bestC := -1, int32(0)
-		for _, v := range rotated {
+		for _, v := range x.rotated[:x.nrot] {
 			excl := cnt[1+v] // agreeing rows with v true: what v' excludes
-			if a.vals&(1<<v) != 0 {
-				excl = cnt[0] - excl
+			if vals&(1<<v) != 0 {
+				excl = total - excl
 			}
 			if excl > bestC {
-				best, bestC = v, excl
+				best, bestC = int(v), excl
 			}
 		}
-		if bestC == 0 {
-			// An OFF minterm agrees with every literal: the cube meets
-			// the OFF-set (a caller bug), so keep it as it is.
-			return a
+		lit := int32(-1)
+		if best >= 0 {
+			lit = int32(2*best) | int32(vals>>best&1)
+			if bestC == total {
+				lit |= closes
+			}
 		}
-		last = best
-		kept.vars |= 1 << last
-		kept.vals |= a.vals & (1 << last)
-		if bestC == cnt[0] { // it excludes every remaining minterm
-			break
-		}
+		ms[i].lit = lit
 	}
-	for _, v := range lowered {
-		if kept.vars&(1<<v) == 0 || v == last {
+	// Move the members keeping the first member's literal to the front
+	// and follow them; cnt is not read again, so the lookups below may
+	// grow the memo.
+	for lo < hi {
+		lit := ms[lo].lit
+		mid := lo + 1
+		for i := mid; i < hi; i++ {
+			if ms[i].lit == lit {
+				ms[i], ms[mid] = ms[mid], ms[i]
+				mid++
+			}
+		}
+		if lit >= 0 {
+			v := int(lit&^closes) >> 1
+			child := assignment{kept.vars | 1<<v, kept.vals | uint64(lit&1)<<v}
+			if lit&closes != 0 {
+				x.prime(child, v, lo, mid)
+			} else {
+				x.walk(child, v, lo, mid)
+			}
+		}
+		// lit < 0: an OFF minterm agrees with every literal, so the
+		// cubes meet the OFF-set and stay as they are.
+		lo = mid
+	}
+}
+
+// prime runs the primality pass on kept, which excludes every OFF
+// minterm, and gives the prime to the members ms[lo:hi]. With kept
+// excluding every OFF minterm, raising kept literal v keeps the cube
+// OFF-free exactly when no OFF minterm agrees with kept less v. The
+// literal kept last is needed: the ones kept before it left OFF
+// minterms, and primality only ever takes literals away. So the pass
+// skips it without a lookup, and the prime depends on kept alone: the
+// literal kept last on any other path to kept is needed too.
+func (x *expander) prime(kept assignment, last, lo, hi int) {
+	for vs := kept.vars; vs != 0; vs &= vs - 1 {
+		v := bits.TrailingZeros64(vs)
+		if v == last {
 			continue
 		}
 		raised := assignment{kept.vars &^ (1 << v), kept.vals &^ (1 << v)}
-		if oc.lookup(raised)[0] == 0 {
+		if x.lookup(raised)[0] == 0 {
 			kept = raised
 		}
 	}
-	return kept
+	for _, m := range x.ms[lo:hi] {
+		x.cover[m.idx] = kept
+	}
 }
 
 // cube returns the n-variable cube with a's literals.

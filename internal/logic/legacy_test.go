@@ -9,7 +9,7 @@ import (
 )
 
 // This file keeps the bitset EXPAND and the copy-by-copy IRREDUNDANT
-// that the memoized expand and the deduplicated irredundant replaced,
+// that the EXPAND walk and the deduplicated irredundant replaced,
 // and the Cube-based ESPRESSO loop with its REDUCE that the passes on
 // literal sets replaced, verbatim apart from their names and the legacy
 // passes they call, as the reference implementations the production
@@ -388,11 +388,12 @@ func randomSpec(rng *rand.Rand, n int, on, off float64) Spec {
 	return spec
 }
 
-// TestExpandMatchesLegacy pins the memoized expand to the bitset EXPAND
-// it replaced on random specs of 1 to 10 variables: minterm cubes (ON,
-// OFF and don't-care minterms) and random cubes, including cubes that
-// meet the OFF-set, under every rotation 0..7. One memo serves each
-// spec, as it serves a whole minimization.
+// TestExpandMatchesLegacy pins the EXPAND walk to the bitset EXPAND it
+// replaced on random specs of 1 to 10 variables: minterm cubes (ON, OFF
+// and don't-care minterms) and random cubes, including cubes that meet
+// the OFF-set, expanded together as one pass that mixes literal sets,
+// under every rotation 0..7. One memo serves each spec, as it serves a
+// whole minimization.
 func TestExpandMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var meetsOff, universal, compared int
@@ -400,8 +401,6 @@ func TestExpandMatchesLegacy(t *testing.T) {
 		n := 1 + trial%10
 		spec := randomSpec(rng, n, 0.1+0.5*rng.Float64(), 0.1+0.4*rng.Float64())
 		off := newMintermMatrix(n, spec.Off)
-		oc := newOffCounts(off)
-		sc := &legacyExpandScratch{}
 		offCover := make(Cover, len(spec.Off))
 		for i, m := range spec.Off {
 			offCover[i] = FromMinterm(n, m)
@@ -419,21 +418,128 @@ func TestExpandMatchesLegacy(t *testing.T) {
 					universal++
 				}
 			}
-			for rot := 0; rot < 8; rot++ {
-				want := legacyExpand(c, off, rot, sc)
-				got := expand(literals(c), oc, rot).cube(n)
-				compared++
-				if !got.Equal(want) {
-					t.Fatalf("n=%d rot=%d expand(%v) = %v, legacy %v\nON %v\nOFF %v",
-						n, rot, c, got, want, spec.On, spec.Off)
-				}
+		}
+		x := newExpander(off, len(cubes))
+		for rot := 0; rot < 8; rot++ {
+			if err := matchLegacyExpand(x, cubes, off, rot); err != nil {
+				t.Fatalf("n=%d: %v\nON %v\nOFF %v", n, err, spec.On, spec.Off)
 			}
+			compared += len(cubes)
 		}
 	}
 	if meetsOff == 0 || universal == 0 {
 		t.Fatalf("no cube met the OFF-set (%d, %d universal): the early return went untested", meetsOff, universal)
 	}
 	t.Logf("%d expansions compared, %d cubes met the OFF-set", compared, meetsOff)
+}
+
+// matchLegacyExpand expands cubes as one pass of x under rotation rot
+// and compares every prime with legacyExpand's for the same cube.
+func matchLegacyExpand(x *expander, cubes []Cube, off *mintermMatrix, rot int) error {
+	pass := assignments(cubes)
+	x.expand(pass, rot)
+	sc := &legacyExpandScratch{}
+	for i, c := range cubes {
+		want := legacyExpand(c, off, rot, sc)
+		if got := pass[i].cube(c.N()); !got.Equal(want) {
+			return fmt.Errorf("rot=%d cube %d: expand(%v) = %v, legacy %v", rot, i, c, got, want)
+		}
+	}
+	return nil
+}
+
+// sparseSpec draws on ON and off OFF minterms over n variables, all
+// distinct.
+func sparseSpec(rng *rand.Rand, n, on, off int) Spec {
+	spec := Spec{NumVars: n}
+	seen := make(map[uint64]bool)
+	draw := func() uint64 {
+		for {
+			if m := uint64(rng.Int63n(1 << n)); !seen[m] {
+				seen[m] = true
+				return m
+			}
+		}
+	}
+	for len(spec.On) < on {
+		spec.On = append(spec.On, draw())
+	}
+	for len(spec.Off) < off {
+		spec.Off = append(spec.Off, draw())
+	}
+	return spec
+}
+
+// TestExpandWalkMatchesLegacy pins the EXPAND walk to the bitset EXPAND
+// on the passes a minimization runs, over 1 to 20 variables: dense,
+// sparse and symmetric specs and specs with no OFF minterm. Each spec's
+// ON minterm cubes are expanded as one pass (the first pass's shape)
+// under every rotation, and so is the legacy loop's reduced cover after
+// its first and second pass, whose cubes have partial literal sets and
+// mix them, with duplicates of its cubes added.
+func TestExpandWalkMatchesLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var passes, mixed, noOff int
+	for trial := 0; trial < 160; trial++ {
+		n := 1 + trial%20
+		var spec Spec
+		switch {
+		case trial%8 == 7:
+			spec = sparseSpec(rng, n, 1+rng.Intn(min(1<<n, 60)), 0)
+		case n <= 9 && trial%3 == 0:
+			spec = symmetricSpec(rng, n)
+		case n <= 9:
+			spec = randomSpec(rng, n, 0.1+0.5*rng.Float64(), 0.1+0.4*rng.Float64())
+		default:
+			spec = sparseSpec(rng, n, 20+rng.Intn(100), 20+rng.Intn(100))
+		}
+		if len(spec.On) == 0 {
+			continue
+		}
+		if len(spec.Off) == 0 {
+			noOff++
+		}
+		off := newMintermMatrix(n, spec.Off)
+		on := newMintermMatrix(n, spec.On)
+		x := newExpander(off, len(spec.On))
+		cubes := make(Cover, len(spec.On))
+		for i, m := range spec.On {
+			cubes[i] = FromMinterm(n, m)
+		}
+		sc := &legacyExpandScratch{}
+		for round := 0; round < 3 && len(cubes) > 0; round++ {
+			rots := n
+			if round == 0 && n > 8 {
+				rots = 3
+			}
+			for rot := 0; rot < rots; rot++ {
+				if err := matchLegacyExpand(x, cubes, off, rot); err != nil {
+					t.Fatalf("trial %d n=%d round %d: %v\nON %v\nOFF %v", trial, n, round, err, spec.On, spec.Off)
+				}
+				passes++
+			}
+			// The next round's pass is the legacy loop's reduced cover,
+			// with a few of its cubes repeated.
+			next := make(Cover, len(cubes))
+			for i, c := range cubes {
+				next[i] = legacyExpand(c, off, round, sc)
+			}
+			cubes = legacyReduce(legacyIrredundant(next, on), on)
+			for i := len(cubes) - 1; i >= 0; i -= 3 {
+				cubes = append(cubes, cubes[i].Clone())
+			}
+			for _, c := range cubes {
+				if literals(c).vars != literals(cubes[0]).vars {
+					mixed++
+					break
+				}
+			}
+		}
+	}
+	if mixed == 0 || noOff == 0 {
+		t.Fatalf("%d passes mixed literal sets, %d specs had no OFF minterm: want both", mixed, noOff)
+	}
+	t.Logf("%d passes compared, %d mixed literal sets, %d specs with no OFF minterm", passes, mixed, noOff)
 }
 
 // TestIrredundantMatchesLegacy pins the deduplicated irredundant to the

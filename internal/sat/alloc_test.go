@@ -26,10 +26,11 @@ func TestLearnedClausesShareTheArena(t *testing.T) {
 	t.Logf("%.0f allocations per solve, %d learned clauses", allocs, r.Learned)
 }
 
-// TestIncrementalLoadAllocatesNothing: a step's stable block and group
-// are written into the solver's reused arena and the search is set up in
-// reused buffers, so once a step has run, loading the next step of the
-// same shape allocates nothing.
+// TestIncrementalLoadAllocatesNothing: a step's stable block, group and
+// warm seeds are written into the solver's reused arena and the search
+// is set up in reused buffers, with the watch lists carved for the
+// seeds too, so once a step has run, loading the next step of the same
+// shape allocates nothing, with or without seeds.
 func TestIncrementalLoadAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 60
@@ -61,5 +62,18 @@ func TestIncrementalLoadAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("%.0f allocations to load a step of the same shape, want 0", allocs)
+	}
+
+	// A seeded step: four seeds of two and three literals, a unit seed,
+	// and one over a variable the formula lacks, which seeding skips.
+	// AllocsPerRun's warm-up load sizes the buffers.
+	w := &Warm{Clauses: [][]Lit{randomClause(rng, n, 2), randomClause(rng, n, 3),
+		randomClause(rng, n, 2), randomClause(rng, n, 3), {NegLit(1)}, {PosLit(0), PosLit(n + 5)}}}
+	allocs = testing.AllocsPerRun(20, func() { s = inc.load(b, w) })
+	if s == nil {
+		t.Fatal("seeded load: trivially unsatisfiable step")
+	}
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations to load a seeded step of the same shape, want 0", allocs)
 	}
 }

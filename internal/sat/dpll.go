@@ -175,10 +175,12 @@ type solver struct {
 
 // newSolver builds a solver for f: f's clauses are copied into the
 // arena, the first StablePrefix of them flagged stable, and setup scores
-// them and builds the watch lists and the branching order.
-func newSolver(f *Formula) *solver {
+// them and builds the watch lists and the branching order, with room in
+// the arena and the watch lists for the seeds of w that the caller
+// installs next.
+func newSolver(f *Formula, w *Warm) *solver {
 	s := &solver{f: f}
-	s.arena = make([]Lit, 0, len(f.Clauses)+f.NumLiterals())
+	s.arena = make([]Lit, 0, len(f.Clauses)+f.NumLiterals()+w.words(f.NumVars))
 	stablePrefix := f.StablePrefix()
 	for i, c := range f.Clauses {
 		flags := Lit(0)
@@ -187,7 +189,7 @@ func newSolver(f *Formula) *solver {
 		}
 		s.arena = appendClause(s.arena, c, flags)
 	}
-	s.setup(f.NumVars, f.prefer, nil, -1) // callers turn away a formula with an empty clause
+	s.setup(f.NumVars, f.prefer, nil, -1, w) // callers turn away a formula with an empty clause
 	return s
 }
 
@@ -204,13 +206,15 @@ func grown[T any](s []T, n int) []T {
 // variables, reusing its buffers: no variable is assigned, each clause
 // adds 2^-k to the branching score of every literal of its k-literal
 // core (a guard is not core), the watch lists are carved out of one
-// backing array with exact capacities and filled in clause order, and
-// every variable but the guard and those marked in inert is ranked and
-// enters the branching order's rank tier, with the heap empty. A
-// variable's initial activity is its score sum; its phase is its prefer
-// hint, or the sign it scored higher with. setup reports whether a
-// clause's core is empty, which makes the formula unsatisfiable.
-func (s *solver) setup(n int, prefer []int8, inert []bool, guard int) (empty bool) {
+// backing array with exact capacities for the arena's clauses and the
+// seeds of w (which the caller installs after setup, so they score
+// nothing) and filled in clause order, and every variable but the guard
+// and those marked in inert is ranked and enters the branching order's
+// rank tier, with the heap empty. A variable's initial activity is its
+// score sum; its phase is its prefer hint, or the sign it scored higher
+// with. setup reports whether a clause's core is empty, which makes the
+// formula unsatisfiable.
+func (s *solver) setup(n int, prefer []int8, inert []bool, guard int, w *Warm) (empty bool) {
 	s.res = Result{}
 	s.actInc = 1
 	s.analyzeStable = false
@@ -275,6 +279,14 @@ func (s *solver) setup(n int, prefer []int8, inert []bool, guard int) (empty boo
 				neg[l.Var()] += w
 			} else {
 				pos[l.Var()] += w
+			}
+		}
+	}
+	if w != nil {
+		for _, lits := range w.Clauses {
+			if len(lits) >= 2 && seedable(lits, n) {
+				occ[lits[0]]++
+				occ[lits[1]]++
 			}
 		}
 	}

@@ -24,11 +24,11 @@ import "fmt"
 //   - Inert variables (SetInert: retired group variables, state
 //     variables of inactive columns) are excluded from branching.
 //
-// SolveStep presizes the reused solver's arena to the block plus the
-// group, has the block written into it, appends the group (kept in the
-// arena format: a header word, then the literals; see dpll.go), then
-// installs the warm seeds and runs the standard search. The load
-// reproduces, bit for bit, the solver state newSolver would build for
+// SolveStep presizes the reused solver's arena to the block, the group
+// and the warm seeds, has the block written into it, appends the group
+// (kept in the arena format: a header word, then the literals; see
+// dpll.go), then installs the seeds and runs the standard search. The
+// load reproduces, bit for bit, the solver state newSolver would build for
 // the guard-free re-encoded formula: guard literals are excluded from
 // branching scores (a guarded clause scores by its core), the guard
 // variable and the inert variables never enter the branching order, the
@@ -180,10 +180,10 @@ func (inc *Incremental) AddGroup(lits ...Lit) (int, bool) {
 }
 
 // SolveStep solves the conjunction of the stable block b, the current
-// group, and the warm seeds, under the group assumption. b's clauses and
-// the group are written once, into the reused solver's arena, presized
-// to hold exactly them; the seeds follow. The result — verdict, model,
-// counters, stable exports — is bit-identical to SolveWarm on the
+// group, and the warm seeds, under the group assumption. b's clauses,
+// the group and then the seeds are written once, into the reused
+// solver's arena, presized to hold exactly them. The result — verdict,
+// model, counters, stable exports — is bit-identical to SolveWarm on the
 // equivalent re-encoded formula (b's clauses, marked as the stable
 // prefix, then the group's without guards, over only the non-inert
 // variables, in the same order, with the same seeds).
@@ -203,7 +203,7 @@ func (inc *Incremental) load(b Block, w *Warm) *solver {
 	s := &inc.sol
 	s.f = &inc.f
 	words := b.Clauses + b.Literals // a header word per clause
-	if need := words + len(inc.grp); cap(s.arena) < need {
+	if need := words + len(inc.grp) + w.words(inc.numVars); cap(s.arena) < need {
 		s.arena = make([]Lit, 0, need)
 	}
 	s.arena = b.Append(s.arena[:0])
@@ -213,7 +213,7 @@ func (inc *Incremental) load(b Block, w *Warm) *solver {
 	s.arena = append(s.arena, inc.grp...)
 	// The branching order holds the live variables only: the image, under
 	// the chain's variable translation, of the fresh formula's full order.
-	if s.setup(inc.numVars, inc.prefer, inc.inert, inc.guard) {
+	if s.setup(inc.numVars, inc.prefer, inc.inert, inc.guard, w) {
 		return nil
 	}
 	if w != nil {

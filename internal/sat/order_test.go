@@ -61,7 +61,7 @@ func newOrderHarness(t *testing.T, kind string, rng *rand.Rand) *orderHarness {
 		if kind == "wide" {
 			n = 100
 		}
-		s = newSolver(randomCNF(rng, n, 3*n, 3))
+		s = newSolver(randomCNF(rng, n, 3*n, 3), nil)
 		for v := 0; v < s.f.NumVars; v++ {
 			vars = append(vars, v)
 		}

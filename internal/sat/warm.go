@@ -20,7 +20,7 @@ func SolveWarm(f *Formula, lim Limits, w *Warm) Result {
 	if f.hasEmpty {
 		return Result{Status: Unsat}
 	}
-	s := newSolver(f)
+	s := newSolver(f, w)
 	if w != nil {
 		for _, lits := range w.Clauses {
 			s.seed(lits)
@@ -31,17 +31,39 @@ func SolveWarm(f *Formula, lim Limits, w *Warm) Result {
 
 // seed installs one warm clause as a stable learned clause. Clauses
 // with out-of-range literals are ignored (a seed meant for a larger
-// formula); empty clauses cannot occur in exports.
+// formula); empty clauses cannot occur in exports. The arena and the
+// watch lists have room for it: their owner sized them for the seeds.
 func (s *solver) seed(lits []Lit) {
-	if len(lits) == 0 {
+	if len(lits) == 0 || !seedable(lits, s.f.NumVars) {
 		return
-	}
-	for _, l := range lits {
-		if l.Var() >= s.f.NumVars {
-			return
-		}
 	}
 	cr := int32(len(s.arena))
 	s.arena = appendClause(s.arena, lits, flagLearned|flagStable)
 	s.watch(cr)
+}
+
+// seedable reports whether every literal of lits is over the first n
+// variables.
+func seedable(lits []Lit, n int) bool {
+	for _, l := range lits {
+		if l.Var() >= n {
+			return false
+		}
+	}
+	return true
+}
+
+// words returns the arena words the seeds of w take in a formula over
+// n variables: a header word and the literals of each seed installed.
+func (w *Warm) words(n int) int {
+	if w == nil {
+		return 0
+	}
+	total := 0
+	for _, lits := range w.Clauses {
+		if len(lits) > 0 && seedable(lits, n) {
+			total += 1 + len(lits)
+		}
+	}
+	return total
 }

@@ -143,7 +143,7 @@ func countPairs(zero, one, tmp []uint64) (n, lb int) {
 }
 
 // sortCodes sorts a in ascending order with an LSD radix sort over the
-// bytes that vary across a (as codeGroupsOf sorts its permutation),
+// bytes that vary across a (as GroupCodes sorts its permutation),
 // using tmp as the second buffer.
 func sortCodes(a, tmp []uint64) {
 	if len(a) < 2 {

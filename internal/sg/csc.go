@@ -79,18 +79,21 @@ func codeGroups(g *Graph, workers int) ([]uint64, [][]int) {
 	sc := scratchPool.Get().(*scratch)
 	codes := sc.u64sFor(n)
 	fullCodes(g, codes, workers)
-	keys, groups := codeGroupsOf(codes, sc)
+	keys, groups := GroupCodes(codes)
 	scratchPool.Put(sc)
 	return keys, groups
 }
 
-// codeGroupsOf is the grouping core shared by the materialized path
-// (codeGroups) and the streaming path (AnalyzeStream): a stable LSD
-// radix sort over the packed codes (byte passes that are constant across
-// all codes are skipped), with every group a slice of one shared
-// permutation array, so the whole partition costs two flat allocations
-// instead of a hash map. sc provides the non-escaping sort scratch.
-func codeGroupsOf(codes []uint64, sc *scratch) ([]uint64, [][]int) {
+// GroupCodes buckets the indices of codes by code. It returns parallel
+// slices: the distinct codes in ascending order, and for each the
+// indices carrying it, in ascending order. It is the one grouping of
+// the state-coding checks (the materialized and streaming conflict
+// scans here, csc.Prune's redundancy test and core's refinement USC
+// list): a stable LSD radix sort over the packed codes (byte passes
+// that are constant across all codes are skipped), with every group a
+// slice of one shared permutation array, so the whole partition costs
+// three flat allocations instead of a hash map.
+func GroupCodes(codes []uint64) ([]uint64, [][]int) {
 	n := len(codes)
 	if n == 0 {
 		return nil, nil
@@ -100,6 +103,8 @@ func codeGroupsOf(codes []uint64, sc *scratch) ([]uint64, [][]int) {
 	for i := range perm {
 		perm[i] = i
 	}
+	sc := scratchFor(n)
+	defer releaseScratch(n, sc)
 	var orAll uint64
 	andAll := ^uint64(0)
 	for _, c := range codes {
@@ -159,10 +164,10 @@ func codeGroupsOf(codes []uint64, sc *scratch) ([]uint64, [][]int) {
 	return keys, groups
 }
 
-// enabledNonInputsAll computes EnabledNonInputs for every state in one
+// EnabledNonInputsAll computes EnabledNonInputs for every state in one
 // pass over the edge list, filling buf (reused when large enough)
 // instead of walking each state's Out adjacency separately.
-func (g *Graph) enabledNonInputsAll(buf []uint64) []uint64 {
+func (g *Graph) EnabledNonInputsAll(buf []uint64) []uint64 {
 	n := len(g.States)
 	if cap(buf) < n {
 		buf = make([]uint64, n)
@@ -196,7 +201,7 @@ func AnalyzeWorkers(g *Graph, workers int) *Conflicts {
 	// all workers before returning, so the buffer is quiescent when it
 	// goes back to the pool.
 	sc := scratchPool.Get().(*scratch)
-	enabled := g.enabledNonInputsAll(sc.u64sFor(0))
+	enabled := g.EnabledNonInputsAll(sc.u64sFor(0))
 	res := analyzeGroups(groups, enabled, workers)
 	sc.u64s = enabled
 	scratchPool.Put(sc)

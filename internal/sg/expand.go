@@ -183,12 +183,13 @@ func (g *Graph) FunctionTable(sig int, supportMask uint64) (*Table, error) {
 // callers therefore produce bit-identical tables from the same state
 // sequence.
 //
-// Each state contributes one key, its code under the support mask
-// shifted left once with the implied value in bit 0 (MaxSignals keeps
-// the code below 63 bits). Sorting the keys puts equal codes side by
-// side, so one pass reads off both lists, projecting each distinct code
-// once: projection keeps the order of masked codes. A code that carries
-// both values is the ill-defined case.
+// Each state contributes one key, its code projected onto the support
+// (the support bits packed toward bit 0) shifted left once, with the
+// implied value in bit 0. Projection keeps the order of masked codes
+// and leaves only the support's bytes varying, so the radix sort that
+// puts equal codes side by side runs as few byte passes as the support
+// needs; one pass then reads off both lists. A code that carries both
+// values is the ill-defined case.
 func tableOver(base []SignalInfo, sig int, supportMask uint64, n int,
 	codeAt func(s int) uint64, impliedAt func(s int) uint8) (*Table, error) {
 	var mask uint64
@@ -204,11 +205,11 @@ func tableOver(base []SignalInfo, sig int, supportMask uint64, n int,
 	defer releaseScratch(n, sc)
 	keys := sc.u64sFor(n)
 	for s := range keys {
-		keys[s] = (codeAt(s)&mask)<<1 | uint64(impliedAt(s))
+		keys[s] = cp.compress(codeAt(s))<<1 | uint64(impliedAt(s))
 	}
-	slices.Sort(keys)
+	sortCodes(keys, sc.u64s2For(n))
 	nOn, nOff := 0, 0
-	var both []uint64 // masked codes carrying both values, ascending
+	var both []uint64 // projected codes carrying both values, ascending
 	for i, k := range keys {
 		switch {
 		case i > 0 && k == keys[i-1]:
@@ -225,7 +226,7 @@ func tableOver(base []SignalInfo, sig int, supportMask uint64, n int,
 		// contradicts an earlier state; one does, so the scan ends there.
 		first := make([]uint8, len(both)) // implied value + 1 of the first state per code
 		for s := 0; ; s++ {
-			c := codeAt(s) & mask
+			c := cp.compress(codeAt(s))
 			i, ok := slices.BinarySearch(both, c)
 			if !ok {
 				continue
@@ -234,7 +235,7 @@ func tableOver(base []SignalInfo, sig int, supportMask uint64, n int,
 				first[i] = iv
 			} else if first[i] != iv {
 				return nil, fmt.Errorf("sg: signal %q ill-defined on support (code %b implies both 0 and 1)",
-					base[sig].Name, cp.compress(c))
+					base[sig].Name, c)
 			}
 		}
 	}
@@ -249,9 +250,9 @@ func tableOver(base []SignalInfo, sig int, supportMask uint64, n int,
 			continue
 		}
 		if k&1 == 1 {
-			t.On = append(t.On, cp.compress(k>>1))
+			t.On = append(t.On, k>>1)
 		} else {
-			t.Off = append(t.Off, cp.compress(k>>1))
+			t.Off = append(t.Off, k>>1)
 		}
 	}
 	return t, nil

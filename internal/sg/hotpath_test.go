@@ -100,7 +100,7 @@ func TestCodeGroupsMatchesLegacy(t *testing.T) {
 				}
 			}
 		}
-		enabled := g.enabledNonInputsAll(nil)
+		enabled := g.EnabledNonInputsAll(nil)
 		for s := range g.States {
 			if want := g.EnabledNonInputs(s); enabled[s] != want {
 				t.Fatalf("graph %d state %d: enabled mask %b, want %b", gi, s, enabled[s], want)

@@ -80,7 +80,7 @@ func AnalyzeStream(st *Stream, workers int) *Conflicts {
 	for i, c := range st.Codes {
 		codes[i] = c & st.Active
 	}
-	_, groups := codeGroupsOf(codes, sc)
+	_, groups := GroupCodes(codes)
 	res := analyzeGroups(groups, st.Enabled, workers)
 	scratchPool.Put(sc)
 	return res
