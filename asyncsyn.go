@@ -548,9 +548,9 @@ func coreOptions(opt Options) (core.Options, error) {
 		cache, err = modcache.NewDisk(opt.CacheDir)
 	}
 	return core.Options{
-		SAT: core.SATOptions{
+		SAT: csc.SolveOptions{
 			Engine:        csc.Engine(opt.Engine),
-			Encoding:      csc.Options{ExpandXor: opt.ExpandXor},
+			ExpandXor:     opt.ExpandXor,
 			MaxBacktracks: opt.MaxBacktracks,
 			Cache:         cache,
 		},
@@ -633,7 +633,7 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, method Method, coreOpt co
 		{Name: "csc", Run: func(ctx context.Context) error {
 			switch method {
 			case Direct:
-				dr, err := csc.Solve(ctx, full, coreOpt.SAT.SolveOptions())
+				dr, err := csc.Solve(ctx, full, coreOpt.SAT)
 				if dr != nil {
 					inserted = dr.Inserted
 					for _, f := range dr.Formulas {
@@ -642,7 +642,7 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, method Method, coreOpt co
 				}
 				return err
 			default: // Lavagno
-				lr, err := lavagno.Solve(ctx, full, lavagno.Options{MaxBacktracks: coreOpt.SAT.MaxBacktracks})
+				lr, err := lavagno.Solve(ctx, full, coreOpt.SAT.MaxBacktracks)
 				if lr != nil {
 					inserted = lr.Inserted
 					for _, f := range lr.Formulas {

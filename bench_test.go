@@ -5,17 +5,18 @@ package asyncsyn
 //   - BenchmarkTable1Modular / Direct / Lavagno regenerate the CPU-time
 //     columns of Table 1, one sub-benchmark per STG row.
 //   - BenchmarkClauseReduction measures the in-text mmu0 claim: building
-//     (not solving) the direct whole-graph formula vs all modular
-//     formulas.
+//     the direct whole-graph formula (searched only to its first
+//     conflict) vs all modular formulas.
 //   - BenchmarkStateGraph isolates the reachability + coding substrate.
 //   - BenchmarkAblationEncoding compares the Tseitin separation
 //     encoding with the paper-style expanded CNF. The support-restriction
-//     ablation, which only core.Options carries, is
-//     internal/core's BenchmarkAblationSupport.
+//     ablation, a test hook of internal/core, is internal/core's
+//     BenchmarkAblationSupport.
 //
 // Run with: go test -bench=. -benchmem
 
 import (
+	"context"
 	"testing"
 
 	"asyncsyn/internal/bench"
@@ -146,8 +147,10 @@ func BenchmarkParallelSynthesize(b *testing.B) {
 }
 
 // BenchmarkClauseReduction reproduces the in-text mmu0 claim at the
-// formula level: encode (do not solve) the direct whole-graph CSC
-// formula and every modular formula, reporting their sizes.
+// formula level: build the direct whole-graph CSC formula and every
+// modular formula, reporting their sizes. The direct formula's search
+// stops at its first conflict (a one-backtrack budget), so that leg
+// measures building and loading the formula, not solving it.
 func BenchmarkClauseReduction(b *testing.B) {
 	spec, err := bench.Load("mmu0")
 	if err != nil {
@@ -165,11 +168,11 @@ func BenchmarkClauseReduction(b *testing.B) {
 	b.Run("direct-encode", func(b *testing.B) {
 		var clauses int
 		for i := 0; i < b.N; i++ {
-			enc, err := csc.Encode(full, conf, m, csc.Options{})
+			_, st, err := csc.Attempt(context.Background(), full, conf, m, csc.SolveOptions{MaxBacktracks: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			clauses = enc.F.NumClauses()
+			clauses = st.Clauses
 		}
 		b.ReportMetric(float64(clauses), "clauses")
 	})

@@ -1,14 +1,15 @@
 package core
 
-// The ablation switches that only core.Options carries: FullSupport
-// (derive every function over all signals) and ExactLogic (the exact
-// minimum-literal minimizer).
+// The ablation hooks of Options that only this package's tests set:
+// fullSupport (derive every function over all signals) and exactLogic
+// (the exact minimum-literal minimizer).
 
 import (
 	"context"
 	"testing"
 
 	"asyncsyn/internal/bench"
+	"asyncsyn/internal/csc"
 	"asyncsyn/internal/modcache"
 	"asyncsyn/internal/sim"
 )
@@ -26,7 +27,7 @@ func TestExactLogicOption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := Synthesize(context.Background(), spec, Options{ExactLogic: true})
+		e, err := Synthesize(context.Background(), spec, Options{exactLogic: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func BenchmarkAblationSupport(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := Synthesize(context.Background(), spec, Options{
-					FullSupport: mode.full, SAT: SATOptions{Cache: modcache.New()},
+					fullSupport: mode.full, SAT: csc.SolveOptions{Cache: modcache.New()},
 				})
 				if err != nil {
 					b.Fatal(err)

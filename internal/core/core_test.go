@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -91,7 +92,7 @@ a- r+
 	}
 	o, _ := full.SignalIndex("a")
 	is := DetermineInputSet(full, spec, o)
-	pr, err := PartitionSAT(context.Background(), full, is, SATOptions{})
+	pr, err := PartitionSAT(context.Background(), full, is, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +109,39 @@ func TestPartitionSATInsertsAndPropagates(t *testing.T) {
 	}
 	o, _ := full.SignalIndex("b")
 	is := DetermineInputSet(full, spec, o)
-	pr, err := PartitionSAT(context.Background(), full, is, SATOptions{})
+	// The module's cover relation, as PartitionSAT derives it.
+	merged, ok := withStateSigs(full, is.StateSigs).Quotient(is.Silenced)
+	if !ok {
+		t.Fatal("inconsistent quotient")
+	}
+	pr, err := PartitionSAT(context.Background(), full, is, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.NewSignals < 1 {
-		t.Fatalf("no signals inserted")
+	if pr.NewSignals < 1 || len(full.StateSigs) != pr.NewSignals {
+		t.Fatalf("%d signals inserted, %d appended to the full graph", pr.NewSignals, len(full.StateSigs))
+	}
+	// Each appended signal is named and inherits, in every state, the
+	// phase solved for its cover class (Figure 5's propagate()): states
+	// of one class agree, and the classes' phases form a column of the
+	// modular graph.
+	for k, ss := range full.StateSigs {
+		if ss.Name != fmt.Sprintf("csc%d", k) || len(ss.Phases) != full.NumStates() {
+			t.Fatalf("signal %d: name %q, %d phases for %d states", k, ss.Name, len(ss.Phases), full.NumStates())
+		}
+		col := make([]sg.Phase, merged.Graph.NumStates())
+		seen := make([]bool, len(col))
+		for s, c := range merged.Cover {
+			if seen[c] && col[c] != ss.Phases[s] {
+				t.Fatalf("signal %s: states of cover class %d hold %v and %v", ss.Name, c, col[c], ss.Phases[s])
+			}
+			col[c], seen[c] = ss.Phases[s], true
+		}
+		for _, e := range merged.Graph.Edges {
+			if !sg.EdgeCompatible(col[e.From], col[e.To]) {
+				t.Fatalf("signal %s: class phases %v→%v break the modular edge %d→%d", ss.Name, col[e.From], col[e.To], e.From, e.To)
+			}
+		}
 	}
 	// Propagated phases must respect the edge relation on the FULL graph
 	// (Figure 5's propagation through the cover relation).
@@ -236,7 +264,7 @@ func TestSynthesizeDeterministic(t *testing.T) {
 
 // TestSynthesizeFullSupportAblation pins the support-restriction
 // ablation on every Table-1 row: the area with the paper's restricted
-// logic supports and with Options.FullSupport. Two rows move, in
+// logic supports and with the fullSupport hook. Two rows move, in
 // opposite directions, for totals of 921 and 920.
 func TestSynthesizeFullSupportAblation(t *testing.T) {
 	pins := []struct {
@@ -267,7 +295,7 @@ func TestSynthesizeFullSupportAblation(t *testing.T) {
 	}
 	totalR, totalF := 0, 0
 	for _, p := range pins {
-		r, f := area(p.name, Options{}), area(p.name, Options{FullSupport: true})
+		r, f := area(p.name, Options{}), area(p.name, Options{fullSupport: true})
 		if r != p.restricted || f != p.full {
 			t.Errorf("%s: area %d restricted, %d full support; pinned %d and %d", p.name, r, f, p.restricted, p.full)
 		}

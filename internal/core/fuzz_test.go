@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"asyncsyn/internal/csc"
@@ -12,61 +13,79 @@ import (
 )
 
 // TestFuzzSynthesize runs the full modular pipeline over randomly
-// generated live-safe STGs and checks the invariants every run must
-// satisfy: synthesis completes, the final state graph is CSC-clean,
-// every function matches its implied values on every reachable state,
-// and the result is deterministic. This is the repo's broadest net for
-// interaction bugs between quotients, insertion, tightening, pruning,
-// refinement and logic derivation.
+// generated live-safe STGs, single-phase and two-round, and checks the
+// invariants every run must satisfy: synthesis completes, the final
+// state graph is CSC-clean, every function matches its implied values
+// on every reachable state, and the result is deterministic. This is
+// the repo's broadest net for interaction bugs between quotients,
+// insertion, tightening, pruning, refinement and logic derivation; the
+// two-round nets are the ones that reach expansion refinement.
 func TestFuzzSynthesize(t *testing.T) {
 	seeds := int64(60)
 	if testing.Short() {
 		seeds = 15
 	}
-	for seed := int64(0); seed < seeds; seed++ {
-		spec, err := stg.Random(seed, stg.RandomOptions{})
-		if err != nil {
-			t.Fatalf("seed %d: generate: %v", seed, err)
+	var refined []string
+	for _, two := range []bool{false, true} {
+		for seed := int64(0); seed < seeds; seed++ {
+			fuzzSynthesize(t, seed, two, &refined)
 		}
-		res, err := Synthesize(context.Background(), spec, Options{})
-		if err != nil {
-			t.Fatalf("seed %d (%s): synthesize: %v", seed, spec.Name, err)
+	}
+	if len(refined) == 0 {
+		t.Fatal("no random specification reached expansion refinement")
+	}
+	t.Logf("expansion refinement on %v", refined)
+}
+
+// fuzzSynthesize runs TestFuzzSynthesize's checks on one seed, noting
+// it in refined when it needed more than one expansion round.
+func fuzzSynthesize(t *testing.T, seed int64, twoRounds bool, refined *[]string) {
+	t.Helper()
+	spec, err := stg.Random(seed, stg.RandomOptions{TwoRounds: twoRounds})
+	if err != nil {
+		t.Fatalf("seed %d (two rounds %v): generate: %v", seed, twoRounds, err)
+	}
+	res, err := Synthesize(context.Background(), spec, Options{})
+	if err != nil {
+		t.Fatalf("seed %d (%s, two rounds %v): synthesize: %v", seed, spec.Name, twoRounds, err)
+	}
+	if res.ExpandIters > 1 {
+		*refined = append(*refined, fmt.Sprintf("%s/two=%v", spec.Name, twoRounds))
+	}
+	if conf := sg.AnalyzeStream(res.View, 1); conf.N() != 0 {
+		t.Fatalf("seed %d (two rounds %v): %d conflicts in the final graph", seed, twoRounds, conf.N())
+	}
+	// Oracle: every function value equals the implied value.
+	ex := res.View
+	for _, fn := range res.Functions {
+		sigIdx, ok := ex.SignalIndex(fn.Name)
+		if !ok {
+			t.Fatalf("seed %d (two rounds %v): function %q names no signal", seed, twoRounds, fn.Name)
 		}
-		if conf := sg.AnalyzeStream(res.View, 1); conf.N() != 0 {
-			t.Fatalf("seed %d: %d conflicts in the final graph", seed, conf.N())
-		}
-		// Oracle: every function value equals the implied value.
-		ex := res.View
-		for _, fn := range res.Functions {
-			sigIdx, ok := ex.SignalIndex(fn.Name)
+		varIdx := make([]int, len(fn.Vars))
+		for i, v := range fn.Vars {
+			vi, ok := ex.SignalIndex(v)
 			if !ok {
-				t.Fatalf("seed %d: function %q names no signal", seed, fn.Name)
+				t.Fatalf("seed %d (two rounds %v): support %q missing", seed, twoRounds, v)
 			}
-			varIdx := make([]int, len(fn.Vars))
-			for i, v := range fn.Vars {
-				vi, ok := ex.SignalIndex(v)
-				if !ok {
-					t.Fatalf("seed %d: support %q missing", seed, v)
+			varIdx[i] = vi
+		}
+		for s := range ex.Codes {
+			var m uint64
+			for i, vi := range varIdx {
+				if ex.Codes[s]&(1<<vi) != 0 {
+					m |= 1 << i
 				}
-				varIdx[i] = vi
 			}
-			for s := range ex.Codes {
-				var m uint64
-				for i, vi := range varIdx {
-					if ex.Codes[s]&(1<<vi) != 0 {
-						m |= 1 << i
-					}
-				}
-				want := ex.ImpliedValue(s, sigIdx) == 1
-				if got := fn.Cover.Eval(m); got != want {
-					t.Fatalf("seed %d: %s wrong in state %d", seed, fn.Name, s)
-				}
+			want := ex.ImpliedValue(s, sigIdx) == 1
+			if got := fn.Cover.Eval(m); got != want {
+				t.Fatalf("seed %d (two rounds %v): %s wrong in state %d", seed, twoRounds, fn.Name, s)
 			}
 		}
-		// Inserted phases on the full graph stay edge-consistent.
-		if bad := res.Full.CheckPhaseConsistency(); len(bad) != 0 {
-			t.Fatalf("seed %d: phases inconsistent: %v", seed, bad)
-		}
+	}
+	// Inserted phases on the full graph stay edge-consistent.
+	if bad := res.Full.CheckPhaseConsistency(); len(bad) != 0 {
+		t.Fatalf("seed %d (two rounds %v): phases inconsistent: %v", seed, twoRounds, bad)
 	}
 }
 

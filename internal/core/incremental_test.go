@@ -1,10 +1,14 @@
 package core
 
-// Parity contract of the incremental SAT path (DESIGN.md §3.12): solving
-// a widening chain's formulas as assumption-guarded steps of one
-// persistent solver produces bit-identical circuits — and identical
-// per-formula statistics and search counters — to re-encoding every step
-// from scratch (SATOptions.NoIncremental).
+// History independence of the incremental SAT path (DESIGN.md §3.12): a
+// chain solver's step does not depend on what the solver solved before.
+// One csc.ChainSolver shared by every solve chain of a run — rebinding
+// from module quotient to module quotient, and keeping its columns on
+// the full graph from the residual pass into expansion refinement —
+// gives bit-identical circuits, per-formula statistics and search
+// counters to the default of one solver per chain. That every step
+// equals a from-scratch search of its one-shot formula is checked in
+// internal/csc (TestIncrementalMatchesFresh*).
 
 import (
 	"context"
@@ -47,7 +51,7 @@ func digest(r *Result) string {
 
 // formulaLines flattens the stats of every formula of a run, module
 // formulas first, minus their timings (the only fields allowed to
-// differ between the two paths).
+// differ between two runs).
 func formulaLines(r *Result) []string {
 	var out []string
 	add := func(output string, fs []csc.FormulaStats) {
@@ -64,7 +68,7 @@ func formulaLines(r *Result) []string {
 }
 
 // synthCounted runs one modular synthesis of spec with a fresh solve
-// cache, so both SAT paths also go through the cache's solve path, and
+// cache, so the run also goes through the cache's solve path, and
 // returns the result with the run's counters.
 func synthCounted(t *testing.T, spec *stg.G, opt Options) (*Result, map[string]int64) {
 	t.Helper()
@@ -78,7 +82,8 @@ func synthCounted(t *testing.T, spec *stg.G, opt Options) (*Result, map[string]i
 }
 
 // TestIncrementalMatchesFresh runs every Table-1 row at Workers 1 and 4,
-// and handshake k=3 at Workers 1, on both SAT paths.
+// and handshake k=3 at Workers 1, with one chain solver per chain and
+// with one shared by the whole run.
 func TestIncrementalMatchesFresh(t *testing.T) {
 	type row struct {
 		name    string
@@ -93,17 +98,17 @@ func TestIncrementalMatchesFresh(t *testing.T) {
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			for _, w := range r.workers {
-				ri, ci := synthCounted(t, loadSpec(t, r.load), Options{Workers: w})
-				rf, cf := synthCounted(t, loadSpec(t, r.load), Options{Workers: w, SAT: SATOptions{NoIncremental: true}})
+				rf, cf := synthCounted(t, loadSpec(t, r.load), Options{Workers: w})
+				ri, ci := synthCounted(t, loadSpec(t, r.load), Options{Workers: w, SAT: csc.SolveOptions{Incr: csc.NewChainSolver()}})
 				if got, want := fingerprint(ri), fingerprint(rf); got != want {
-					t.Fatalf("workers=%d: incremental circuit diverges from fresh:\nincremental:\n%s\nfresh:\n%s", w, got, want)
+					t.Fatalf("workers=%d: shared-solver circuit diverges from per-chain solvers:\nshared:\n%s\nper chain:\n%s", w, got, want)
 				}
 				if got, want := digest(ri), digest(rf); got != want {
 					t.Fatalf("workers=%d: digest %s != %s", w, got, want)
 				}
 				li, lf := formulaLines(ri), formulaLines(rf)
 				if len(li) != len(lf) {
-					t.Fatalf("workers=%d: %d formulas incremental, %d fresh", w, len(li), len(lf))
+					t.Fatalf("workers=%d: %d formulas shared, %d per chain", w, len(li), len(lf))
 				}
 				for i := range li {
 					if li[i] != lf[i] {
@@ -111,16 +116,13 @@ func TestIncrementalMatchesFresh(t *testing.T) {
 					}
 				}
 				if ci["sat_assumptions"] == 0 {
-					t.Errorf("workers=%d: incremental run reported no assumption steps", w)
-				}
-				if n := cf["sat_assumptions"]; n != 0 {
-					t.Errorf("workers=%d: NoIncremental run reported %d assumption steps", w, n)
+					t.Errorf("workers=%d: run reported no assumption steps", w)
 				}
 				// The SAT search itself must also be step-for-step identical,
 				// not just the final circuit.
-				for _, k := range []string{"sat_decisions", "sat_conflicts", "sat_propagations", "sat_learned", "sat_restarts", "sat_clauses", "sat_vars"} {
+				for _, k := range []string{"sat_assumptions", "sat_decisions", "sat_conflicts", "sat_propagations", "sat_learned", "sat_restarts", "sat_clauses", "sat_vars"} {
 					if gi, gf := ci[k], cf[k]; gi != gf {
-						t.Errorf("workers=%d: counter %s: incremental %d, fresh %d", w, k, gi, gf)
+						t.Errorf("workers=%d: counter %s: shared %d, per chain %d", w, k, gi, gf)
 					}
 				}
 			}

@@ -7,72 +7,10 @@ import (
 
 	"asyncsyn/internal/csc"
 	"asyncsyn/internal/metrics"
-	"asyncsyn/internal/modcache"
 	"asyncsyn/internal/sat"
 	"asyncsyn/internal/sg"
 	"asyncsyn/internal/synerr"
 )
-
-// SATOptions configures the constraint-satisfaction side of modular
-// synthesis.
-type SATOptions struct {
-	Engine        csc.Engine
-	Encoding      csc.Options
-	MaxBacktracks int64 // per formula; default csc.DefaultMaxBacktracks
-	MaxSignals    int   // per modular graph; default 6
-	NamePrefix    string
-	BDDNodeLimit  int // BDD engine budget; default one million nodes
-	// Workers bounds the worker pool for the conflict scans inside the
-	// partition pass (0 = GOMAXPROCS, 1 = sequential); it has no effect
-	// on results, only on wall-clock.
-	Workers int
-	// Cache, when non-nil, is the module solve cache shared across
-	// modules (and runs): signature-equal solves are answered by
-	// bit-identical replays instead of fresh searches.
-	Cache *modcache.Cache
-	// Chain, when non-nil, carries reusable learned clauses across the
-	// related SAT formulas of one module's solve chain. PartitionSAT
-	// creates one per call when unset; solveModule shares one across
-	// the widening fallbacks.
-	Chain *csc.WarmChain
-	// Incr, when non-nil, solves the chain's plain-DPLL formulas on one
-	// persistent incremental solver (see csc.ChainSolver). Created
-	// alongside Chain when unset, unless NoIncremental is set.
-	Incr *csc.ChainSolver
-	// NoIncremental forces the re-encode path (ablation and parity
-	// testing); results are bit-identical either way.
-	NoIncremental bool
-}
-
-// SolveOptions adapts SATOptions to the csc solve interface: every
-// csc solve of the pipeline, the direct baseline's included, takes its
-// options from here.
-func (o SATOptions) SolveOptions() csc.SolveOptions {
-	return csc.SolveOptions{
-		Engine:        o.Engine,
-		Encoding:      o.Encoding,
-		MaxBacktracks: o.MaxBacktracks,
-		NamePrefix:    o.NamePrefix,
-		BDDNodeLimit:  o.BDDNodeLimit,
-		Cache:         o.Cache,
-		Chain:         o.Chain,
-		Incr:          o.Incr,
-		NoIncremental: o.NoIncremental,
-	}
-}
-
-func (o SATOptions) withDefaults() SATOptions {
-	if o.MaxBacktracks == 0 {
-		o.MaxBacktracks = csc.DefaultMaxBacktracks
-	}
-	if o.MaxSignals == 0 {
-		o.MaxSignals = 6
-	}
-	if o.NamePrefix == "" {
-		o.NamePrefix = "csc"
-	}
-	return o
-}
 
 // PartitionResult reports one partition_sat invocation.
 type PartitionResult struct {
@@ -95,8 +33,9 @@ type PartitionResult struct {
 // the input set and retry); budget exhaustion matches
 // synerr.ErrBacktrackLimit and a canceled ctx synerr.ErrCanceled, both
 // of which are surfaced unwrapped because widening cannot help them.
-func PartitionSAT(ctx context.Context, g *sg.Graph, is InputSet, opt SATOptions) (*PartitionResult, error) {
+func PartitionSAT(ctx context.Context, g *sg.Graph, is InputSet, opt Options) (*PartitionResult, error) {
 	opt = opt.withDefaults()
+	sopt := opt.SAT
 	gw := withStateSigs(g, is.StateSigs)
 	merged, ok := gw.Quotient(is.Silenced)
 	if !ok {
@@ -120,12 +59,12 @@ func PartitionSAT(ctx context.Context, g *sg.Graph, is InputSet, opt SATOptions)
 	// joint widening loop below and the incremental insertions after
 	// it. Rebind drops clauses carried over from a structurally
 	// different quotient (a previous widening attempt of this module).
-	if opt.Chain == nil {
-		opt.Chain = csc.NewWarmChain()
+	if sopt.Chain == nil {
+		sopt.Chain = csc.NewWarmChain()
 	}
-	opt.Chain.Rebind(merged.Graph)
-	if opt.Incr == nil && !opt.NoIncremental {
-		opt.Incr = csc.NewChainSolver()
+	sopt.Chain.Rebind(merged.Graph)
+	if sopt.Incr == nil {
+		sopt.Incr = csc.NewChainSolver()
 	}
 
 	propagate := func(col []sg.Phase) {
@@ -134,7 +73,7 @@ func PartitionSAT(ctx context.Context, g *sg.Graph, is InputSet, opt SATOptions)
 			phases[s] = col[merged.Cover[s]]
 		}
 		g.StateSigs = append(g.StateSigs, sg.StateSignal{
-			Name:   fmt.Sprintf("%s%d", opt.NamePrefix, len(g.StateSigs)),
+			Name:   fmt.Sprintf("%s%d", sopt.NamePrefix, len(g.StateSigs)),
 			Phases: phases,
 		})
 	}
@@ -146,12 +85,9 @@ func PartitionSAT(ctx context.Context, g *sg.Graph, is InputSet, opt SATOptions)
 	if m < 1 {
 		m = 1
 	}
-	jointCap := m + 1
-	if jointCap > opt.MaxSignals {
-		jointCap = opt.MaxSignals
-	}
+	jointCap := min(m+1, maxSignals)
 	for ; m <= jointCap; m++ {
-		cols, stats, err := csc.Attempt(ctx, merged.Graph, conf, m, opt.SolveOptions())
+		cols, stats, err := csc.Attempt(ctx, merged.Graph, conf, m, sopt)
 		if err != nil {
 			return res, err
 		}
@@ -172,7 +108,7 @@ func PartitionSAT(ctx context.Context, g *sg.Graph, is InputSet, opt SATOptions)
 	before := len(merged.Graph.StateSigs)
 	inserted, stats, err := csc.InsertIncremental(ctx, merged.Graph,
 		func() *sg.Conflicts { return sg.OutputConflictsWorkers(merged.Graph, implied, opt.Workers) },
-		opt.SolveOptions(), opt.MaxSignals)
+		sopt, maxSignals)
 	res.Formulas = append(res.Formulas, stats...)
 	if err != nil {
 		if errors.Is(err, synerr.ErrBacktrackLimit) || errors.Is(err, synerr.ErrCanceled) {

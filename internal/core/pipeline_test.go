@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"asyncsyn/internal/bench"
+	"asyncsyn/internal/csc"
 	"asyncsyn/internal/sg"
 	"asyncsyn/internal/stg"
 	"asyncsyn/internal/synerr"
@@ -43,13 +44,13 @@ func twoPulseGraph(t *testing.T) *sg.Graph {
 
 // TestExpandToCSCConflictsPersistIters: when conflicts survive every
 // expansion round, the error matches synerr.ErrConflictsPersist and
-// iters reports the rounds actually run — exactly MaxExpandIters, not
+// iters reports the rounds actually run — exactly the round cap, not
 // one past it (the driver never starts a refinement it could not check).
 func TestExpandToCSCConflictsPersistIters(t *testing.T) {
 	g := twoPulseGraph(t)
 	// The graph's CSC conflicts are unresolved: with a single round
 	// allowed, no refinement may be attempted and expansion must fail.
-	view, iters, fallback, err := ExpandToCSC(context.Background(), g, Options{MaxExpandIters: 1})
+	view, iters, fallback, err := ExpandToCSC(context.Background(), g, Options{expandIters: 1})
 	if !errors.Is(err, synerr.ErrConflictsPersist) {
 		t.Fatalf("conflicted graph must fail with ErrConflictsPersist, got %v", err)
 	}
@@ -57,7 +58,7 @@ func TestExpandToCSCConflictsPersistIters(t *testing.T) {
 		t.Fatalf("failed expansion returned a view")
 	}
 	if iters != 1 {
-		t.Fatalf("iters = %d, want exactly MaxExpandIters (1)", iters)
+		t.Fatalf("iters = %d, want exactly the round cap (1)", iters)
 	}
 	if len(fallback) != 0 {
 		t.Fatalf("no refinement may run after the final round, got %d formulas", len(fallback))
@@ -102,13 +103,13 @@ func TestWideningFallbackChain(t *testing.T) {
 
 	// The restricted module really is unsolvable (and for a structural
 	// reason, not a budget one — the chain must not trigger on budgets).
-	if _, err := PartitionSAT(context.Background(), g, restricted, SATOptions{}); err == nil {
+	if _, err := PartitionSAT(context.Background(), g, restricted, Options{}); err == nil {
 		t.Fatal("over-restricted module unexpectedly solvable")
 	} else if errors.Is(err, synerr.ErrBacktrackLimit) || errors.Is(err, synerr.ErrCanceled) {
 		t.Fatalf("restricted module failed for the wrong reason: %v", err)
 	}
 
-	is, pr, widened, err := solveModule(context.Background(), g, restricted, SATOptions{})
+	is, pr, widened, err := solveModule(context.Background(), g, restricted, Options{})
 	if err != nil {
 		t.Fatalf("widening chain failed: %v", err)
 	}
@@ -144,7 +145,7 @@ func TestWideningSkippedOnBacktrackLimit(t *testing.T) {
 	aIdx, _ := g.SignalIndex("a")
 	is := DetermineInputSet(g, spec, aIdx)
 	// One backtrack cannot finish output a's 5000-clause joint formula.
-	_, _, widened, err := solveModule(context.Background(), g, is, SATOptions{MaxBacktracks: 1})
+	_, _, widened, err := solveModule(context.Background(), g, is, Options{SAT: csc.SolveOptions{MaxBacktracks: 1}})
 	if !errors.Is(err, synerr.ErrBacktrackLimit) {
 		t.Fatalf("1-backtrack budget on mmu0 output a must exhaust, got %v", err)
 	}
@@ -165,7 +166,7 @@ func TestWideningSkippedOnCancel(t *testing.T) {
 	restricted := InputSet{Output: bIdx, Mask: 1 << bIdx, Silenced: g.Active &^ (1 << bIdx)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, widened, err := solveModule(ctx, g, restricted, SATOptions{})
+	_, _, widened, err := solveModule(ctx, g, restricted, Options{})
 	if !errors.Is(err, synerr.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled chain returned %v", err)
 	}

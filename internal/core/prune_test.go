@@ -150,7 +150,7 @@ func legacyOverlapUSC(g *sg.Graph, cscPairs []sg.Pair) []sg.Pair {
 
 // residualSpecs returns the specifications the residual-stage oracles
 // run on: the Table 1 benchmarks, the k=3 and k=4 handshakes and
-// stg.Random seeds 0..seeds-1.
+// single-phase stg.Random seeds 0..seeds-1.
 func residualSpecs(tb testing.TB, seeds int) []*stg.G {
 	tb.Helper()
 	var specs []*stg.G
@@ -168,8 +168,16 @@ func residualSpecs(tb testing.TB, seeds int) []*stg.G {
 		}
 		specs = append(specs, spec)
 	}
+	return append(specs, randomSpecs(tb, seeds, false)...)
+}
+
+// randomSpecs returns stg.Random seeds 0..seeds-1, single-phase or
+// two-round.
+func randomSpecs(tb testing.TB, seeds int, twoRounds bool) []*stg.G {
+	tb.Helper()
+	var specs []*stg.G
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		spec, err := stg.Random(seed, stg.RandomOptions{})
+		spec, err := stg.Random(seed, stg.RandomOptions{TwoRounds: twoRounds})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -250,7 +258,8 @@ func TestRedundantMatchesLegacy(t *testing.T) {
 // the same graph without its state-signal columns (every pair of a base
 // code), with no CSC pair and with every other pair of the list given
 // as CSC pairs; and at every refinement round of the expansion loop, on
-// the pairs that round maps back.
+// the pairs that round maps back. The random STGs are single-phase and
+// two-round; only the two-round ones reach refinement.
 func TestOverlapUSCMatchesLegacy(t *testing.T) {
 	ctx := context.Background()
 	opt := Options{Workers: 1}.withDefaults()
@@ -263,10 +272,10 @@ func TestOverlapUSCMatchesLegacy(t *testing.T) {
 	}
 	var refined []string
 	pairs, rounds := 0, 0
-	for _, spec := range residualSpecs(t, 60) {
+	for _, spec := range append(residualSpecs(t, 60), randomSpecs(t, 60, true)...) {
 		g := moduleGraph(t, spec, opt)
 		if sg.AnalyzeWorkers(g, 1).N() > 0 {
-			if _, err := csc.Solve(ctx, g, opt.SAT.SolveOptions()); err != nil {
+			if _, err := csc.Solve(ctx, g, opt.SAT); err != nil {
 				t.Fatalf("%s: residual: %v", spec.Name, err)
 			}
 		}
@@ -284,7 +293,7 @@ func TestOverlapUSCMatchesLegacy(t *testing.T) {
 			check(spec.Name, h, every)
 		}
 		// The expansion loop of ExpandToCSC, checking each round's list.
-		for iter := 1; iter < opt.MaxExpandIters; iter++ {
+		for iter := 1; iter < opt.expandIters; iter++ {
 			view, err := g.ExpandStream()
 			if err != nil {
 				t.Fatal(err)

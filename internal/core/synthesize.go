@@ -21,22 +21,11 @@ import (
 
 // Options configures modular synthesis.
 type Options struct {
-	SAT SATOptions
+	// SAT configures every CSC solve of the run: the module formulas,
+	// the residual whole-graph pass and expansion refinement.
+	SAT csc.SolveOptions
 	// StateGraph tunes reachability generation.
 	StateGraph sg.Options
-	// Logic tunes the two-level minimizer.
-	Logic logic.Options
-	// MaxExpandIters bounds the expansion/re-insertion loop that repairs
-	// conflicts introduced by state-signal interleavings (default 3).
-	MaxExpandIters int
-	// FullSupport disables the per-output support restriction and derives
-	// every function over all signals (used in ablation experiments; the
-	// paper credits part of its area win to the reduced support).
-	FullSupport bool
-	// ExactLogic uses the exact minimum-literal minimizer (espresso's
-	// exact strategy) instead of the ESPRESSO heuristic loop, falling
-	// back to the heuristic when prime enumeration explodes.
-	ExactLogic bool
 	// Workers bounds the worker pool used by the pipeline's independent
 	// scans: the pre-sort conflict counts of the module stage, the
 	// partition passes' conflict scans, the residual and expanded-graph
@@ -47,17 +36,36 @@ type Options struct {
 	// synthesized circuit is bit-for-bit identical for every value —
 	// parallel stages always reduce in a fixed order (DESIGN.md §3.8).
 	Workers int
+
+	// Ablation and test hooks, set only by this package's tests.
+	//
+	// fullSupport disables the per-output support restriction and
+	// derives every function over all signals (the paper credits part
+	// of its area win to the reduced support).
+	fullSupport bool
+	// exactLogic uses the exact minimum-literal minimizer (espresso's
+	// exact strategy) instead of the ESPRESSO heuristic loop, falling
+	// back to the heuristic when prime enumeration explodes.
+	exactLogic bool
+	// expandIters overrides maxExpandIters when positive.
+	expandIters int
 }
 
+const (
+	// maxSignals bounds the state signals of one module's solve chain
+	// and of one expansion-refinement round.
+	maxSignals = 6
+	// maxExpandIters bounds the expansion/re-insertion loop that repairs
+	// conflicts introduced by state-signal interleavings.
+	maxExpandIters = 3
+)
+
 func (o Options) withDefaults() Options {
-	o.SAT = o.SAT.withDefaults()
-	if o.SAT.Workers == 0 {
-		// The partition passes inherit the pipeline's worker budget
-		// unless explicitly overridden.
-		o.SAT.Workers = o.Workers
+	if o.SAT.NamePrefix == "" {
+		o.SAT.NamePrefix = "csc"
 	}
-	if o.MaxExpandIters == 0 {
-		o.MaxExpandIters = 3
+	if o.expandIters == 0 {
+		o.expandIters = maxExpandIters
 	}
 	return o
 }
@@ -173,7 +181,7 @@ func Synthesize(ctx context.Context, spec *stg.G, opt Options) (*Result, error) 
 			// solutions is not guaranteed optimal or even complete in
 			// theory; in practice this pass is a no-op).
 			if conf := sg.AnalyzeWorkers(full, opt.Workers); conf.N() > 0 {
-				dr, err := csc.Solve(ctx, full, opt.SAT.SolveOptions())
+				dr, err := csc.Solve(ctx, full, opt.SAT)
 				if dr != nil {
 					res.Fallback = append(res.Fallback, dr.Formulas...)
 					res.Inserted += dr.Inserted
@@ -272,7 +280,7 @@ func runModules(ctx context.Context, full *sg.Graph, spec *stg.G, opt Options, r
 	for _, o := range outs {
 		octx := trace.WithOutput(ctx, full.Base[o].Name)
 		before := len(full.StateSigs)
-		is, pr, widened, err := solveModule(octx, full, DetermineInputSet(full, spec, o), opt.SAT)
+		is, pr, widened, err := solveModule(octx, full, DetermineInputSet(full, spec, o), opt)
 		supports[o] = is
 		for _, k := range is.StateSigs {
 			passSigs[o] = append(passSigs[o], full.StateSigs[k].Name)
@@ -314,16 +322,16 @@ func runModules(ctx context.Context, full *sg.Graph, spec *stg.G, opt Options, r
 // and cancellation skip the chain entirely — widening only ever makes
 // those formulas harder — and cancellation also breaks out of it.
 // widened reports whether the returned result came from a widened set.
-func solveModule(ctx context.Context, full *sg.Graph, is InputSet, opt SATOptions) (InputSet, *PartitionResult, bool, error) {
+func solveModule(ctx context.Context, full *sg.Graph, is InputSet, opt Options) (InputSet, *PartitionResult, bool, error) {
 	// One warm chain spans the whole fallback chain. Each PartitionSAT
 	// rebinds it to its own quotient, dropping clauses whenever the
 	// widened quotient is structurally different — clauses learned on a
 	// coarser graph's edges are not implied by a finer one's.
-	if opt.Chain == nil {
-		opt.Chain = csc.NewWarmChain()
+	if opt.SAT.Chain == nil {
+		opt.SAT.Chain = csc.NewWarmChain()
 	}
-	if opt.Incr == nil && !opt.NoIncremental {
-		opt.Incr = csc.NewChainSolver()
+	if opt.SAT.Incr == nil {
+		opt.SAT.Incr = csc.NewChainSolver()
 	}
 	pr, err := PartitionSAT(ctx, full, is, opt)
 	if err == nil || errors.Is(err, synerr.ErrBacktrackLimit) || errors.Is(err, synerr.ErrCanceled) {
@@ -347,7 +355,7 @@ func solveModule(ctx context.Context, full *sg.Graph, is InputSet, opt SATOption
 // g they came from and an additional state signal separating them is
 // found by a SAT formula at the ORIGINAL graph's scale (a
 // counterexample-guided refinement: the expansion is the checker, the
-// small graph the solver), up to opt.MaxExpandIters rounds. g is
+// small graph the solver), up to maxExpandIters rounds. g is
 // modified in place when refinement signals are added.
 //
 // Each round streams the expansion (sg.ExpandStream): only the
@@ -357,17 +365,17 @@ func solveModule(ctx context.Context, full *sg.Graph, is InputSet, opt SATOption
 //
 // iters reports the number of expansion rounds actually run; when
 // conflicts survive every round the returned error matches
-// synerr.ErrConflictsPersist and iters equals opt.MaxExpandIters (no
+// synerr.ErrConflictsPersist and iters equals maxExpandIters (no
 // refinement is attempted after the final expansion — its result could
 // never be checked).
 func ExpandToCSC(ctx context.Context, g *sg.Graph, opt Options) (view *sg.Stream, iters int, fallback []csc.FormulaStats, err error) {
 	opt = opt.withDefaults()
 	// Every refinement round solves formulas on the same graph g (only
 	// phase columns are appended between rounds), so one warm chain
-	// serves them all.
+	// and one chain solver serve them all.
 	opt.SAT.Chain = csc.NewWarmChain()
 	opt.SAT.Chain.Rebind(g)
-	if !opt.SAT.NoIncremental {
+	if opt.SAT.Incr == nil {
 		opt.SAT.Incr = csc.NewChainSolver()
 	}
 	mc := metrics.From(ctx)
@@ -383,9 +391,9 @@ func ExpandToCSC(ctx context.Context, g *sg.Graph, opt Options) (view *sg.Stream
 		if conf.N() == 0 {
 			return view, iters, fallback, nil
 		}
-		if iters >= opt.MaxExpandIters {
+		if iters >= opt.expandIters {
 			return nil, iters, fallback, fmt.Errorf("core: CSC conflicts persist after %d expansion rounds: %w",
-				opt.MaxExpandIters, synerr.ErrConflictsPersist)
+				opt.expandIters, synerr.ErrConflictsPersist)
 		}
 		refined := refinementConflicts(g, view.Origin, conf)
 		stats, rerr := solveRefinement(ctx, g, refined, opt, iters)
@@ -433,7 +441,7 @@ func refinementConflicts(g *sg.Graph, origin []int, conf *sg.Conflicts) *sg.Conf
 // Budget exhaustion returns an error matching synerr.ErrBacktrackLimit.
 func solveRefinement(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, opt Options, round int) ([]csc.FormulaStats, error) {
 	var stats []csc.FormulaStats
-	cols, st, err := csc.Attempt(ctx, g, conf, 1, opt.SAT.SolveOptions())
+	cols, st, err := csc.Attempt(ctx, g, conf, 1, opt.SAT)
 	if err != nil {
 		return stats, err
 	}
@@ -462,9 +470,9 @@ func solveRefinement(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, opt O
 		out.USC = overlapUSC(g, out.CSC)
 		return out
 	}
-	sopt := opt.SAT.SolveOptions()
+	sopt := opt.SAT
 	sopt.NamePrefix = fmt.Sprintf("%sx%d_", opt.SAT.NamePrefix, round)
-	_, istats, err := csc.InsertIncremental(ctx, g, refresh, sopt, opt.SAT.MaxSignals)
+	_, istats, err := csc.InsertIncremental(ctx, g, refresh, sopt, maxSignals)
 	stats = append(stats, istats...)
 	if err != nil {
 		return stats, fmt.Errorf("core: expansion refinement: %w", err)
@@ -554,16 +562,16 @@ func DeriveLogic(ctx context.Context, expanded *sg.Stream, full *sg.Graph, suppo
 		}
 		spec := logic.Spec{NumVars: len(tbl.Vars), On: tbl.On, Off: tbl.Off}
 		var cover logic.Cover
-		if opt.ExactLogic {
+		if opt.exactLogic {
 			cover, err = logic.MinimizeExactContext(ctx, spec, logic.ExactOptions{})
 			if err != nil && errors.Is(err, synerr.ErrCanceled) {
 				return Function{}, err
 			}
 		}
-		if !opt.ExactLogic || err != nil {
+		if !opt.exactLogic || err != nil {
 			// Heuristic path, also the fallback when exact minimization
 			// exceeds its prime or search budget.
-			cover, err = logic.MinimizeContext(ctx, spec, opt.Logic)
+			cover, err = logic.MinimizeContext(ctx, spec, logic.Options{})
 		}
 		if err != nil {
 			return Function{}, fmt.Errorf("minimizing %q: %w", tbl.Signal, err)
@@ -588,7 +596,7 @@ func supportMasks(expanded *sg.Stream, full *sg.Graph, sigIdx int, supports map[
 		fullMask |= 1 << i
 	}
 	is, ok := supportFor(full, sigIdx, supports)
-	if !ok || opt.FullSupport {
+	if !ok || opt.fullSupport {
 		return []uint64{fullMask}
 	}
 	restricted := is.Mask | 1<<uint(sigIdx)

@@ -10,7 +10,6 @@ import (
 	"asyncsyn/internal/modcache"
 	"asyncsyn/internal/sat"
 	"asyncsyn/internal/sg"
-	"asyncsyn/internal/synerr"
 	"asyncsyn/internal/trace"
 )
 
@@ -26,9 +25,11 @@ import (
 // when an identical problem (same layout signature, options and
 // warm-chain state — see modcache.Key) was solved before; a hit replays
 // the stored outcome, including the producing solve's warm-chain
-// contribution, so cached and cold runs are bit-identical. With
-// opt.Chain set, DPLL searches are seeded with the chain's reusable
-// learned clauses and contribute their own stable exports back.
+// contribution, so cached and cold runs are bit-identical. A DPLL search
+// runs on opt.Incr, the chain's incremental solver, or on a one-off one
+// when opt.Incr is nil. With opt.Chain set, DPLL searches are seeded
+// with the chain's reusable learned clauses and contribute their own
+// stable exports back.
 //
 // ctx cancels the solve mid-formula (every engine polls it); a canceled
 // attempt returns an error matching synerr.ErrCanceled. Each completed
@@ -45,9 +46,8 @@ func Attempt(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, opt So
 		Layout:        sg.SignatureOf(g, conf),
 		M:             m,
 		Engine:        int(opt.Engine),
-		ExpandXor:     opt.Encoding.ExpandXor,
+		ExpandXor:     opt.ExpandXor,
 		MaxBacktracks: int(opt.MaxBacktracks),
-		BDDNodeLimit:  opt.BDDNodeLimit,
 		WarmHash:      opt.Chain.Hash(),
 	}
 	var missStats FormulaStats
@@ -91,21 +91,22 @@ func Attempt(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, opt So
 	return entry.Cols, stats, nil
 }
 
-// solveUncached is one actual solve: encode, search, decode, tighten.
-// norm is the solve's normalized warm-chain contribution (already
-// absorbed into opt.Chain); callers that cache the outcome store it so
-// hits can replay the absorption.
+// solveUncached is one actual solve: search, decode, tighten. Every
+// DPLL search runs on opt.Incr, or on a one-off ChainSolver when the
+// caller keeps none. norm is the solve's normalized warm-chain
+// contribution (already absorbed into opt.Chain); callers that cache
+// the outcome store it so hits can replay the absorption.
 func solveUncached(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, opt SolveOptions, start time.Time) (cols [][]sg.Phase, stats FormulaStats, norm [][]sat.Lit, err error) {
-	// search sums the time inside engine calls: a BDD solve that hits
-	// its node limit counts toward the DPLL attempt that follows it.
-	var search time.Duration
+	// A BDD solve that hits its node limit counts toward the search
+	// time of the DPLL attempt that follows it.
+	var bddSearch time.Duration
 	if opt.Engine == BDD {
 		t0 := time.Now()
-		bcols, berr := SolveBDD(ctx, g, conf, m, opt.BDDNodeLimit)
-		search = time.Since(t0)
+		bcols, berr := SolveBDD(ctx, g, conf, m, opt.bddNodeLimit)
+		bddSearch = time.Since(t0)
 		stats = FormulaStats{
 			Signals: m, Vars: 2 * m * len(g.States),
-			SolveTime: time.Since(start), SearchTime: search, Engine: "bdd",
+			SolveTime: time.Since(start), SearchTime: bddSearch, Engine: "bdd",
 		}
 		switch {
 		case berr == nil:
@@ -125,47 +126,13 @@ func solveUncached(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, 
 		}
 	}
 
-	// The incremental chain solver replaces the encode-and-reload cycle
-	// for plain DPLL attempts; its results are bit-identical to this
-	// function's re-encode path (pinned by TestIncrementalMatchesFresh),
-	// so cache entries and warm-chain state stay interchangeable.
-	if opt.Incr != nil && opt.Engine == DPLL && !opt.Encoding.ExpandXor {
-		return opt.Incr.solve(ctx, g, conf, m, opt, start)
+	incr := opt.Incr
+	if incr == nil {
+		incr = NewChainSolver()
 	}
-
-	enc, err := Encode(g, conf, m, opt.Encoding)
-	if err != nil {
-		return nil, FormulaStats{}, nil, err
-	}
-	seeds := opt.Chain.Seed(len(g.States), m)
-	if seeds != nil {
-		metrics.From(ctx).Add(metrics.SATWarmClauses, int64(len(seeds.Clauses)))
-	}
-	t0 := time.Now()
-	r := sat.SolveWarm(enc.F, sat.Limits{
-		MaxBacktracks: opt.MaxBacktracks, Ctx: ctx, ExportStable: opt.Chain != nil,
-	}, seeds)
-	search += time.Since(t0)
-	stats = FormulaStats{
-		Signals: m, Vars: enc.F.NumVars, Clauses: enc.F.NumClauses(),
-		Literals: enc.F.NumLiterals(), Status: r.Status, SolveTime: time.Since(start),
-		SearchTime: search, Engine: "dpll",
-	}
-	if r.Status == sat.Canceled {
-		return nil, stats, nil, synerr.Canceled(ctx.Err())
-	}
-	emitFormula(ctx, stats)
-	recordFormula(ctx, stats, r)
-	if opt.Chain != nil && len(r.StableLearned) > 0 {
-		norm = opt.Chain.Normalize(len(g.States), m, r.StableLearned)
-		opt.Chain.AbsorbNormalized(norm)
-	}
-	if r.Status != sat.Sat {
-		return nil, stats, norm, nil
-	}
-	cols = enc.DecodePhases(r.Model)
-	Tighten(g, conf, cols)
-	return cols, stats, norm, nil
+	cols, stats, norm, err = incr.solve(ctx, g, conf, m, opt, start)
+	stats.SearchTime += bddSearch
+	return cols, stats, norm, err
 }
 
 // recordFormula accumulates the formula's size and the engine's search

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"asyncsyn/internal/bench"
+	"asyncsyn/internal/sat"
 	"asyncsyn/internal/sg"
 )
 
@@ -77,13 +78,19 @@ func TestSolveBDDNodeLimitFallsBackViaAttempt(t *testing.T) {
 	if _, err := SolveBDD(context.Background(), g, conf, 1, 16); err == nil {
 		t.Fatalf("tiny node limit should fail")
 	}
-	// ...and Attempt must transparently fall back to the SAT engine.
-	cols, stats, err := Attempt(context.Background(), g, conf, 1, SolveOptions{Engine: BDD, BDDNodeLimit: 16})
+	// ...and Attempt must transparently fall back to the SAT engine, on
+	// the chain solver like every other DPLL search.
+	verdicts := map[sat.Status]int{}
+	cols, stats, err := Attempt(context.Background(), g, conf, 1,
+		SolveOptions{Engine: BDD, bddNodeLimit: 16, Incr: CheckedChainSolver(t, verdicts)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Status.String() != "SAT" || cols == nil {
+	if stats.Status.String() != "SAT" || stats.Engine != "dpll" || cols == nil {
 		t.Fatalf("fallback failed: %+v", stats)
+	}
+	if verdicts[sat.Sat] != 1 {
+		t.Fatalf("fallback search verdicts %v, want one checked SAT step", verdicts)
 	}
 }
 

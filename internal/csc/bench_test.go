@@ -10,39 +10,28 @@ import (
 )
 
 // BenchmarkSolveChain measures one whole CSC solve chain (conflict
-// analysis, encoding, SAT, decoding) on a concurrent handshake graph,
-// with the assumption-based incremental solver and with per-attempt
-// re-encoding. The two paths produce bit-identical results (pinned by
-// TestIncrementalMatchesFreshDirect here and TestIncrementalMatchesFresh
-// in internal/core); only the work per attempt differs.
+// analysis, formula emission, SAT, decoding) on a concurrent handshake
+// graph, its attempts solved on one incremental chain solver.
 func BenchmarkSolveChain(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		noIncr bool
-	}{
-		{"incremental", false},
-		{"reencode", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			spec, err := stg.Handshakes("", 2, 2)
-			if err != nil {
+	b.Run("incremental", func(b *testing.B) {
+		spec, err := stg.Handshakes("", 2, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := sg.FromSTG(spec, sg.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		base := len(g.StateSigs)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.StateSigs = g.StateSigs[:base] // Solve appends; rewind between runs
+			if _, err := Solve(context.Background(), g, SolveOptions{}); err != nil {
 				b.Fatal(err)
 			}
-			g, err := sg.FromSTG(spec, sg.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			base := len(g.StateSigs)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.StateSigs = g.StateSigs[:base] // Solve appends; rewind between runs
-				if _, err := Solve(context.Background(), g, SolveOptions{NoIncremental: mode.noIncr}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSolveDirect measures the whole-graph CSC solve of the Direct

@@ -12,9 +12,9 @@ import (
 )
 
 // ChainSolver solves the DPLL attempts of one solve chain on a single
-// persistent assumption-based incremental solver (sat.Incremental)
-// instead of re-encoding each formula from scratch. The column-major
-// variable layout makes chain formulas share a literal prefix: the
+// persistent assumption-based incremental solver (sat.Incremental): it
+// is the one DPLL path of every CSC formula. The column-major variable
+// layout makes chain formulas share a literal prefix: the
 // edge-compatibility clauses of column k are identical in every formula
 // that has column k. The solver keeps each column's variables, and each
 // step generates the active columns' edge blocks from the graph straight
@@ -26,13 +26,13 @@ import (
 // shrink m (the greedy insertion loop's m=1 attempts after a joint m=2
 // try) and grow it again for free.
 //
-// The incremental path is exact, not approximate: SolveStep's result is
-// bit-identical to the re-encode path's (verdict, model, counters,
-// stable exports), which the parity tests pin. A ChainSolver is bound to
-// one graph and resets when it is handed a different one; a step is
-// bit-identical to a fresh solve whether or not the solver was reset.
-// It is not safe for concurrent use — chains are per-module and modules
-// solve sequentially.
+// A step is exact: its result (verdict, model, counters, stable
+// exports) is bit-identical to a from-scratch search of the one-shot
+// formula, which the package tests build (Encode) and check every step
+// against. A ChainSolver is bound to one graph and resets when it is
+// handed a different one; a step is bit-identical to a fresh solve
+// whether or not the solver was reset. It is not safe for concurrent
+// use — chains are per-module and modules solve sequentially.
 type ChainSolver struct {
 	g       *sg.Graph // the bound graph
 	inc     *sat.Incremental
@@ -41,8 +41,8 @@ type ChainSolver struct {
 	colOff  []bool // column k currently deactivated
 
 	// Variable translation between the solver's space and the space of
-	// the equivalent one-shot Encode formula, for warm-chain seeds in
-	// and stable exports out. Auxiliary and guard variables map to -1.
+	// the equivalent one-shot formula, for warm-chain seeds in and
+	// stable exports out. Auxiliary and guard variables map to -1.
 	incToFresh []int32
 	freshToInc []int32
 
@@ -52,6 +52,24 @@ type ChainSolver struct {
 	emit     emitter
 	seedBuf  [][]sat.Lit
 	seedLits []sat.Lit
+
+	// check, when set, is handed every completed step; the package
+	// tests use it to compare each step with its one-shot formula.
+	check func(chainStep)
+}
+
+// chainStep is one completed step as check sees it: its problem, the
+// warm-chain seeds it was given, and its outcome, with the stable
+// exports in the one-shot formula's variable space.
+type chainStep struct {
+	g     *sg.Graph
+	conf  *sg.Conflicts
+	m     int
+	opt   SolveOptions
+	seeds *sat.Warm
+	r     sat.Result
+	stats FormulaStats
+	cols  [][]sg.Phase
 }
 
 // NewChainSolver returns an empty, unbound chain solver.
@@ -91,10 +109,9 @@ func (c *ChainSolver) padTranslation() {
 }
 
 // edgeBlock lists an edge's edge-compatibility clauses, one per blocked
-// phase pair in Encode's order, as literal offsets: the clause of an
-// edge from s to t in column k is A(s)+o[0], A(s)+o[1], A(t)+o[2],
-// A(t)+o[3] with A(s) = sat.PosLit(a(s, k)), the four literals Encode
-// emits for the pair.
+// phase pair in order, as literal offsets: the clause of an edge from s
+// to t in column k is A(s)+o[0], A(s)+o[1], A(t)+o[2], A(t)+o[3] with
+// A(s) = sat.PosLit(a(s, k)), the four literals that block the pair.
 func edgeBlock(blocked [][2]sg.Phase) [][4]sat.Lit {
 	out := make([][4]sat.Lit, len(blocked))
 	for i, bp := range blocked {
@@ -110,9 +127,10 @@ var (
 	inputBlock  = edgeBlock(blockedInputEdge)
 )
 
-// ensureColumns allocates the state variables of columns up to m, with
-// Encode's phase preference. It emits no clause: appendBlocks generates
-// the columns' edge blocks at every step.
+// ensureColumns allocates the state variables of columns up to m, each
+// a bit preferring false (stable phases: every needlessly excited state
+// multiplies the expanded state graph). It emits no clause:
+// appendBlocks generates the columns' edge blocks at every step.
 func (c *ChainSolver) ensureColumns(m int) {
 	for k := len(c.lay.lo); k < m; k++ {
 		c.padTranslation()
@@ -146,12 +164,13 @@ func (c *ChainSolver) setActive(m int) {
 }
 
 // appendBlocks writes a step's sat.Block: the edge-compatibility clauses
-// of the first m columns, generated from the bound graph in Encode's
-// order (column, edge, blocked pair). A self-loop edge writes
-// nothing. EdgeCompatible(x, x) always holds, so every blocked pair
-// (p, q) has p ≠ q, and on a single state each of its clauses holds a
-// variable and its complement: a tautology, which Encode's Formula.Add
-// drops. Every other clause holds four distinct variables.
+// of the first m columns, generated from the bound graph in the
+// one-shot formula's order (column, edge, blocked pair). A self-loop
+// edge writes nothing. EdgeCompatible(x, x) always holds, so every
+// blocked pair (p, q) has p ≠ q, and on a single state each of its
+// clauses holds a variable and its complement: a tautology, which
+// sat.Formula.Add drops. Every other clause holds four distinct
+// variables.
 func (c *ChainSolver) appendBlocks(arena []sat.Lit, m int) []sat.Lit {
 	g := c.g
 	for k := 0; k < m; k++ {
@@ -189,8 +208,9 @@ func (s chainSink) add(lits []sat.Lit) {
 	}
 }
 
-// translateSeeds maps warm-chain seed clauses from the fresh Encode
-// variable space into the solver's. Buffers are reused across steps.
+// translateSeeds maps warm-chain seed clauses from the one-shot
+// formula's variable space into the solver's. Buffers are reused
+// across steps.
 func (c *ChainSolver) translateSeeds(w *sat.Warm) *sat.Warm {
 	if w == nil {
 		return nil
@@ -215,11 +235,12 @@ func (c *ChainSolver) translateSeeds(w *sat.Warm) *sat.Warm {
 	return &sat.Warm{Clauses: c.seedBuf}
 }
 
-// solve is the incremental counterpart of solveUncached's encode-search-
-// decode-tighten path, with the same outputs, side effects (metrics,
-// tracing, warm-chain absorption) and error contract.
+// solve is one DPLL attempt: emit, search, decode, tighten. It records
+// the formula in the run's metrics and trace, absorbs the stable
+// exports into opt.Chain and returns their normalized form (see
+// solveUncached).
 func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, opt SolveOptions, start time.Time) (cols [][]sg.Phase, stats FormulaStats, norm [][]sat.Lit, err error) {
-	// Mirror Encode's error contract before touching solver state.
+	// Reject what no formula can express before touching solver state.
 	if m <= 0 {
 		return nil, FormulaStats{}, nil, fmt.Errorf("csc: need at least one state signal")
 	}
@@ -235,8 +256,7 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 	c.inc.BeginGroup()
 	c.grpAux, c.grpCl, c.grpLit = 0, 0, 0
 	c.emit.sink, c.emit.lay = chainSink{c}, c.lay
-	c.emit.pairsTseitin(m, conf)
-	c.emit.symmetry(m)
+	c.emit.pairs(m, conf, opt.ExpandXor)
 	c.padTranslation()
 
 	seeds := opt.Chain.Seed(len(g.States), m)
@@ -289,10 +309,12 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 		norm = opt.Chain.Normalize(len(g.States), m, r.StableLearned)
 		opt.Chain.AbsorbNormalized(norm)
 	}
-	if r.Status != sat.Sat {
-		return nil, stats, norm, nil
+	if r.Status == sat.Sat {
+		cols = c.lay.decode(r.Model, m)
+		Tighten(g, conf, cols)
 	}
-	cols = c.lay.decode(r.Model, m)
-	Tighten(g, conf, cols)
+	if c.check != nil {
+		c.check(chainStep{g: g, conf: conf, m: m, opt: opt, seeds: seeds, r: r, stats: stats, cols: cols})
+	}
 	return cols, stats, norm, nil
 }

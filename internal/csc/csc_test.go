@@ -63,19 +63,19 @@ func TestPhaseBitsRoundTrip(t *testing.T) {
 func TestEncodeRejectsSelfConflict(t *testing.T) {
 	g := graph(t, twoPulse)
 	conf := &sg.Conflicts{CSC: []sg.Pair{{A: 1, B: 1}}}
-	if _, err := Encode(g, conf, 1, Options{}); err == nil || !strings.Contains(err.Error(), "itself") {
+	if _, err := Encode(g, conf, 1, false); err == nil || !strings.Contains(err.Error(), "itself") {
 		t.Fatalf("self pair must be rejected, got %v", err)
 	}
-	if _, err := Encode(g, conf, 0, Options{}); err == nil {
+	if _, err := Encode(g, conf, 0, false); err == nil {
 		t.Fatalf("m=0 must be rejected")
 	}
 }
 
 // solveAndDecode encodes, solves and returns tightened phase columns.
-func solveAndDecode(t *testing.T, g *sg.Graph, m int, opt Options) [][]sg.Phase {
+func solveAndDecode(t *testing.T, g *sg.Graph, m int, expandXor bool) [][]sg.Phase {
 	t.Helper()
 	conf := sg.Analyze(g)
-	enc, err := Encode(g, conf, m, opt)
+	enc, err := Encode(g, conf, m, expandXor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func solveAndDecode(t *testing.T, g *sg.Graph, m int, opt Options) [][]sg.Phase 
 
 func TestEncodeSolveDecode(t *testing.T) {
 	g := graph(t, twoPulse)
-	cols := solveAndDecode(t, g, 1, Options{})
+	cols := solveAndDecode(t, g, 1, false)
 	if len(cols) != 1 || len(cols[0]) != g.NumStates() {
 		t.Fatalf("decoded shape wrong")
 	}
@@ -116,11 +116,11 @@ func TestExpandXorEquivalent(t *testing.T) {
 	g := graph(t, twoPulse)
 	conf := sg.Analyze(g)
 	for m := 1; m <= 2; m++ {
-		tse, err := Encode(g, conf, m, Options{})
+		tse, err := Encode(g, conf, m, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp, err := Encode(g, conf, m, Options{ExpandXor: true})
+		exp, err := Encode(g, conf, m, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,8 +162,8 @@ func TestExpandXorClauseGrowth(t *testing.T) {
 		return n * m
 	}
 	for m := 1; m <= 3; m++ {
-		e1, _ := Encode(g, conf, m, Options{ExpandXor: true})
-		e2, _ := Encode(g, conf, m, Options{})
+		e1, _ := Encode(g, conf, m, true)
+		e2, _ := Encode(g, conf, m, false)
 		expPair[m] = e1.F.NumClauses() - edgeClauses(m)
 		tsePair[m] = e2.F.NumClauses() - edgeClauses(m)
 	}
@@ -250,7 +250,7 @@ func TestEngineNumbersAreCacheKeys(t *testing.T) {
 func TestTightenPreservesConstraintsAndShrinksRegions(t *testing.T) {
 	g := graph(t, twoPulse)
 	conf := sg.Analyze(g)
-	enc, err := Encode(g, conf, 1, Options{})
+	enc, err := Encode(g, conf, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

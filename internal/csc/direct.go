@@ -34,23 +34,22 @@ const (
 // none is set: the default of every engine and method.
 const DefaultMaxBacktracks = 2000000
 
-// SolveOptions configures direct CSC solving.
+// maxDirectSignals bounds the direct method's state-signal insertion.
+const maxDirectSignals = 8
+
+// SolveOptions configures CSC solving: one Attempt, the incremental
+// insertion loop and the direct whole-graph method.
 type SolveOptions struct {
-	Encoding Options
-	Engine   Engine
+	Engine Engine
+	// ExpandXor generates the paper-style direct CNF expansion of the
+	// "codes must differ" constraints (4^m clauses per conflicting pair)
+	// instead of the default Tseitin encoding with auxiliary difference
+	// variables. Used for clause-growth experiments.
+	ExpandXor bool
 	// MaxBacktracks bounds the DPLL search per formula (default
 	// DefaultMaxBacktracks; the paper's direct method aborts at a
 	// backtrack limit on mr0/mmu0).
 	MaxBacktracks int64
-	// MaxSignals bounds state-signal insertion (default 8).
-	MaxSignals int
-	// NamePrefix names inserted signals (default "csc").
-	NamePrefix string
-	// StartSignals overrides the initial m (default: the conflict lower
-	// bound, at least 1).
-	StartSignals int
-	// BDDNodeLimit bounds the BDD engine (default one million nodes).
-	BDDNodeLimit int
 	// Cache, when non-nil, answers repeated solves of signature-equal
 	// problems from the module solve cache (see modcache). Hits are
 	// bit-identical replays of the producing solve.
@@ -60,23 +59,22 @@ type SolveOptions struct {
 	// with the chain's clauses and export their own stable learnings
 	// back (see WarmChain).
 	Chain *WarmChain
-	// Incr, when non-nil, solves plain-DPLL attempts on one persistent
-	// assumption-based incremental solver instead of re-encoding every
-	// formula (see ChainSolver). Results are bit-identical either way;
-	// only the work per attempt changes. The BDD engine's DPLL fallback
-	// and the ExpandXor encoding re-encode.
+	// Incr, when non-nil, is the chain's incremental solver: every DPLL
+	// search of the chain runs on it (see ChainSolver). Attempt makes a
+	// one-off solver when it is nil.
 	Incr *ChainSolver
-	// NoIncremental keeps the re-encode path even where an Incr solver
-	// would be created by default (ablation and parity testing).
-	NoIncremental bool
+	// NamePrefix names inserted signals (default "csc").
+	NamePrefix string
+
+	// bddNodeLimit overrides the BDD engine's node limit (0: the pool's
+	// default of one million nodes); tests set it to force the DPLL
+	// fallback.
+	bddNodeLimit int
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
 	if o.MaxBacktracks == 0 {
 		o.MaxBacktracks = DefaultMaxBacktracks
-	}
-	if o.MaxSignals == 0 {
-		o.MaxSignals = 8
 	}
 	if o.NamePrefix == "" {
 		o.NamePrefix = "csc"
@@ -94,8 +92,7 @@ type FormulaStats struct {
 	// SolveTime is the attempt's time: from Attempt's entry, before the
 	// module-cache key is built, to the end of the search, so it also
 	// covers key hashing, encoding and the solver load. A cache hit
-	// reports the time to the hit. (internal/lavagno, which calls the
-	// engine itself, records its search time here.)
+	// reports the time to the hit.
 	SolveTime time.Duration
 	// SearchTime is the time inside the engine calls alone (the DPLL
 	// search or the BDD solve, plus the DPLL fallback of a BDD solve
@@ -131,7 +128,7 @@ func Solve(ctx context.Context, g *sg.Graph, opt SolveOptions) (*Result, error) 
 		opt.Chain = NewWarmChain()
 	}
 	opt.Chain.Rebind(g)
-	if opt.Incr == nil && !opt.NoIncremental {
+	if opt.Incr == nil {
 		opt.Incr = NewChainSolver()
 	}
 	res := &Result{}
@@ -140,9 +137,6 @@ func Solve(ctx context.Context, g *sg.Graph, opt SolveOptions) (*Result, error) 
 		return res, nil
 	}
 	m := conf.LowerBound
-	if opt.StartSignals > 0 {
-		m = opt.StartSignals
-	}
 	if m < 1 {
 		m = 1
 	}
@@ -150,10 +144,7 @@ func Solve(ctx context.Context, g *sg.Graph, opt SolveOptions) (*Result, error) 
 	// loop); beyond that the joint formulas' UNSAT proofs blow up on
 	// cascaded-signal instances, so switch to greedy incremental
 	// insertion.
-	jointCap := m + 1
-	if jointCap > opt.MaxSignals {
-		jointCap = opt.MaxSignals
-	}
+	jointCap := min(m+1, maxDirectSignals)
 	for ; m <= jointCap; m++ {
 		cols, stats, err := Attempt(ctx, g, conf, m, opt)
 		if err != nil {
@@ -180,7 +171,7 @@ func Solve(ctx context.Context, g *sg.Graph, opt SolveOptions) (*Result, error) 
 		}
 	}
 	inserted, stats, err := InsertIncremental(ctx, g,
-		func() *sg.Conflicts { return sg.Analyze(g) }, opt, opt.MaxSignals)
+		func() *sg.Conflicts { return sg.Analyze(g) }, opt, maxDirectSignals)
 	res.Formulas = append(res.Formulas, stats...)
 	res.Inserted += inserted
 	if err != nil {

@@ -5,8 +5,6 @@
 package csc
 
 import (
-	"fmt"
-
 	"asyncsyn/internal/sat"
 	"asyncsyn/internal/sg"
 )
@@ -41,30 +39,12 @@ func bitsPhase(a, b bool) sg.Phase {
 	}
 }
 
-// Options tunes the encoding.
-type Options struct {
-	// ExpandXor generates the paper-style direct CNF expansion of the
-	// "codes must differ" constraints (2^m clauses per conflicting pair)
-	// instead of the default Tseitin encoding with auxiliary difference
-	// variables. Used for clause-growth experiments.
-	ExpandXor bool
-}
-
-// Encoding is a SAT-CSC instance for inserting m state signals into a
-// state graph.
-type Encoding struct {
-	F *sat.Formula
-	G *sg.Graph
-	M int
-
-	lay layout
-}
-
 // layout places the state variables of a SAT-CSC formula over n states:
 // column k's (a, b) bit pair for state s is variables a(s, k) = lo[k]+2s
-// and b(s, k) = a(s, k)+1. Encode's column-major layout has lo[k] = 2kn;
-// the incremental ChainSolver's has lo[k] at the first variable it
-// allocated for column k.
+// and b(s, k) = a(s, k)+1. The one-shot formula of a solve (the package
+// tests' reference encoding, and the variable space of warm-chain seeds
+// and exports) is column-major, with lo[k] = 2kn; the ChainSolver's
+// layout has lo[k] at the first variable it allocated for column k.
 type layout struct {
 	n  int
 	lo []int
@@ -116,95 +96,16 @@ var (
 	blockedInputEdge  = blockedPairsFor(true)
 )
 
-// Encode builds the SAT-CSC formula for graph g with m new state signals
-// and the given conflict analysis. Pairs with A == B (a merged class
-// implying both values of the target signal) cannot be separated by any
-// assignment; Encode reports them as an error.
-func Encode(g *sg.Graph, conf *sg.Conflicts, m int, opt Options) (*Encoding, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("csc: need at least one state signal")
-	}
-	for _, p := range conf.CSC {
-		if p.A == p.B {
-			return nil, fmt.Errorf("csc: state %d conflicts with itself (merged class implies both values); enlarge the input set", p.A)
-		}
-	}
-	e := &Encoding{F: sat.NewFormula(), G: g, M: m}
-	n := len(g.States)
-	// Column-major variable layout: column k's (a,b) pairs for every
-	// state precede column k+1's, so a(s, k) = 2(kn+s) and b(s, k) is
-	// its successor. The formulas of a widening chain thereby share a
-	// variable prefix — formula m's state variables are exactly the
-	// first 2nm variables of formula m+1 — which is what lets the
-	// incremental solver (ChainSolver) grow columns in place and keeps
-	// warm-chain clause instantiation layout-stable along the chain.
-	e.lay = layout{n: n, lo: make([]int, m)}
-	for k := 0; k < m; k++ {
-		e.lay.lo[k] = 2 * k * n
-		for s := 0; s < n; s++ {
-			a := e.F.NewVar()
-			e.F.NewVar()
-			// Prefer stable phases: every needlessly excited state
-			// multiplies the expanded state graph.
-			e.F.Prefer(a, false)
-		}
-	}
-
-	// Consistency + semi-modularity along every edge, for every signal:
-	// block the eight incompatible phase pairs. Emission is grouped by
-	// column for the same reason the variables are: column k's clause
-	// block is identical in every formula of the chain that has column k.
-	for k := 0; k < m; k++ {
-		for _, ed := range g.Edges {
-			blocked := blockedOutputEdge
-			if g.InputEdge(ed) {
-				blocked = blockedInputEdge
-			}
-			for _, bp := range blocked {
-				pa, pb := phaseBits(bp[0])
-				qa, qb := phaseBits(bp[1])
-				e.F.Add(
-					clauseLit(e.lay.a(ed.From, k), pa), clauseLit(e.lay.b(ed.From, k), pb),
-					clauseLit(e.lay.a(ed.To, k), qa), clauseLit(e.lay.b(ed.To, k), qb),
-				)
-			}
-		}
-	}
-	// The edge-compatibility clauses above are per-column and recur in
-	// every formula of a widening/insertion chain on this graph, so
-	// learned clauses derived exclusively from them stay valid along
-	// the chain (see WarmChain). The pair and symmetry clauses below do
-	// not: they change with m and the conflict set.
-	e.F.MarkStablePrefix()
-
-	if opt.ExpandXor {
-		// Paper-parity mode: no auxiliary variables at all, so no
-		// symmetry breaking either (it is an encoding-size experiment,
-		// not a solving path).
-		e.encodePairsExpanded(conf)
-	} else {
-		em := emitter{sink: formulaSink{e.F}, lay: e.lay}
-		em.pairsTseitin(m, conf)
-		em.symmetry(m)
-	}
-	return e, nil
-}
-
 // encSink receives the per-problem (pair separation and symmetry)
-// constraints. Two implementations share the emission code: formulaSink
-// appends to a one-shot formula, and the incremental ChainSolver routes
-// the same clauses into the solver's current assumption group.
+// clauses of a formula: the ChainSolver routes them into its current
+// assumption group, and the package tests' reference encoding appends
+// them to a one-shot formula.
 type encSink interface {
 	newVar() int
 	// add adds one clause. lits is the emitter's scratch: the sink
 	// copies what it keeps.
 	add(lits []sat.Lit)
 }
-
-type formulaSink struct{ f *sat.Formula }
-
-func (s formulaSink) newVar() int        { return s.f.NewVar() }
-func (s formulaSink) add(lits []sat.Lit) { s.f.Add(lits...) }
 
 // emitter emits the per-problem clauses of a formula over the state
 // variables of lay through sink. Every clause is built in buffers the
@@ -221,6 +122,20 @@ type emitter struct {
 func (e *emitter) add(lits ...sat.Lit) {
 	e.cl = append(e.cl[:0], lits...)
 	e.sink.add(e.cl)
+}
+
+// pairs emits the constraints of conf for m signals: the Tseitin
+// separation encoding with symmetry breaking, or with expandXor the
+// paper-style expansion. The expansion has no auxiliary variables and
+// so no symmetry clauses either: it is an encoding-size experiment, not
+// a solving path.
+func (e *emitter) pairs(m int, conf *sg.Conflicts, expandXor bool) {
+	if expandXor {
+		e.pairsExpanded(m, conf)
+		return
+	}
+	e.pairsTseitin(m, conf)
+	e.symmetry(m)
 }
 
 // symmetry adds lexicographic ordering between adjacent signal columns.
@@ -300,15 +215,44 @@ func (e *emitter) pairsTseitin(m int, conf *sg.Conflicts) {
 	}
 	for _, p := range conf.USC {
 		e.sepVars(p, m)
-		for k := 0; k < m; k++ {
-			for _, bp := range uscBlockedPairs {
-				pa, pb := phaseBits(bp[0])
-				qa, qb := phaseBits(bp[1])
-				e.cl = append(append(e.cl[:0], e.ds...),
-					clauseLit(e.lay.a(p.A, k), pa), clauseLit(e.lay.b(p.A, k), pb),
-					clauseLit(e.lay.a(p.B, k), qa), clauseLit(e.lay.b(p.B, k), qb))
-				e.sink.add(e.cl)
-			}
+		e.unseparated(p, m)
+	}
+}
+
+// pairsExpanded is the paper-style direct CNF expansion with no
+// auxiliary variables: the disjunction over k of the stable-separation
+// conjunctions distributes into 4^m clauses per pair (the paper's
+// N_csc·c^m and N_usc·c^m clause-count terms).
+func (e *emitter) pairsExpanded(m int, conf *sg.Conflicts) {
+	total := 1
+	for k := 0; k < m; k++ {
+		total *= 4
+	}
+	for _, p := range conf.CSC {
+		for idx := 0; idx < total; idx++ {
+			e.sepChoice(p, m, idx)
+			e.sink.add(e.ds)
+		}
+	}
+	for _, p := range conf.USC {
+		for idx := 0; idx < total; idx++ {
+			e.sepChoice(p, m, idx)
+			e.unseparated(p, m)
+		}
+	}
+}
+
+// unseparated emits, for every signal k and phase pair that USC pair p
+// must avoid when unseparated, the clause e.ds ∨ ¬(p takes that pair).
+func (e *emitter) unseparated(p sg.Pair, m int) {
+	for k := 0; k < m; k++ {
+		for _, bp := range uscBlockedPairs {
+			pa, pb := phaseBits(bp[0])
+			qa, qb := phaseBits(bp[1])
+			e.cl = append(append(e.cl[:0], e.ds...),
+				clauseLit(e.lay.a(p.A, k), pa), clauseLit(e.lay.b(p.A, k), pb),
+				clauseLit(e.lay.a(p.B, k), qa), clauseLit(e.lay.b(p.B, k), qb))
+			e.sink.add(e.cl)
 		}
 	}
 }
@@ -329,59 +273,22 @@ func (e *emitter) sepVars(p sg.Pair, m int) {
 	}
 }
 
-// encodePairsExpanded is the paper-style direct CNF expansion with no
-// auxiliary variables: the disjunction over k of the stable-separation
-// conjunctions distributes into 4^m clauses per pair (the paper's
-// N_csc·c^m and N_usc·c^m clause-count terms).
-func (e *Encoding) encodePairsExpanded(conf *sg.Conflicts) {
-	// CNF(sep_k) has four clauses: (¬a_A), (¬a_B), (b_A ∨ b_B),
-	// (¬b_A ∨ ¬b_B). CNF(∨_k sep_k) picks one of them per k.
-	clauseOf := func(p sg.Pair, k, choice int) []sat.Lit {
-		ai, aj := e.lay.a(p.A, k), e.lay.a(p.B, k)
-		bi, bj := e.lay.b(p.A, k), e.lay.b(p.B, k)
-		switch choice {
+// sepChoice leaves in e.ds clause idx of CNF(∨_k sep_k), which picks
+// for each signal k, by the k-th base-4 digit of idx, one of the four
+// clauses of CNF(sep_k): (¬a_A), (¬a_B), (b_A ∨ b_B) or (¬b_A ∨ ¬b_B).
+func (e *emitter) sepChoice(p sg.Pair, m, idx int) {
+	e.ds = e.ds[:0]
+	for k := 0; k < m; k++ {
+		switch idx % 4 {
 		case 0:
-			return []sat.Lit{sat.NegLit(ai)}
+			e.ds = append(e.ds, sat.NegLit(e.lay.a(p.A, k)))
 		case 1:
-			return []sat.Lit{sat.NegLit(aj)}
+			e.ds = append(e.ds, sat.NegLit(e.lay.a(p.B, k)))
 		case 2:
-			return []sat.Lit{sat.PosLit(bi), sat.PosLit(bj)}
+			e.ds = append(e.ds, sat.PosLit(e.lay.b(p.A, k)), sat.PosLit(e.lay.b(p.B, k)))
 		default:
-			return []sat.Lit{sat.NegLit(bi), sat.NegLit(bj)}
+			e.ds = append(e.ds, sat.NegLit(e.lay.b(p.A, k)), sat.NegLit(e.lay.b(p.B, k)))
 		}
-	}
-	total := 1
-	for k := 0; k < e.M; k++ {
-		total *= 4
-	}
-	build := func(p sg.Pair, idx int) []sat.Lit {
-		var lits []sat.Lit
-		for k := 0; k < e.M; k++ {
-			lits = append(lits, clauseOf(p, k, idx%4)...)
-			idx /= 4
-		}
-		return lits
-	}
-	for _, p := range conf.CSC {
-		for idx := 0; idx < total; idx++ {
-			e.F.Add(build(p, idx)...)
-		}
-	}
-	for _, p := range conf.USC {
-		for idx := 0; idx < total; idx++ {
-			base := build(p, idx)
-			for k := 0; k < e.M; k++ {
-				for _, bp := range uscBlockedPairs {
-					pa, pb := phaseBits(bp[0])
-					qa, qb := phaseBits(bp[1])
-					e.F.Add(append(append([]sat.Lit(nil), base...),
-						clauseLit(e.lay.a(p.A, k), pa), clauseLit(e.lay.b(p.A, k), pb),
-						clauseLit(e.lay.a(p.B, k), qa), clauseLit(e.lay.b(p.B, k), qb))...)
-				}
-			}
-		}
+		idx /= 4
 	}
 }
-
-// DecodePhases extracts the per-signal phase columns from a model.
-func (e *Encoding) DecodePhases(model []bool) [][]sg.Phase { return e.lay.decode(model, e.M) }

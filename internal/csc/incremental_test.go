@@ -1,116 +1,112 @@
 package csc_test
 
-// Parity of the incremental SAT path on the Direct (whole-graph) method,
-// which reaches the chain solver through csc.Solve instead of the
-// modular partition pass: with and without SolveOptions.NoIncremental the
-// Direct stage list (csc.Solve, then core.ExpandToCSC and
-// core.DeriveLogic, as the facade runs it) gives the bit-identical
-// circuit, the same per-formula statistics and the same search counters.
-// The test sits in an external package so it can import internal/core.
+// Every DPLL formula of a synthesis runs on a chain solver (DESIGN.md
+// §3.12). These tests hand a run one checked chain solver
+// (csc.CheckedChainSolver), which compares every step it solves with
+// Encode's one-shot formula solved from scratch by sat.SolveWarm on the
+// same graph, conflicts, m and warm-chain seeds: the formula size, the
+// verdict, the five search counters, the stable export and the
+// tightened model. The modular method runs every Table-1 row and
+// handshake k=3; the Direct method's stage list (csc.Solve, then
+// core.ExpandToCSC and core.DeriveLogic, as the facade runs it) every
+// Table-1 row. The tests sit in an external package so they can import
+// internal/core.
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"asyncsyn/internal/bench"
-	"asyncsyn/internal/benchrec"
 	"asyncsyn/internal/core"
 	"asyncsyn/internal/csc"
 	"asyncsyn/internal/metrics"
-	"asyncsyn/internal/modcache"
+	"asyncsyn/internal/sat"
 	"asyncsyn/internal/sg"
+	"asyncsyn/internal/stg"
 )
 
-// directRun is one Direct synthesis flattened for comparison.
-type directRun struct {
-	fingerprint string // shape, inserted columns and every equation
-	digest      string // the facade's Circuit.Digest of the circuit
-	formulas    []string
-	counters    map[string]int64
+// checkedRun hands run a checked chain solver and a metrics collector,
+// then checks that every formula the run recorded was a checked step:
+// no DPLL search took another path.
+func checkedRun(t *testing.T, run func(ctx context.Context, incr *csc.ChainSolver) []csc.FormulaStats) {
+	t.Helper()
+	verdicts := map[sat.Status]int{}
+	mc := metrics.New()
+	formulas := run(metrics.With(context.Background(), mc), csc.CheckedChainSolver(t, verdicts))
+	steps := 0
+	for _, n := range verdicts {
+		steps += n
+	}
+	if steps != len(formulas) || int64(steps) != mc.Map()["sat_formulas"] {
+		t.Fatalf("%d checked steps for %d formulas (%d recorded)", steps, len(formulas), mc.Map()["sat_formulas"])
+	}
 }
 
-func runDirect(t *testing.T, name string, noIncr bool) directRun {
-	t.Helper()
-	spec, err := bench.Load(name)
-	if err != nil {
-		t.Fatal(err)
+func TestIncrementalMatchesFreshModular(t *testing.T) {
+	type row struct {
+		name      string
+		load      func() (*stg.G, error)
+		expandXor bool
 	}
-	mc := metrics.New()
-	ctx := metrics.With(context.Background(), mc)
-	cache := modcache.New()
-	full, err := sg.FromSTG(spec, sg.Options{})
-	if err != nil {
-		t.Fatal(err)
+	var rows []row
+	for _, name := range bench.Names() {
+		rows = append(rows, row{name, func() (*stg.G, error) { return bench.Load(name) }, false})
 	}
-	initialSignals := len(full.Base)
-	dr, err := csc.Solve(ctx, full, csc.SolveOptions{Cache: cache, NoIncremental: noIncr})
-	if err != nil {
-		t.Fatalf("%s: csc: %v", name, err)
+	rows = append(rows, row{"handshake-k3", func() (*stg.G, error) { return stg.Handshakes("", 3, 2) }, false})
+	for _, name := range []string{"fifo", "vbe4a", "nak-pa"} {
+		rows = append(rows, row{name + "-expandxor", func() (*stg.G, error) { return bench.Load(name) }, true})
 	}
-	opt := core.Options{SAT: core.SATOptions{Cache: cache, NoIncremental: noIncr}}
-	view, _, fallback, err := core.ExpandToCSC(ctx, full, opt)
-	if err != nil {
-		t.Fatalf("%s: expand: %v", name, err)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			spec, err := r.load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkedRun(t, func(ctx context.Context, incr *csc.ChainSolver) []csc.FormulaStats {
+				opt := core.Options{Workers: 1, SAT: csc.SolveOptions{ExpandXor: r.expandXor, Incr: incr}}
+				res, err := core.Synthesize(ctx, spec, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", r.name, err)
+				}
+				var fs []csc.FormulaStats
+				for _, o := range res.Outputs {
+					fs = append(fs, o.Formulas...)
+				}
+				return append(fs, res.Fallback...)
+			})
+		})
 	}
-	fns, err := core.DeriveLogic(ctx, view, full, nil, nil, opt)
-	if err != nil {
-		t.Fatalf("%s: logic: %v", name, err)
-	}
-
-	var r directRun
-	area := 0
-	for _, f := range fns {
-		area += f.Literals()
-	}
-	shape := fmt.Sprintf("shape %d/%d/%d/%d", view.NumStates(), len(view.Base), len(view.Base)-initialSignals, area)
-	parts := []string{shape}
-	r.fingerprint = fmt.Sprintf("%s inserted=%d\n", shape, dr.Inserted)
-	for _, s := range full.StateSigs {
-		r.fingerprint += fmt.Sprintf("column %s %v\n", s.Name, s.Phases)
-	}
-	for _, f := range fns {
-		r.fingerprint += f.String() + "\n"
-		parts = append(parts, f.String())
-	}
-	r.digest = benchrec.Digest(parts)
-	for _, f := range append(dr.Formulas, fallback...) {
-		f.SolveTime, f.SearchTime = 0, 0
-		r.formulas = append(r.formulas, fmt.Sprintf("%+v", f))
-	}
-	r.counters = mc.Map()
-	return r
 }
 
 func TestIncrementalMatchesFreshDirect(t *testing.T) {
-	for _, name := range []string{"vbe4a", "nak-pa"} {
+	for _, name := range bench.Names() {
 		t.Run(name, func(t *testing.T) {
-			ri, rf := runDirect(t, name, false), runDirect(t, name, true)
-			if ri.fingerprint != rf.fingerprint {
-				t.Fatalf("incremental Direct circuit diverges from fresh:\nincremental:\n%s\nfresh:\n%s", ri.fingerprint, rf.fingerprint)
+			if testing.Short() && (name == "mr0" || name == "mr1" || name == "mmu0") {
+				t.Skip("one whole-graph formula of several seconds, searched twice")
 			}
-			if ri.digest != rf.digest {
-				t.Fatalf("digest %s != %s", ri.digest, rf.digest)
+			spec, err := bench.Load(name)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(ri.formulas) != len(rf.formulas) {
-				t.Fatalf("%d formulas incremental, %d fresh", len(ri.formulas), len(rf.formulas))
+			full, err := sg.FromSTG(spec, sg.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range ri.formulas {
-				if ri.formulas[i] != rf.formulas[i] {
-					t.Fatalf("formula %d: %s != %s", i, ri.formulas[i], rf.formulas[i])
+			checkedRun(t, func(ctx context.Context, incr *csc.ChainSolver) []csc.FormulaStats {
+				opt := core.Options{Workers: 1, SAT: csc.SolveOptions{Incr: incr}}
+				dr, err := csc.Solve(ctx, full, opt.SAT)
+				if err != nil {
+					t.Fatalf("%s: csc: %v", name, err)
 				}
-			}
-			if ri.counters["sat_assumptions"] == 0 {
-				t.Error("Direct incremental run reported no assumption steps")
-			}
-			if n := rf.counters["sat_assumptions"]; n != 0 {
-				t.Errorf("NoIncremental Direct run reported %d assumption steps", n)
-			}
-			for _, k := range []string{"sat_decisions", "sat_conflicts", "sat_propagations", "sat_learned", "sat_restarts", "sat_clauses", "sat_vars"} {
-				if gi, gf := ri.counters[k], rf.counters[k]; gi != gf {
-					t.Errorf("counter %s: incremental %d, fresh %d", k, gi, gf)
+				view, _, fallback, err := core.ExpandToCSC(ctx, full, opt)
+				if err != nil {
+					t.Fatalf("%s: expand: %v", name, err)
 				}
-			}
+				if _, err := core.DeriveLogic(ctx, view, full, nil, nil, opt); err != nil {
+					t.Fatalf("%s: logic: %v", name, err)
+				}
+				return append(dr.Formulas, fallback...)
+			})
 		})
 	}
 }

@@ -22,7 +22,7 @@ func TestPredictExact(t *testing.T) {
 		conf := sg.Analyze(g)
 		for m := 1; m <= 3; m++ {
 			want := Predict(g, conf, m)
-			enc, err := Encode(g, conf, m, Options{ExpandXor: true})
+			enc, err := Encode(g, conf, m, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,4 +56,53 @@ func TestPredictGrowth(t *testing.T) {
 	if s2.EdgeClauses != 2*s1.EdgeClauses {
 		t.Errorf("edge term not linear: %d vs %d", s1.EdgeClauses, s2.EdgeClauses)
 	}
+}
+
+// Size predicts the dimensions of a SAT-CSC instance without building
+// it — the executable form of the paper's §2.1 complexity model
+//
+//	clauses = m·(c1·E + N_usc·c3^m + N_csc·c4^m),  variables = 2·N·m
+//
+// with this implementation's constants made explicit. Variables, edge
+// and CSC terms are exact for the paper-style expanded encoding; the
+// USC term is an upper bound (tests pin the bracket).
+type Size struct {
+	Vars    int
+	Clauses int
+
+	// Components, for reporting.
+	EdgeClauses int // m · Σ_edges (8 or 10) — exact
+	CSCClauses  int // N_csc · 4^m (c4 = 4) — exact
+	USCClauses  int // N_usc · 6m · 4^m (c3 = 4 with a 6m factor) — upper
+	// bound: clauses whose base XOR choice subsumes or contradicts a
+	// blocked-pair literal collapse or drop as tautologies.
+}
+
+// Predict computes the size of the expanded (paper-style) encoding of
+// conf on g with m state signals: exact for the variable, edge and CSC
+// terms, an upper bound for the USC term. The Tseitin default is
+// strictly smaller (linear in m); the expanded form is the one whose
+// growth the paper's formula describes.
+func Predict(g *sg.Graph, conf *sg.Conflicts, m int) Size {
+	var s Size
+	s.Vars = 2 * len(g.States) * m
+
+	perEdge := 0
+	for _, e := range g.Edges {
+		if g.InputEdge(e) {
+			perEdge += 10 // 8 blocked pairs + the 2 completion pairs
+		} else {
+			perEdge += 8
+		}
+	}
+	s.EdgeClauses = m * perEdge
+
+	pow4 := 1
+	for i := 0; i < m; i++ {
+		pow4 *= 4
+	}
+	s.CSCClauses = len(conf.CSC) * pow4
+	s.USCClauses = len(conf.USC) * 6 * m * pow4
+	s.Clauses = s.EdgeClauses + s.CSCClauses + s.USCClauses
+	return s
 }

@@ -41,7 +41,7 @@ func load(t *testing.T, src string) *sg.Graph {
 
 func TestSolveSmall(t *testing.T) {
 	g := load(t, twoPulse)
-	res, err := Solve(context.Background(), g, Options{})
+	res, err := Solve(context.Background(), g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ a- r+
 .marking { <a-,r+> }
 .end
 `)
-	res, err := Solve(context.Background(), g, Options{})
+	res, err := Solve(context.Background(), g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestOneSignalPerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(context.Background(), g, Options{})
+	res, err := Solve(context.Background(), g, 0)
 	if errors.Is(err, synerr.ErrBacktrackLimit) {
 		t.Skip("pa aborted under default budget")
 	}
@@ -123,7 +123,7 @@ func TestAbortsAtSignalCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Solve(context.Background(), g, Options{MaxSignals: 2})
+	_, err = solve(context.Background(), g, 0, 2)
 	if !errors.Is(err, synerr.ErrBacktrackLimit) {
 		t.Fatalf("mmu0 with a 2-signal cap must abort, got %v", err)
 	}

@@ -64,7 +64,8 @@ const (
 	// searches along widening/insertion chains.
 	SATWarmClauses
 	// SATAssumptions counts formulas solved as assumption-guarded steps of
-	// a persistent incremental solver instead of fresh re-encodes.
+	// a persistent incremental solver (every DPLL search of a CSC
+	// formula).
 	SATAssumptions
 	// SGStatesStreamed counts expanded states emitted by the streaming
 	// wave expansion (states that were never materialized into a graph).

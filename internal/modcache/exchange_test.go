@@ -220,7 +220,7 @@ func TestEarlierKeyFormatMissesCleanly(t *testing.T) {
 		BDDNodeLimit  int    `json:"bdd_node_limit,omitempty"`
 		WarmHash      string `json:"warm_hash"`
 	}{Canon: "canon", Layout: key.Layout, M: key.M, Engine: key.Engine, ExpandXor: key.ExpandXor,
-		MaxBacktracks: key.MaxBacktracks, BDDNodeLimit: key.BDDNodeLimit, WarmHash: key.WarmHash}
+		MaxBacktracks: key.MaxBacktracks, WarmHash: key.WarmHash}
 	kb, err := json.Marshal(earlierKey)
 	if err != nil {
 		t.Fatal(err)

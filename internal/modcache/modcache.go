@@ -73,10 +73,10 @@ type Key struct {
 	// record can only match the engine that wrote it.
 	Engine    int  `json:"engine"`
 	ExpandXor bool `json:"expand_xor"`
-	// MaxBacktracks and BDDNodeLimit are the search budgets; a
-	// BacktrackLimit verdict is only deterministic relative to them.
+	// MaxBacktracks is the search budget (the BDD engine's node limit
+	// is fixed); a BacktrackLimit verdict is only deterministic relative
+	// to it.
 	MaxBacktracks int `json:"max_backtracks"`
-	BDDNodeLimit  int `json:"bdd_node_limit,omitempty"`
 	// WarmHash fingerprints the warm-chain state seeded into the
 	// search ("-" when the caller has no chain): seeds steer the DPLL
 	// variable order, so different seeds can reach different models.

@@ -37,8 +37,8 @@ import "fmt"
 // trail, counters, learned clauses, stable exports and model are then
 // identical (modulo the caller's variable translation, which preserves
 // index order and so the initial rank) to a fresh solve — which is what
-// lets the csc layer pin the incremental path against the re-encode path
-// in tests.
+// lets the csc layer check every step against a from-scratch solve of
+// its one-shot formula in tests.
 //
 // Learned clauses are NOT retained across steps. They persist only
 // through the caller's export/absorb/seed cycle (csc.WarmChain), so a

@@ -258,30 +258,6 @@ func TestQuotientPhaseJoinFails(t *testing.T) {
 	}
 }
 
-func TestPropagateStateSignal(t *testing.T) {
-	sgr, _ := FromSTG(parse(t, twoPulse), Options{})
-	aIdx, _ := sgr.SignalIndex("a")
-	m, _ := sgr.Quotient(1 << aIdx)
-	mergedPhases := make([]Phase, m.Graph.NumStates())
-	for i := range mergedPhases {
-		mergedPhases[i] = Phase(i % 4) // arbitrary but well formed per state
-	}
-	if err := m.PropagateStateSignal("n0", mergedPhases); err != nil {
-		t.Fatal(err)
-	}
-	if len(sgr.StateSigs) != 1 || sgr.StateSigs[0].Name != "n0" {
-		t.Fatalf("propagation did not append the signal")
-	}
-	for s := range sgr.States {
-		if sgr.StateSigs[0].Phases[s] != mergedPhases[m.Cover[s]] {
-			t.Fatalf("state %d phase not inherited from its cover", s)
-		}
-	}
-	if err := m.PropagateStateSignal("bad", mergedPhases[:1]); err == nil {
-		t.Fatalf("short phase vector must fail")
-	}
-}
-
 func TestFullCodeWithStateSignals(t *testing.T) {
 	sgr, _ := FromSTG(parse(t, handshake), Options{})
 	phases := []Phase{P0, PUp, P1, PDown}

@@ -1,7 +1,6 @@
 package sg
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -201,21 +200,6 @@ func (m *Merged) ImpliedOf(o int) func(state int) (has0, has1 bool) {
 		}
 	}
 	return func(state int) (bool, bool) { return memo[state][0], memo[state][1] }
-}
-
-// PropagateStateSignal copies the phases solved on the merged graph back
-// to every covered state of the original graph (the paper's propagate(),
-// Figure 5) and appends the signal to the original graph.
-func (m *Merged) PropagateStateSignal(name string, mergedPhases []Phase) error {
-	if len(mergedPhases) != len(m.Graph.States) {
-		return fmt.Errorf("sg: %d phases for %d merged states", len(mergedPhases), len(m.Graph.States))
-	}
-	phases := make([]Phase, len(m.Orig.States))
-	for s := range m.Orig.States {
-		phases[s] = mergedPhases[m.Cover[s]]
-	}
-	m.Orig.StateSigs = append(m.Orig.StateSigs, StateSignal{Name: name, Phases: phases})
-	return nil
 }
 
 // SignalNamesIn lists the base signal names selected by mask, sorted.

@@ -11,7 +11,8 @@ type RandomOptions struct {
 	MaxBranches int
 	// TwoRounds allows a second phase that re-runs some branches with
 	// instance-numbered transitions, the pattern that produces CSC
-	// conflicts (default true).
+	// conflicts across rounds. The zero value (false) generates
+	// single-phase nets only.
 	TwoRounds bool
 }
 

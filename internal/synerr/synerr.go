@@ -31,7 +31,7 @@ var (
 	ErrModuleUnsolvable = errors.New("modular graph unsolvable")
 
 	// ErrConflictsPersist reports that CSC conflicts survived every
-	// expansion-refinement round (Options.MaxExpandIters).
+	// expansion-refinement round (three in internal/core).
 	ErrConflictsPersist = errors.New("CSC conflicts persist after expansion refinement")
 )
 

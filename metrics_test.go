@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+
+	"asyncsyn/internal/bench"
 )
 
 // counterFingerprint flattens the deterministic counters — graph sizes,
@@ -97,6 +99,32 @@ func TestStageCountersSumToRunDelta(t *testing.T) {
 	for _, k := range []string{"sg_states", "sat_clauses", "modules", "espresso_expand"} {
 		if c.Counters[k] == 0 {
 			t.Errorf("counter %s not advanced on mmu1", k)
+		}
+	}
+}
+
+// TestFormulaCountersMatchFormulas: the SAT formula counters of a run
+// count exactly the formulas it reports, whichever method produced
+// them — the Lavagno-style baseline's csc-stage formulas included.
+func TestFormulaCountersMatchFormulas(t *testing.T) {
+	for _, name := range bench.Names() {
+		for _, method := range []Method{Modular, Direct, Lavagno} {
+			t.Run(fmt.Sprintf("%s/%v", name, method), func(t *testing.T) {
+				if testing.Short() && method == Direct && (name == "mr0" || name == "mr1" || name == "mmu0") {
+					t.Skip("one whole-graph formula of several seconds")
+				}
+				c := synthWorkers(t, name, Options{Method: method, MaxBacktracks: 100000, Metrics: NewMetrics()})
+				clauses := int64(0)
+				for _, f := range c.Formulas {
+					clauses += int64(f.Clauses)
+				}
+				if n := c.Counters["sat_formulas"]; n != int64(len(c.Formulas)) {
+					t.Errorf("sat_formulas %d for %d reported formulas", n, len(c.Formulas))
+				}
+				if n := c.Counters["sat_clauses"]; n != clauses {
+					t.Errorf("sat_clauses %d, reported formulas hold %d clauses", n, clauses)
+				}
+			})
 		}
 	}
 }
