@@ -264,15 +264,15 @@ type Options struct {
 	// TokenBound is the per-place token bound (0 means the default of
 	// 1, safe nets; negative is rejected).
 	TokenBound int
-	// Workers bounds the worker pool used by the pipeline's independent
-	// scans — the module stage's conflict counts and scans, whole-graph
-	// CSC analysis, and per-output logic derivation. 0 means GOMAXPROCS,
-	// 1 runs sequentially. The per-output module solves always run one
-	// after another, most-conflicted first, because each module sees the
-	// state signals the earlier ones inserted. The synthesized circuit
-	// (areas, covers, inserted signal names, clause counts) is
-	// bit-for-bit identical for every value: parallel stages always
-	// merge their results in a fixed order, never first-write-wins.
+	// Workers bounds the worker pool of per-signal logic derivation,
+	// the pipeline's one parallel stage. 0 means GOMAXPROCS, 1 runs
+	// sequentially. Conflict scans run as one sequential pass, and the
+	// per-output module solves run one after another, most-conflicted
+	// first, because each module sees the state signals the earlier
+	// ones inserted. The synthesized circuit (areas, covers, inserted
+	// signal names, clause counts) is bit-for-bit identical for every
+	// value: the functions are collected in a fixed order, never
+	// first-write-wins.
 	Workers int
 	// Timeout bounds the wall-clock time of a run (0 = none). An expired
 	// timeout surfaces as an error matching ErrCanceled and
@@ -642,7 +642,7 @@ func synthesizeWholeGraph(ctx context.Context, s *STG, method Method, coreOpt co
 				}
 				return err
 			default: // Lavagno
-				lr, err := lavagno.Solve(ctx, full, coreOpt.SAT.MaxBacktracks)
+				lr, err := lavagno.Solve(ctx, full, coreOpt.SAT)
 				if lr != nil {
 					inserted = lr.Inserted
 					for _, f := range lr.Formulas {

@@ -132,9 +132,9 @@ func BenchmarkParallelTable1(b *testing.B) {
 	b.Run("pool", func(b *testing.B) { benchRowPool(b, 0) })
 }
 
-// BenchmarkParallelSynthesize measures the in-pipeline stage pool
-// (conflict scans, CSC analysis, per-signal logic derivation) on each
-// big row: Workers=1 vs Workers=GOMAXPROCS.
+// BenchmarkParallelSynthesize measures the in-pipeline worker pool
+// (per-signal logic derivation, its one user) on each big row:
+// Workers=1 vs Workers=GOMAXPROCS.
 func BenchmarkParallelSynthesize(b *testing.B) {
 	for _, name := range bigRows {
 		b.Run(name+"/workers=1", func(b *testing.B) {

@@ -19,9 +19,10 @@
 // incremental contract is that an unchanged key reproduces a
 // bit-identical circuit.
 //
-// -workers N bounds the worker pool for the pipeline's parallel stages
-// (0 = GOMAXPROCS, 1 = sequential); the synthesized circuit is
-// identical for every value. -engine bdd solves each formula with a
+// -workers N bounds the worker pool of per-signal logic derivation, the
+// one parallel stage (0 = GOMAXPROCS, 1 = sequential); conflict scans
+// and state-signal insertion run sequentially, and the synthesized
+// circuit is identical for every value. -engine bdd solves each formula with a
 // binary decision diagram, falling back to DPLL past its node budget.
 // -timeout bounds the run's wall-clock time (e.g. -timeout 30s).
 // -trace writes one JSON line per pipeline stage and per SAT formula to
@@ -55,7 +56,7 @@ import (
 func main() {
 	method := flag.String("method", "modular", "synthesis method: modular, direct or lavagno")
 	engine := flag.String("engine", "dpll", "constraint engine: dpll or bdd (minimum-excitation models, dpll past the node budget)")
-	workers := flag.Int("workers", 0, "worker pool for the parallel pipeline stages (0 = GOMAXPROCS, 1 = sequential; output is identical for any value)")
+	workers := flag.Int("workers", 0, "worker pool for per-signal logic derivation (0 = GOMAXPROCS, 1 = sequential; output is identical for any value)")
 	expandXor := flag.Bool("expandxor", false, "use the paper-style expanded CNF for separation constraints")
 	benchName := flag.String("bench", "", "synthesize the named embedded benchmark instead of a file")
 	maxBT := flag.Int64("maxbacktracks", 0, "SAT backtrack budget per formula (0 = default; negative is rejected)")

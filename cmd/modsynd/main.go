@@ -68,7 +68,7 @@ func main() {
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-request synthesis deadline")
 	maxTimeout := flag.Duration("maxtimeout", 10*time.Minute, "cap on the per-request deadline a client may ask for")
 	retryAfter := flag.Duration("retryafter", time.Second, "Retry-After hint returned with 429 responses")
-	workers := flag.Int("workers", 0, "per-job worker pool bound (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "per-job worker pool bound for logic derivation (0 = GOMAXPROCS)")
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "max time to drain in-flight jobs on shutdown before canceling them")
 	peers := flag.String("peers", "", "comma-separated sibling shard base URLs to pull cache records from on miss")
 	peerTimeout := flag.Duration("peertimeout", 2*time.Second, "per-peer cache fetch timeout")

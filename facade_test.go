@@ -270,6 +270,33 @@ func TestLavagnoSuite(t *testing.T) {
 	}
 }
 
+// TestLavagnoEngine: a Lavagno-style run solves every formula, in its
+// csc stage as in expansion refinement, with the run's engine.
+func TestLavagnoEngine(t *testing.T) {
+	for _, name := range []string{"fifo", "nak-pa"} {
+		src, err := bench.Source(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := ParseSTGString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Synthesize(g, Options{Method: Lavagno, Engine: BDD})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(c.Formulas) == 0 {
+			t.Fatalf("%s: no formulas recorded", name)
+		}
+		for i, f := range c.Formulas {
+			if f.Engine != "bdd" {
+				t.Errorf("%s: formula %d of %d solved by %q, want bdd", name, i, len(c.Formulas), f.Engine)
+			}
+		}
+	}
+}
+
 func TestVerifyAPI(t *testing.T) {
 	for _, name := range []string{"fifo", "sbuf-read-ctl", "vbe-ex1"} {
 		src, _ := bench.Source(name)

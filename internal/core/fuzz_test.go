@@ -52,7 +52,7 @@ func fuzzSynthesize(t *testing.T, seed int64, twoRounds bool, refined *[]string)
 	if res.ExpandIters > 1 {
 		*refined = append(*refined, fmt.Sprintf("%s/two=%v", spec.Name, twoRounds))
 	}
-	if conf := sg.AnalyzeStream(res.View, 1); conf.N() != 0 {
+	if conf := sg.AnalyzeStream(res.View); conf.N() != 0 {
 		t.Fatalf("seed %d (two rounds %v): %d conflicts in the final graph", seed, twoRounds, conf.N())
 	}
 	// Oracle: every function value equals the implied value.
@@ -119,7 +119,7 @@ func TestFuzzDirect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: expansion: %v", seed, err)
 		}
-		if conf := sg.AnalyzeStream(view, 1); conf.N() != 0 {
+		if conf := sg.AnalyzeStream(view); conf.N() != 0 {
 			t.Fatalf("seed %d: %d conflicts after direct insertion", seed, conf.N())
 		}
 	}

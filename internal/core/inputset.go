@@ -36,13 +36,6 @@ type InputSet struct {
 	Lb   int
 }
 
-// keepOutputs retains every non-input signal in each module. Removing an
-// output signal removes its edges — the only places an inserted signal's
-// transitions may complete under the input-properness restriction — and
-// measurably degrades the regularity (and hence the area) of the
-// solutions found on concurrency-heavy graphs.
-const keepOutputs = true
-
 // DetermineInputSet computes the input signal set of output o (a base
 // signal index of g), following the paper's Figure 2: start from the
 // immediate input set (signals with a direct causal arc to a transition
@@ -55,9 +48,16 @@ const keepOutputs = true
 // merge (sg.Graph.QuotientCounts): no quotient graph or conflict-pair
 // list is built until PartitionSAT builds the one module.
 //
+// Only input signals are removal candidates: every non-input signal
+// stays in each module. Removing an output signal removes its edges —
+// the only places an inserted signal's transitions may complete under
+// the input-properness restriction — and measurably degrades the
+// regularity (and hence the area) of the solutions found on
+// concurrency-heavy graphs.
+//
 // The STG is needed only for the trigger relation. spec may be nil: the
 // immediate input set is then empty, so every active input signal is a
-// removal candidate (keepOutputs keeps the non-inputs).
+// removal candidate.
 func DetermineInputSet(g *sg.Graph, spec *stg.G, o int) InputSet {
 	is := InputSet{Output: o}
 
@@ -77,24 +77,16 @@ func DetermineInputSet(g *sg.Graph, spec *stg.G, o int) InputSet {
 	implied1 := impliedOnes(g, o)
 	nCSC, lb := g.OutputCounts(implied1)
 
-	// Candidate removal order: by signal name, inputs considered before
-	// non-inputs so environment signals are shed first when possible.
+	// Candidate removal order: by signal name.
 	var candidates []int
 	for i := range g.Base {
-		if i == o || immediate[i] || g.Active&(1<<i) == 0 {
-			continue
-		}
-		if !g.Base[i].Input && keepOutputs {
+		if i == o || immediate[i] || g.Active&(1<<i) == 0 || !g.Base[i].Input {
 			continue
 		}
 		candidates = append(candidates, i)
 	}
 	sort.Slice(candidates, func(a, b int) bool {
-		ca, cb := candidates[a], candidates[b]
-		if g.Base[ca].Input != g.Base[cb].Input {
-			return g.Base[ca].Input
-		}
-		return g.Base[ca].Name < g.Base[cb].Name
+		return g.Base[candidates[a]].Name < g.Base[candidates[b]].Name
 	})
 
 	// A trial is rejected when a phase join fails (the signal carries a

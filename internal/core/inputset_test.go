@@ -43,7 +43,7 @@ func legacyDetermineInputSet(g *sg.Graph, spec *stg.G, o int, trial func(gw *sg.
 		if i == o || immediate[i] || g.Active&(1<<i) == 0 {
 			continue
 		}
-		if !g.Base[i].Input && keepOutputs {
+		if !g.Base[i].Input {
 			continue
 		}
 		candidates = append(candidates, i)

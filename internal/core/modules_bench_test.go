@@ -10,17 +10,17 @@ import (
 	"asyncsyn/internal/stg"
 )
 
-// BenchmarkRunModules measures the module-solve stage on mmu1 at
-// Workers 4: the pool serves the conflict scans, and the modules solve
-// one after another. The graph build is inside the loop (runModules
-// mutates the graph), so treat deltas, not absolutes, as the signal;
-// cmd/allocheck gates its allocs/op.
+// BenchmarkRunModules measures the module-solve stage on mmu1: the
+// conflict scans and the module solves run one after another. The
+// graph build is inside the loop (runModules mutates the graph), so
+// treat deltas, not absolutes, as the signal; cmd/allocheck gates its
+// allocs/op.
 func BenchmarkRunModules(b *testing.B) {
 	spec, err := bench.Load("mmu1")
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := Options{Workers: 4}.withDefaults()
+	opt := Options{}.withDefaults()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		full, err := sg.FromSTG(spec, sg.Options{})

@@ -83,7 +83,7 @@ func TestExpandToCSCRefinementResolves(t *testing.T) {
 	if len(fallback) == 0 {
 		t.Fatalf("refinement solved no formula")
 	}
-	if conf := sg.AnalyzeStream(view, 1); conf.N() != 0 {
+	if conf := sg.AnalyzeStream(view); conf.N() != 0 {
 		t.Fatalf("%d conflicts survive refinement", conf.N())
 	}
 }

@@ -274,7 +274,7 @@ func TestOverlapUSCMatchesLegacy(t *testing.T) {
 	pairs, rounds := 0, 0
 	for _, spec := range append(residualSpecs(t, 60), randomSpecs(t, 60, true)...) {
 		g := moduleGraph(t, spec, opt)
-		if sg.AnalyzeWorkers(g, 1).N() > 0 {
+		if sg.Analyze(g).N() > 0 {
 			if _, err := csc.Solve(ctx, g, opt.SAT); err != nil {
 				t.Fatalf("%s: residual: %v", spec.Name, err)
 			}
@@ -298,7 +298,7 @@ func TestOverlapUSCMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conf := sg.AnalyzeStream(view, 1)
+			conf := sg.AnalyzeStream(view)
 			if conf.N() == 0 {
 				break
 			}

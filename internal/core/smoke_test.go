@@ -56,7 +56,7 @@ func TestSmokeTwoPhase(t *testing.T) {
 	if res.Inserted < 1 {
 		t.Fatalf("inserted %d state signals, want ≥1", res.Inserted)
 	}
-	if got := sg.AnalyzeStream(res.View, 1); got.N() != 0 {
+	if got := sg.AnalyzeStream(res.View); got.N() != 0 {
 		t.Fatalf("expanded graph still has %d conflicts", got.N())
 	}
 	if len(res.Functions) < 2 { // b plus at least one state signal

@@ -12,7 +12,6 @@ import (
 	"asyncsyn/internal/metrics"
 	"asyncsyn/internal/par"
 	"asyncsyn/internal/pipeline"
-	"asyncsyn/internal/sat"
 	"asyncsyn/internal/sg"
 	"asyncsyn/internal/stg"
 	"asyncsyn/internal/synerr"
@@ -26,15 +25,14 @@ type Options struct {
 	SAT csc.SolveOptions
 	// StateGraph tunes reachability generation.
 	StateGraph sg.Options
-	// Workers bounds the worker pool used by the pipeline's independent
-	// scans: the pre-sort conflict counts of the module stage, the
-	// partition passes' conflict scans, the residual and expanded-graph
-	// CSC analyses, and per-signal logic derivation. 0 means GOMAXPROCS;
-	// 1 runs sequentially. The module solves themselves always run one
-	// after another in the paper's most-conflicted-first order, since
-	// each module sees the state signals earlier ones inserted. The
-	// synthesized circuit is bit-for-bit identical for every value —
-	// parallel stages always reduce in a fixed order (DESIGN.md §3.8).
+	// Workers bounds the worker pool of per-signal logic derivation,
+	// the one stage that fans out: 0 means GOMAXPROCS, 1 runs
+	// sequentially. Conflict scans run as one sequential pass, and the
+	// module solves run one after another in the paper's
+	// most-conflicted-first order, since each module sees the state
+	// signals earlier ones inserted. The synthesized circuit is
+	// bit-for-bit identical for every value — the functions are
+	// collected in a fixed order (DESIGN.md §3.8).
 	Workers int
 
 	// Ablation and test hooks, set only by this package's tests.
@@ -81,8 +79,7 @@ type OutputReport struct {
 	Lb           int
 	NewSignals   int
 	// Widened is true when the restricted module was unsolvable and the
-	// reported pass ran on a widened input set (non-inputs restored, or
-	// the full graph).
+	// reported pass ran on the whole graph instead.
 	Widened  bool
 	Formulas []csc.FormulaStats
 }
@@ -179,8 +176,10 @@ func Synthesize(ctx context.Context, spec *stg.G, opt Options) (*Result, error) 
 		{Name: "residual", Run: func(ctx context.Context) error {
 			// Residual whole-graph conflicts (the integration of local
 			// solutions is not guaranteed optimal or even complete in
-			// theory; in practice this pass is a no-op).
-			if conf := sg.AnalyzeWorkers(full, opt.Workers); conf.N() > 0 {
+			// theory; in practice this pass is a no-op, and
+			// TestResidualSolveNeeded pins a case that expansion
+			// refinement could not repair without it).
+			if conf := sg.Analyze(full); conf.N() > 0 {
 				dr, err := csc.Solve(ctx, full, opt.SAT)
 				if dr != nil {
 					res.Fallback = append(res.Fallback, dr.Formulas...)
@@ -245,20 +244,12 @@ func runModules(ctx context.Context, full *sg.Graph, spec *stg.G, opt Options, r
 	// degrades area.
 	//
 	// Each output's conflict count is computed exactly once, by the
-	// counting evaluator on the unmerged graph, with the independent
-	// outputs fanned out over the worker pool (the comparator itself must
-	// stay cheap: it runs O(n log n) times).
+	// counting evaluator on the unmerged graph (the comparator itself
+	// must stay cheap: it runs O(n log n) times).
 	outs := nonInputsByName(full)
-	counts, err := par.Map(len(outs), opt.Workers, func(i int) (int, error) {
-		// outputStats is a pure scan with no failure mode (its second
-		// return is a count, not an error), so the closure can only
-		// return nil here; the outer error is still propagated so a
-		// future failure mode cannot be silently dropped.
-		n, _ := outputStats(full, outs[i])
-		return n, nil
-	})
-	if err != nil {
-		return nil, nil, err
+	counts := make([]int, len(outs))
+	for i, o := range outs {
+		counts[i], _ = outputStats(full, o)
 	}
 	order := make([]int, len(outs))
 	for i := range order {
@@ -313,38 +304,23 @@ func runModules(ctx context.Context, full *sg.Graph, spec *stg.G, opt Options, r
 	return supports, passSigs, nil
 }
 
-// solveModule runs partition_sat on the output's input set, widening the
-// module when its restricted form is unsolvable: an input set can retain
-// too few output edges for the new signals' transitions to complete
-// across (the input-properness restriction: excitations cannot finish
-// across environment-driven edges). The chain retries first with every
-// non-input signal restored, then on the full graph. Budget exhaustion
-// and cancellation skip the chain entirely — widening only ever makes
-// those formulas harder — and cancellation also breaks out of it.
-// widened reports whether the returned result came from a widened set.
+// solveModule runs partition_sat on the output's input set and, when
+// the restricted module is unsolvable, once more on the whole graph: an
+// input set can retain too few output edges for the new signals'
+// transitions to complete across (the input-properness restriction:
+// excitations cannot finish across environment-driven edges). Budget
+// exhaustion and cancellation skip the retry — widening only ever makes
+// those formulas harder. widened reports whether the returned result
+// came from the whole graph; a failed retry returns its own report and
+// error with the original input set.
 func solveModule(ctx context.Context, full *sg.Graph, is InputSet, opt Options) (InputSet, *PartitionResult, bool, error) {
-	// One warm chain spans the whole fallback chain. Each PartitionSAT
-	// rebinds it to its own quotient, dropping clauses whenever the
-	// widened quotient is structurally different — clauses learned on a
-	// coarser graph's edges are not implied by a finer one's.
-	if opt.SAT.Chain == nil {
-		opt.SAT.Chain = csc.NewWarmChain()
-	}
-	if opt.SAT.Incr == nil {
-		opt.SAT.Incr = csc.NewChainSolver()
-	}
 	pr, err := PartitionSAT(ctx, full, is, opt)
 	if err == nil || errors.Is(err, synerr.ErrBacktrackLimit) || errors.Is(err, synerr.ErrCanceled) {
 		return is, pr, false, err
 	}
-	for _, wider := range []InputSet{widenNonInputs(full, is), widenAll(full, is.Output)} {
-		pr, err = PartitionSAT(ctx, full, wider, opt)
-		if err == nil {
-			return wider, pr, true, nil
-		}
-		if errors.Is(err, synerr.ErrCanceled) {
-			break
-		}
+	wider := widenAll(full, is.Output)
+	if pr, err = PartitionSAT(ctx, full, wider, opt); err == nil {
+		return wider, pr, true, nil
 	}
 	return is, pr, false, err
 }
@@ -373,11 +349,7 @@ func ExpandToCSC(ctx context.Context, g *sg.Graph, opt Options) (view *sg.Stream
 	// Every refinement round solves formulas on the same graph g (only
 	// phase columns are appended between rounds), so one warm chain
 	// and one chain solver serve them all.
-	opt.SAT.Chain = csc.NewWarmChain()
-	opt.SAT.Chain.Rebind(g)
-	if opt.SAT.Incr == nil {
-		opt.SAT.Incr = csc.NewChainSolver()
-	}
+	opt.SAT = opt.SAT.WithChain()
 	mc := metrics.From(ctx)
 	for iters = 1; ; iters++ {
 		view, err = g.ExpandStream()
@@ -387,7 +359,7 @@ func ExpandToCSC(ctx context.Context, g *sg.Graph, opt Options) (view *sg.Stream
 		mc.Add(metrics.SGStates, int64(view.NumStates()))
 		mc.Add(metrics.SGStatesStreamed, int64(view.NumStates()))
 		mc.Max(metrics.SGPeakFrontier, int64(view.PeakFrontier))
-		conf := sg.AnalyzeStream(view, opt.Workers)
+		conf := sg.AnalyzeStream(view)
 		if conf.N() == 0 {
 			return view, iters, fallback, nil
 		}
@@ -436,33 +408,16 @@ func refinementConflicts(g *sg.Graph, origin []int, conf *sg.Conflicts) *sg.Conf
 }
 
 // solveRefinement inserts state signals into g separating the refined
-// conflict pairs: one joint attempt at m=1, then greedy incremental
-// insertion (cascaded instances cannot be reached by growing m jointly).
-// Budget exhaustion returns an error matching synerr.ErrBacktrackLimit.
+// conflict pairs with the Figure 4 loop (csc.Insert) at m=1: one joint
+// attempt, then greedy insertion of up to maxSignals signals (cascaded
+// instances cannot be reached by growing m jointly), re-evaluating
+// after each insertion which refined pairs remain unseparated. Signals
+// are named <prefix>x<round>_<index>. Budget exhaustion returns an
+// error matching synerr.ErrBacktrackLimit.
 func solveRefinement(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, opt Options, round int) ([]csc.FormulaStats, error) {
-	var stats []csc.FormulaStats
-	cols, st, err := csc.Attempt(ctx, g, conf, 1, opt.SAT)
-	if err != nil {
-		return stats, err
-	}
-	stats = append(stats, st)
-	switch st.Status {
-	case sat.Sat:
-		g.StateSigs = append(g.StateSigs, sg.StateSignal{
-			Name:   fmt.Sprintf("%sx%d_%d", opt.SAT.NamePrefix, round, len(g.StateSigs)),
-			Phases: cols[0],
-		})
-		return stats, nil
-	case sat.BacktrackLimit:
-		return stats, fmt.Errorf("core: expansion refinement round %d: %w", round, synerr.ErrBacktrackLimit)
-	}
-
-	// Incremental: re-evaluate which refined pairs remain unseparated
-	// after each insertion.
-	pairs := append([]sg.Pair(nil), conf.CSC...)
 	refresh := func() *sg.Conflicts {
 		out := &sg.Conflicts{LowerBound: 1}
-		for _, p := range pairs {
+		for _, p := range conf.CSC {
 			if !stablySeparated(g, p) {
 				out.CSC = append(out.CSC, p)
 			}
@@ -472,12 +427,11 @@ func solveRefinement(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, opt O
 	}
 	sopt := opt.SAT
 	sopt.NamePrefix = fmt.Sprintf("%sx%d_", opt.SAT.NamePrefix, round)
-	_, istats, err := csc.InsertIncremental(ctx, g, refresh, sopt, maxSignals)
-	stats = append(stats, istats...)
+	res, err := csc.Insert(ctx, g, conf, refresh, 1, maxSignals, sopt)
 	if err != nil {
-		return stats, fmt.Errorf("core: expansion refinement: %w", err)
+		return res.Formulas, fmt.Errorf("core: expansion refinement round %d: %w", round, err)
 	}
-	return stats, nil
+	return res.Formulas, nil
 }
 
 // stablySeparated reports whether some state signal holds stable
@@ -621,19 +575,6 @@ func supportFor(full *sg.Graph, sigIdx int, supports map[int]InputSet) (InputSet
 	}
 	is, ok := supports[sigIdx]
 	return is, ok
-}
-
-// widenNonInputs returns is with every non-input signal restored to the
-// module (their edges can host state-signal completions).
-func widenNonInputs(g *sg.Graph, is InputSet) InputSet {
-	out := is
-	for i, b := range g.Base {
-		if !b.Input {
-			out.Mask |= 1 << i
-		}
-	}
-	out.Silenced = g.Active &^ out.Mask
-	return out
 }
 
 // widenAll returns the trivial input set covering the whole graph.

@@ -77,7 +77,7 @@ func logicInputs(tb testing.TB, spec *stg.G, opt Options) (*sg.Stream, *sg.Graph
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if n := sg.AnalyzeWorkers(full, 1).N(); n > 0 {
+	if n := sg.Analyze(full).N(); n > 0 {
 		tb.Fatalf("%s: %d residual conflicts: the input needs the residual solve", spec.Name, n)
 	}
 	csc.Prune(full)

@@ -37,6 +37,7 @@ import (
 func Attempt(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, opt SolveOptions) ([][]sg.Phase, FormulaStats, error) {
 	opt = opt.withDefaults()
 	start := time.Now()
+	opt.Chain.bind(g)
 	if opt.Cache == nil {
 		cols, stats, _, err := solveUncached(ctx, g, conf, m, opt, start)
 		return cols, stats, err

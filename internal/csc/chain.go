@@ -40,18 +40,11 @@ type ChainSolver struct {
 	lay     layout // lay.lo[k]: first solver variable of column k
 	colOff  []bool // column k currently deactivated
 
-	// Variable translation between the solver's space and the space of
-	// the equivalent one-shot formula, for warm-chain seeds in and
-	// stable exports out. Auxiliary and guard variables map to -1.
-	incToFresh []int32
-	freshToInc []int32
-
 	// Fresh-formula-equivalent sizes of the current assumption group.
 	grpAux, grpCl, grpLit int
 
-	emit     emitter
-	seedBuf  [][]sat.Lit
-	seedLits []sat.Lit
+	emit  emitter
+	seeds seedBuf
 
 	// check, when set, is handed every completed step; the package
 	// tests use it to compare each step with its one-shot formula.
@@ -59,13 +52,14 @@ type ChainSolver struct {
 }
 
 // chainStep is one completed step as check sees it: its problem, the
-// warm-chain seeds it was given, and its outcome, with the stable
-// exports in the one-shot formula's variable space.
+// warm-chain seeds it was given and its outcome, both over the solver's
+// variables, and the layout of its state variables.
 type chainStep struct {
 	g     *sg.Graph
 	conf  *sg.Conflicts
 	m     int
 	opt   SolveOptions
+	lay   layout
 	seeds *sat.Warm
 	r     sat.Result
 	stats FormulaStats
@@ -95,17 +89,6 @@ func (c *ChainSolver) rebind(g *sg.Graph) {
 	}
 	c.lay = layout{n: len(g.States), lo: c.lay.lo[:0]}
 	c.colOff = c.colOff[:0]
-	c.incToFresh = c.incToFresh[:0]
-	c.freshToInc = c.freshToInc[:0]
-}
-
-// padTranslation extends incToFresh with "no fresh counterpart" entries
-// for solver variables allocated since the last column block (group
-// auxiliaries and guards).
-func (c *ChainSolver) padTranslation() {
-	for len(c.incToFresh) < c.inc.NumVars() {
-		c.incToFresh = append(c.incToFresh, -1)
-	}
 }
 
 // edgeBlock lists an edge's edge-compatibility clauses, one per blocked
@@ -133,16 +116,12 @@ var (
 // appendBlocks generates the columns' edge blocks at every step.
 func (c *ChainSolver) ensureColumns(m int) {
 	for k := len(c.lay.lo); k < m; k++ {
-		c.padTranslation()
 		c.lay.lo = append(c.lay.lo, c.inc.NumVars())
 		c.colOff = append(c.colOff, false)
 		for s := 0; s < c.lay.n; s++ {
 			av := c.inc.NewVar()
 			c.inc.NewVar()
 			c.inc.Prefer(av, false)
-			fa := int32(2 * (k*c.lay.n + s))
-			c.incToFresh = append(c.incToFresh, fa, fa+1)
-			c.freshToInc = append(c.freshToInc, int32(av), int32(av+1))
 		}
 	}
 }
@@ -208,33 +187,6 @@ func (s chainSink) add(lits []sat.Lit) {
 	}
 }
 
-// translateSeeds maps warm-chain seed clauses from the one-shot
-// formula's variable space into the solver's. Buffers are reused
-// across steps.
-func (c *ChainSolver) translateSeeds(w *sat.Warm) *sat.Warm {
-	if w == nil {
-		return nil
-	}
-	need := 0
-	for _, cl := range w.Clauses {
-		need += len(cl)
-	}
-	if cap(c.seedLits) < need {
-		c.seedLits = make([]sat.Lit, 0, need)
-	}
-	c.seedLits = c.seedLits[:0]
-	c.seedBuf = c.seedBuf[:0]
-	for _, cl := range w.Clauses {
-		lo := len(c.seedLits)
-		for _, l := range cl {
-			iv := c.freshToInc[l.Var()]
-			c.seedLits = append(c.seedLits, sat.Lit(2*iv)|(l&1))
-		}
-		c.seedBuf = append(c.seedBuf, c.seedLits[lo:len(c.seedLits):len(c.seedLits)])
-	}
-	return &sat.Warm{Clauses: c.seedBuf}
-}
-
 // solve is one DPLL attempt: emit, search, decode, tighten. It records
 // the formula in the run's metrics and trace, absorbs the stable
 // exports into opt.Chain and returns their normalized form (see
@@ -257,9 +209,8 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 	c.grpAux, c.grpCl, c.grpLit = 0, 0, 0
 	c.emit.sink, c.emit.lay = chainSink{c}, c.lay
 	c.emit.pairs(m, conf, opt.ExpandXor)
-	c.padTranslation()
 
-	seeds := opt.Chain.Seed(len(g.States), m)
+	seeds := opt.Chain.seed(c.lay, m, &c.seeds)
 	if seeds != nil {
 		metrics.From(ctx).Add(metrics.SATWarmClauses, int64(len(seeds.Clauses)))
 	}
@@ -270,30 +221,8 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 		Append: func(arena []sat.Lit) []sat.Lit { return c.appendBlocks(arena, m) }}
 	r := c.inc.SolveStep(block, sat.Limits{
 		MaxBacktracks: opt.MaxBacktracks, Ctx: ctx, ExportStable: exportStable,
-	}, c.translateSeeds(seeds))
+	}, seeds)
 	search := time.Since(t0)
-
-	// Map exports back to the fresh variable space; a clause touching a
-	// variable with no fresh counterpart cannot occur (stable derivations
-	// involve only state variables) but is dropped defensively.
-	if len(r.StableLearned) > 0 {
-		kept := r.StableLearned[:0]
-		for _, cl := range r.StableLearned {
-			ok := true
-			for i, l := range cl {
-				fv := c.incToFresh[l.Var()]
-				if fv < 0 {
-					ok = false
-					break
-				}
-				cl[i] = sat.Lit(2*fv) | (l & 1)
-			}
-			if ok {
-				kept = append(kept, cl)
-			}
-		}
-		r.StableLearned = kept
-	}
 
 	stats = FormulaStats{
 		Signals: m, Vars: 2*c.lay.n*m + c.grpAux, Clauses: block.Clauses + c.grpCl,
@@ -306,7 +235,7 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 	emitFormula(ctx, stats)
 	recordFormula(ctx, stats, r)
 	if opt.Chain != nil && len(r.StableLearned) > 0 {
-		norm = opt.Chain.Normalize(len(g.States), m, r.StableLearned)
+		norm = opt.Chain.normalize(c.lay, m, r.StableLearned)
 		opt.Chain.AbsorbNormalized(norm)
 	}
 	if r.Status == sat.Sat {
@@ -314,7 +243,7 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 		Tighten(g, conf, cols)
 	}
 	if c.check != nil {
-		c.check(chainStep{g: g, conf: conf, m: m, opt: opt, seeds: seeds, r: r, stats: stats, cols: cols})
+		c.check(chainStep{g: g, conf: conf, m: m, opt: opt, lay: c.lay, seeds: seeds, r: r, stats: stats, cols: cols})
 	}
 	return cols, stats, norm, nil
 }

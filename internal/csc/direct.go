@@ -8,7 +8,6 @@ import (
 	"asyncsyn/internal/modcache"
 	"asyncsyn/internal/sat"
 	"asyncsyn/internal/sg"
-	"asyncsyn/internal/synerr"
 )
 
 // Engine selects the SAT engine used to solve CSC formulas.
@@ -37,8 +36,8 @@ const DefaultMaxBacktracks = 2000000
 // maxDirectSignals bounds the direct method's state-signal insertion.
 const maxDirectSignals = 8
 
-// SolveOptions configures CSC solving: one Attempt, the incremental
-// insertion loop and the direct whole-graph method.
+// SolveOptions configures CSC solving: one Attempt, the Figure 4
+// insertion loop (Insert) and the direct whole-graph method.
 type SolveOptions struct {
 	Engine Engine
 	// ExpandXor generates the paper-style direct CNF expansion of the
@@ -57,11 +56,11 @@ type SolveOptions struct {
 	// Chain, when non-nil, carries reusable learned clauses across the
 	// related formulas of one solve chain: DPLL searches are seeded
 	// with the chain's clauses and export their own stable learnings
-	// back (see WarmChain).
+	// back (see WarmChain). Insert makes one per call when it is nil.
 	Chain *WarmChain
 	// Incr, when non-nil, is the chain's incremental solver: every DPLL
-	// search of the chain runs on it (see ChainSolver). Attempt makes a
-	// one-off solver when it is nil.
+	// search of the chain runs on it (see ChainSolver). Insert makes
+	// one per call, and Attempt a one-off one, when it is nil.
 	Incr *ChainSolver
 	// NamePrefix names inserted signals (default "csc").
 	NamePrefix string
@@ -114,68 +113,28 @@ type Result struct {
 }
 
 // Solve resolves all CSC conflicts of g by inserting state signals found
-// from a single whole-graph SAT formula — the direct, no-decomposition
-// method of Vanbekbergen et al. The graph is modified in place (phase
-// columns are appended). Following the paper's Figure 4 loop, m starts
-// at the conflict lower bound and grows on UNSAT.
+// from whole-graph SAT formulas — the direct, no-decomposition method of
+// Vanbekbergen et al. — with the paper's Figure 4 loop (Insert): joint
+// formulas at the conflict lower bound and one above, then greedy
+// insertion of up to maxDirectSignals signals. The graph is modified in
+// place (phase columns are appended), and a joint model that leaves a
+// conflict is an error.
 //
 // A backtrack-budget exhaustion returns an error matching
 // synerr.ErrBacktrackLimit (alongside the partial Result); a canceled
 // ctx returns one matching synerr.ErrCanceled.
 func Solve(ctx context.Context, g *sg.Graph, opt SolveOptions) (*Result, error) {
-	opt = opt.withDefaults()
-	if opt.Chain == nil {
-		opt.Chain = NewWarmChain()
-	}
-	opt.Chain.Rebind(g)
-	if opt.Incr == nil {
-		opt.Incr = NewChainSolver()
-	}
-	res := &Result{}
 	conf := sg.Analyze(g)
 	if conf.N() == 0 {
-		return res, nil
+		return &Result{}, nil
 	}
-	m := conf.LowerBound
-	if m < 1 {
-		m = 1
-	}
-	// Joint insertion at the lower bound and one above (Figure 4's while
-	// loop); beyond that the joint formulas' UNSAT proofs blow up on
-	// cascaded-signal instances, so switch to greedy incremental
-	// insertion.
-	jointCap := min(m+1, maxDirectSignals)
-	for ; m <= jointCap; m++ {
-		cols, stats, err := Attempt(ctx, g, conf, m, opt)
-		if err != nil {
-			return res, err
-		}
-		res.Formulas = append(res.Formulas, stats)
-		switch stats.Status {
-		case sat.Sat:
-			for _, col := range cols {
-				g.StateSigs = append(g.StateSigs, sg.StateSignal{
-					Name:   fmt.Sprintf("%s%d", opt.NamePrefix, len(g.StateSigs)),
-					Phases: col,
-				})
-			}
-			res.Inserted += m
-			if left := sg.Analyze(g); left.N() != 0 {
-				return res, fmt.Errorf("csc: %d conflicts remain after a satisfying assignment", left.N())
-			}
-			return res, nil
-		case sat.BacktrackLimit:
-			return res, fmt.Errorf("csc: joint %d-signal formula: %w", m, synerr.ErrBacktrackLimit)
-		case sat.Unsat:
-			// Grow m, then fall through to incremental insertion.
-		}
-	}
-	inserted, stats, err := InsertIncremental(ctx, g,
-		func() *sg.Conflicts { return sg.Analyze(g) }, opt, maxDirectSignals)
-	res.Formulas = append(res.Formulas, stats...)
-	res.Inserted += inserted
+	jointCap := min(max(conf.LowerBound, 1)+1, maxDirectSignals)
+	res, err := Insert(ctx, g, conf, func() *sg.Conflicts { return sg.Analyze(g) }, jointCap, maxDirectSignals, opt)
 	if err != nil {
 		return res, err
+	}
+	if left := sg.Analyze(g); left.N() != 0 {
+		return res, fmt.Errorf("csc: %d conflicts remain after a satisfying assignment", left.N())
 	}
 	return res, nil
 }

@@ -41,10 +41,10 @@ func bitsPhase(a, b bool) sg.Phase {
 
 // layout places the state variables of a SAT-CSC formula over n states:
 // column k's (a, b) bit pair for state s is variables a(s, k) = lo[k]+2s
-// and b(s, k) = a(s, k)+1. The one-shot formula of a solve (the package
-// tests' reference encoding, and the variable space of warm-chain seeds
-// and exports) is column-major, with lo[k] = 2kn; the ChainSolver's
-// layout has lo[k] at the first variable it allocated for column k.
+// and b(s, k) = a(s, k)+1. The ChainSolver's layout, the one warm-chain
+// seeds and exports are stated in, has lo[k] at the first variable it
+// allocated for column k; the package tests' one-shot reference formula
+// is column-major, with lo[k] = 2kn.
 type layout struct {
 	n  int
 	lo []int
@@ -52,6 +52,17 @@ type layout struct {
 
 func (l layout) a(s, k int) int { return l.lo[k] + 2*s }
 func (l layout) b(s, k int) int { return l.lo[k] + 2*s + 1 }
+
+// column returns the column, among the first m, whose state variables
+// hold variable v, or -1 when none does.
+func (l layout) column(v, m int) int {
+	for k := 0; k < m; k++ {
+		if v >= l.lo[k] && v < l.lo[k]+2*l.n {
+			return k
+		}
+	}
+	return -1
+}
 
 // decode extracts the phase columns of the first m columns from a model.
 func (l layout) decode(model []bool, m int) [][]sg.Phase {

@@ -10,27 +10,29 @@ import (
 )
 
 // WarmChain accumulates reusable learned clauses across the related
-// formulas of one solve chain: the widening attempts of a module, the
-// m → m+1 growth of Figure 4's joint loop, and the per-candidate
-// formulas of incremental insertion. All of these share the same state
-// graph, so their edge-compatibility clauses are identical per signal
-// column; learned clauses derived exclusively from that stable prefix
+// formulas of one solve chain: the m → m+1 growth of Figure 4's joint
+// loop, the per-candidate formulas of its greedy tail (Insert) and the
+// rounds of expansion refinement. All of these share one state graph,
+// so their edge-compatibility clauses are identical per signal column;
+// learned clauses derived exclusively from that stable prefix
 // (sat.Result.StableLearned) are consequences of every formula in the
 // chain and can seed later searches.
 //
 // Clauses are stored in a column-normalized space — variable 2s+bit for
 // state s's (a,b) bit pair, signs preserved — because a stable learned
 // clause constrains a single signal column and every column is
-// symmetric: Seed re-instantiates each clause at every column of the
-// next formula.
+// symmetric: seed re-instantiates each clause at every column of the
+// next step, in the chain solver's own layout (a(s, k) = lo[k]+2s).
 //
-// A chain is bound to one graph (Rebind): reusing clauses across
-// different graphs is unsound, since a clause learned from a coarser
-// quotient's edges can exclude models of a finer one. A WarmChain is
-// not safe for concurrent use; chains are per-module and modules solve
-// sequentially. All methods are nil-receiver safe no-ops.
+// A chain is bound to one graph by identity (Attempt binds it to the
+// graph it solves), as a ChainSolver is, and drops its clauses when it
+// is handed another: reusing clauses across graphs is unsound, since a
+// clause learned from a coarser quotient's edges can exclude models of
+// a finer one. A WarmChain is not safe for concurrent use; chains are
+// per-module and modules solve sequentially. All methods are
+// nil-receiver safe no-ops.
 type WarmChain struct {
-	fp      string
+	g       *sg.Graph
 	clauses [][]sat.Lit
 	seen    map[string]struct{}
 }
@@ -44,42 +46,18 @@ func NewWarmChain() *WarmChain {
 	return &WarmChain{seen: make(map[string]struct{})}
 }
 
-// Rebind attaches the chain to g, dropping all accumulated clauses if
-// the chain was bound to a structurally different graph. Structure
-// means exactly what the stable prefix encodes: the state count and the
-// labelled edge relation (signal, direction, input-ness per edge).
-func (c *WarmChain) Rebind(g *sg.Graph) {
-	if c == nil {
+// bind attaches the chain to g, dropping every accumulated clause when
+// it was bound to another graph. The formulas of one chain are solved
+// on one graph object (a module's quotient, or the full graph, which
+// refinement rounds only extend by phase columns, never by states or
+// edges), so identity is the whole test.
+func (c *WarmChain) bind(g *sg.Graph) {
+	if c == nil || c.g == g {
 		return
 	}
-	fp := graphFingerprint(g)
-	if c.fp == fp {
-		return
-	}
-	c.fp = fp
+	c.g = g
 	c.clauses = c.clauses[:0]
 	clear(c.seen)
-}
-
-// graphFingerprint hashes the inputs of the edge-compatibility clauses.
-func graphFingerprint(g *sg.Graph) string {
-	h := sha256.New()
-	var buf [8]byte
-	w := func(vs ...uint64) {
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], v)
-			h.Write(buf[:])
-		}
-	}
-	w(uint64(len(g.States)), uint64(len(g.Edges)))
-	for _, e := range g.Edges {
-		in := uint64(0)
-		if g.InputEdge(e) {
-			in = 1
-		}
-		w(uint64(e.From), uint64(e.To), uint64(e.Sig+1), uint64(e.Dir), in)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Hash fingerprints the chain's current seed state for cache keys. A
@@ -106,50 +84,55 @@ func (c *WarmChain) Hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Len returns the number of accumulated normalized clauses.
-func (c *WarmChain) Len() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.clauses)
+// seedBuf is the reusable backing of the seed clauses of one step.
+type seedBuf struct {
+	lits []sat.Lit
+	cls  [][]sat.Lit
 }
 
-// Seed instantiates the chain's clauses for a formula over numStates
-// states and m signal columns, in deterministic (absorption) order:
-// each normalized clause yields one concrete clause per column. Returns
-// nil when there is nothing to seed.
-func (c *WarmChain) Seed(numStates, m int) *sat.Warm {
+// seed instantiates the chain's clauses for a step over the first m
+// columns of the chain solver's layout lay, in deterministic
+// (absorption) order: each normalized clause yields one clause per
+// column k, its variable 2s+bit moved to lo[k]+2s+bit. The clauses are
+// carved from buf, reused across steps. Returns nil when there is
+// nothing to seed.
+func (c *WarmChain) seed(lay layout, m int, buf *seedBuf) *sat.Warm {
 	if c == nil || len(c.clauses) == 0 {
 		return nil
 	}
-	w := &sat.Warm{Clauses: make([][]sat.Lit, 0, len(c.clauses)*m)}
+	need := 0
+	for _, cl := range c.clauses {
+		need += m * len(cl)
+	}
+	if cap(buf.lits) < need {
+		buf.lits = make([]sat.Lit, 0, need)
+	}
+	lits, cls := buf.lits[:0], buf.cls[:0]
 	for _, cl := range c.clauses {
 		for k := 0; k < m; k++ {
-			inst := make([]sat.Lit, len(cl))
-			for i, l := range cl {
-				nv := l.Var() // 2s + bit
-				s, bit := nv>>1, nv&1
-				v := 2*(k*numStates+s) + bit // column-major Encode layout
-				inst[i] = sat.Lit(2*v) | sat.Lit(l&1)
+			lo, off := len(lits), sat.Lit(2*lay.lo[k])
+			for _, l := range cl {
+				lits = append(lits, l+off)
 			}
-			w.Clauses = append(w.Clauses, inst)
+			cls = append(cls, lits[lo:len(lits):len(lits)])
 		}
 	}
-	return w
+	buf.lits, buf.cls = lits, cls
+	return &sat.Warm{Clauses: cls}
 }
 
-// Normalize maps an exported clause set (sat.Result.StableLearned, in
-// the variable layout of Encode for numStates states and m columns)
-// into the chain's column-normalized space. Clauses that touch
-// auxiliary variables or span more than one column are discarded: only
+// normalize maps a step's stable exports (sat.Result.StableLearned,
+// over the chain solver's layout lay, of which the step used the first
+// m columns) into the chain's column-normalized space. Clauses that
+// touch any other variable (an auxiliary or guard of the step's
+// assumption group) or span more than one column are discarded: only
 // single-column state-variable clauses are column-symmetric. The result
 // is deduplicated and order-deterministic; it does not depend on the
 // chain's current contents (cache entries store it verbatim).
-func (c *WarmChain) Normalize(numStates, m int, exported [][]sat.Lit) [][]sat.Lit {
+func (c *WarmChain) normalize(lay layout, m int, exported [][]sat.Lit) [][]sat.Lit {
 	if c == nil || len(exported) == 0 {
 		return nil
 	}
-	stateVars := 2 * numStates * m
 	var out [][]sat.Lit
 	var seen map[string]struct{}
 	for _, cl := range exported {
@@ -157,21 +140,13 @@ func (c *WarmChain) Normalize(numStates, m int, exported [][]sat.Lit) [][]sat.Li
 		col := -1
 		ok := true
 		for _, l := range cl {
-			v := l.Var()
-			if v >= stateVars {
-				ok = false // auxiliary (d/lex) variable
+			k := lay.column(l.Var(), m)
+			if k < 0 || (col >= 0 && k != col) {
+				ok = false // auxiliary variable, or spans columns
 				break
 			}
-			// Invert the column-major layout v = 2(k·n + s) + bit.
-			rem := v % (2 * numStates)
-			s, k, bit := rem>>1, v/(2*numStates), v&1
-			if col < 0 {
-				col = k
-			} else if col != k {
-				ok = false // spans columns: not column-symmetric
-				break
-			}
-			nv := 2*s + bit
+			col = k
+			nv := l.Var() - lay.lo[k]
 			norm = append(norm, sat.Lit(2*nv)|(l&1))
 		}
 		if !ok || len(norm) == 0 {

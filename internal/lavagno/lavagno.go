@@ -36,22 +36,26 @@ type Result struct {
 // the most popular code); consistency, semi-modularity and USC
 // constraints still span the entire graph, which is what makes the
 // method expensive without decomposition. Every instance is one
-// csc.Attempt with the Tseitin encoding, DPLL under the maxBacktracks
-// budget (0: csc.DefaultMaxBacktracks) and no solve cache, all on one
-// chain solver, so the run's metrics and trace see every formula.
+// csc.Attempt under the run's engine, encoding and backtrack budget
+// (opt's Engine, ExpandXor and MaxBacktracks), with no solve cache and
+// no warm chain, all on one chain solver (opt.Incr, or a new one), so
+// the run's metrics and trace see every formula.
 //
 // Budget exhaustion or an insertion cap reached with conflicts left
 // returns an error matching synerr.ErrBacktrackLimit (Table 1 reports
 // this method aborting on some STGs); a canceled ctx returns one
 // matching synerr.ErrCanceled. Both come with the partial Result.
-func Solve(ctx context.Context, g *sg.Graph, maxBacktracks int64) (*Result, error) {
-	return solve(ctx, g, maxBacktracks, maxSignals)
+func Solve(ctx context.Context, g *sg.Graph, opt csc.SolveOptions) (*Result, error) {
+	return solve(ctx, g, opt, maxSignals)
 }
 
 // solve is Solve with the insertion cap as a parameter.
-func solve(ctx context.Context, g *sg.Graph, maxBacktracks int64, signalCap int) (*Result, error) {
+func solve(ctx context.Context, g *sg.Graph, opt csc.SolveOptions, signalCap int) (*Result, error) {
 	res := &Result{}
-	opt := csc.SolveOptions{MaxBacktracks: maxBacktracks, Incr: csc.NewChainSolver()}
+	opt.Cache, opt.Chain = nil, nil
+	if opt.Incr == nil {
+		opt.Incr = csc.NewChainSolver()
+	}
 	solveOne := func(target *sg.Conflicts) ([][]sg.Phase, sat.Status, error) {
 		cols, st, err := csc.Attempt(ctx, g, target, 1, opt)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"asyncsyn/internal/bench"
+	"asyncsyn/internal/csc"
 	"asyncsyn/internal/sg"
 	"asyncsyn/internal/stg"
 	"asyncsyn/internal/synerr"
@@ -41,7 +42,7 @@ func load(t *testing.T, src string) *sg.Graph {
 
 func TestSolveSmall(t *testing.T) {
 	g := load(t, twoPulse)
-	res, err := Solve(context.Background(), g, 0)
+	res, err := Solve(context.Background(), g, csc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ a- r+
 .marking { <a-,r+> }
 .end
 `)
-	res, err := Solve(context.Background(), g, 0)
+	res, err := Solve(context.Background(), g, csc.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestOneSignalPerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(context.Background(), g, 0)
+	res, err := Solve(context.Background(), g, csc.SolveOptions{})
 	if errors.Is(err, synerr.ErrBacktrackLimit) {
 		t.Skip("pa aborted under default budget")
 	}
@@ -123,7 +124,7 @@ func TestAbortsAtSignalCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = solve(context.Background(), g, 0, 2)
+	_, err = solve(context.Background(), g, csc.SolveOptions{}, 2)
 	if !errors.Is(err, synerr.ErrBacktrackLimit) {
 		t.Fatalf("mmu0 with a 2-signal cap must abort, got %v", err)
 	}

@@ -30,7 +30,7 @@ type Request struct {
 
 	Method        string `json:"method,omitempty"`  // modular|direct|lavagno
 	Engine        string `json:"engine,omitempty"`  // dpll|bdd
-	Workers       int    `json:"workers,omitempty"` // per-job pool bound
+	Workers       int    `json:"workers,omitempty"` // per-job logic-derivation pool bound
 	Timeout       string `json:"timeout,omitempty"` // Go duration, capped by MaxTimeout
 	MaxBacktracks int64  `json:"max_backtracks,omitempty"`
 	ExpandXor     bool   `json:"expand_xor,omitempty"`

@@ -86,7 +86,8 @@ type Config struct {
 	// RetryAfter is the hint returned with 429 responses (default 1s).
 	RetryAfter time.Duration
 	// Workers is the per-job worker-pool bound passed to the library
-	// when the request does not set one (0 = GOMAXPROCS).
+	// when the request does not set one (0 = GOMAXPROCS); the library
+	// uses it for per-signal logic derivation only.
 	Workers int
 	// CacheDir, when non-empty, backs the shared solve cache with
 	// on-disk records so warm starts survive daemon restarts.

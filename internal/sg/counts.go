@@ -98,7 +98,7 @@ func (g *Graph) OutputCounts(implied1 []bool) (n, lb int) {
 	sc := scratchFor(ns)
 	defer releaseScratch(ns, sc)
 	codes := sc.u64sFor(ns)
-	fullCodes(g, codes, 1)
+	fullCodes(g, codes)
 	part := sc.u64s2For(ns)
 	zeros, ones := 0, ns
 	for s, one := range implied1 {

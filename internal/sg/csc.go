@@ -1,10 +1,6 @@
 package sg
 
-import (
-	"math/bits"
-
-	"asyncsyn/internal/par"
-)
+import "math/bits"
 
 // Pair is an unordered state pair (A < B, or A == B for a merged class
 // that is internally inconsistent).
@@ -30,31 +26,12 @@ type Conflicts struct {
 // N returns the number of CSC conflict pairs (the paper's N_csc).
 func (c *Conflicts) N() int { return len(c.CSC) }
 
-// fullCodes fills codes with the full code of every state. The serial
-// path runs column-wise (one pass per state-signal column over a packed
-// code array) instead of calling FullCode per state; large graphs fan
-// the per-state computation out over the worker pool. Both orders
-// produce identical codes.
-func fullCodes(g *Graph, codes []uint64, workers int) {
-	n := len(g.States)
-	w := par.Workers(workers)
-	if w > 1 && n >= 256 {
-		chunk := (n + 4*w - 1) / (4 * w)
-		nchunks := (n + chunk - 1) / chunk
-		par.ForEachIndexed(nchunks, w, func(ci int) error {
-			lo, hi := ci*chunk, (ci+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			for s := lo; s < hi; s++ {
-				codes[s] = g.FullCode(s)
-			}
-			return nil
-		})
-		return
-	}
+// fullCodes fills codes with the full code of every state, column-wise
+// (one pass per state-signal column over a packed code array) instead
+// of calling FullCode per state.
+func fullCodes(g *Graph, codes []uint64) {
 	active := g.Active
-	for s := 0; s < n; s++ {
+	for s := range codes {
 		codes[s] = g.States[s].Code & active
 	}
 	for k := range g.StateSigs {
@@ -69,16 +46,15 @@ func fullCodes(g *Graph, codes []uint64, workers int) {
 
 // codeGroups buckets the states of g by full code. Returns parallel
 // slices: keys in ascending code order, and groups[i] holding the states
-// with code keys[i] in ascending state order — the same fixed order the
-// old map-based bucketing produced, for any worker count.
-func codeGroups(g *Graph, workers int) ([]uint64, [][]int) {
+// with code keys[i] in ascending state order.
+func codeGroups(g *Graph) ([]uint64, [][]int) {
 	n := len(g.States)
 	if n == 0 {
 		return nil, nil
 	}
 	sc := scratchPool.Get().(*scratch)
 	codes := sc.u64sFor(n)
-	fullCodes(g, codes, workers)
+	fullCodes(g, codes)
 	keys, groups := GroupCodes(codes)
 	scratchPool.Put(sc)
 	return keys, groups
@@ -187,43 +163,30 @@ func (g *Graph) EnabledNonInputsAll(buf []uint64) []uint64 {
 // Analyze performs full CSC analysis: states are grouped by full code
 // (base signals under the Active mask plus state-signal levels) and
 // compared by enabled non-input signal sets.
-func Analyze(g *Graph) *Conflicts { return AnalyzeWorkers(g, 1) }
-
-// AnalyzeWorkers is Analyze with the group scans fanned out over a
-// bounded worker pool (workers <= 0 means GOMAXPROCS). Each code group
-// is independent, so groups are scanned in parallel and their pair
-// lists concatenated in ascending code order — the exact order the
-// sequential scan produces, for any worker count.
-func AnalyzeWorkers(g *Graph, workers int) *Conflicts {
-	_, groups := codeGroups(g, workers)
-	// One shared enabled-mask column, filled by a single edge pass; the
-	// group closures only read it. The backing is pooled: par.Map joins
-	// all workers before returning, so the buffer is quiescent when it
-	// goes back to the pool.
+func Analyze(g *Graph) *Conflicts {
+	_, groups := codeGroups(g)
+	// One shared enabled-mask column, filled by a single edge pass, with
+	// a pooled backing.
 	sc := scratchPool.Get().(*scratch)
 	enabled := g.EnabledNonInputsAll(sc.u64sFor(0))
-	res := analyzeGroups(groups, enabled, workers)
+	res := analyzeGroups(groups, enabled)
 	sc.u64s = enabled
 	scratchPool.Put(sc)
 	return res
 }
 
-// analyzeGroups is the CSC group scan shared by AnalyzeWorkers (graph
-// states) and AnalyzeStream (streamed columns): groups partition the
-// state indices by equal full code, enabled is the per-state enabled
-// non-input mask. Groups are scanned in parallel and their pair lists
-// concatenated in ascending code order, so the result is identical for
-// any worker count.
-func analyzeGroups(groups [][]int, enabled []uint64, workers int) *Conflicts {
-	type groupRes struct {
-		csc, usc []Pair
-		classes  int
-	}
-	results, _ := par.Map(len(groups), workers, func(ki int) (groupRes, error) {
-		states := groups[ki]
-		var r groupRes
+// analyzeGroups is the CSC group scan shared by Analyze (graph states)
+// and AnalyzeStream (streamed columns): groups partition the state
+// indices by equal full code in ascending code order, enabled is the
+// per-state enabled non-input mask. One sequential pass appends each
+// group's pairs in that order.
+func analyzeGroups(groups [][]int, enabled []uint64) *Conflicts {
+	res := &Conflicts{}
+	for _, states := range groups {
+		res.MaxGroup = max(res.MaxGroup, len(states))
 		// Distinct behaviour classes within the group: an insertion scan
 		// over the (small) group beats a map allocation per group.
+		classes := 0
 		for i := 0; i < len(states); i++ {
 			dup := false
 			for j := 0; j < i; j++ {
@@ -233,31 +196,19 @@ func analyzeGroups(groups [][]int, enabled []uint64, workers int) *Conflicts {
 				}
 			}
 			if !dup {
-				r.classes++
+				classes++
 			}
 		}
+		res.LowerBound = max(res.LowerBound, ceilLog2(classes))
 		for i := 0; i < len(states); i++ {
 			for j := i + 1; j < len(states); j++ {
 				p := Pair{states[i], states[j]}
 				if enabled[states[i]] != enabled[states[j]] {
-					r.csc = append(r.csc, p)
+					res.CSC = append(res.CSC, p)
 				} else {
-					r.usc = append(r.usc, p)
+					res.USC = append(res.USC, p)
 				}
 			}
-		}
-		return r, nil
-	})
-
-	res := &Conflicts{}
-	for ki, r := range results {
-		if n := len(groups[ki]); n > res.MaxGroup {
-			res.MaxGroup = n
-		}
-		res.CSC = append(res.CSC, r.csc...)
-		res.USC = append(res.USC, r.usc...)
-		if lb := ceilLog2(r.classes); lb > res.LowerBound {
-			res.LowerBound = lb
 		}
 	}
 	return res
@@ -269,62 +220,38 @@ func analyzeGroups(groups [][]int, enabled []uint64, workers int) *Conflicts {
 // graphs: o's logic function must be well defined on the visible code.
 // impliedOf gives the set of implied values for a state (a merged state
 // may carry both from its members; such a state conflicts with itself).
-//
-// This one-worker form is the test oracle of the counting evaluator
-// (QuotientCounts, OutputCounts), which input-set determination uses;
-// the module stage lists a module's pairs with OutputConflictsWorkers.
+// The module stage lists a module's pairs with it; it is also the test
+// oracle of the counting evaluator (QuotientCounts, OutputCounts), which
+// input-set determination uses.
 func OutputConflicts(g *Graph, impliedOf func(state int) (has0, has1 bool)) *Conflicts {
-	return OutputConflictsWorkers(g, impliedOf, 1)
-}
-
-// OutputConflictsWorkers is OutputConflicts over a bounded worker pool,
-// with the same ordered-reduce guarantee as AnalyzeWorkers. impliedOf
-// must be safe for concurrent calls (the probes built by Merged.ImpliedOf
-// read a precomputed table and are).
-func OutputConflictsWorkers(g *Graph, impliedOf func(state int) (has0, has1 bool), workers int) *Conflicts {
-	_, groups := codeGroups(g, workers)
-
-	type groupRes struct {
-		csc, usc []Pair
-		both     bool // group implies both values → lower bound 1
-	}
-	results, _ := par.Map(len(groups), workers, func(ki int) (groupRes, error) {
-		states := groups[ki]
-		var r groupRes
-		type imp struct{ has0, has1 bool }
-		imps := make([]imp, len(states))
+	_, groups := codeGroups(g)
+	res := &Conflicts{}
+	type imp struct{ has0, has1 bool }
+	var imps []imp
+	for _, states := range groups {
+		res.MaxGroup = max(res.MaxGroup, len(states))
+		imps = imps[:0]
 		group0, group1 := false, false
-		for i, s := range states {
+		for _, s := range states {
 			h0, h1 := impliedOf(s)
-			imps[i] = imp{h0, h1}
+			imps = append(imps, imp{h0, h1})
 			group0 = group0 || h0
 			group1 = group1 || h1
 			if h0 && h1 {
-				r.csc = append(r.csc, Pair{s, s})
+				res.CSC = append(res.CSC, Pair{s, s})
 			}
 		}
 		for i := 0; i < len(states); i++ {
 			for j := i + 1; j < len(states); j++ {
 				p := Pair{states[i], states[j]}
 				if (imps[i].has0 && imps[j].has1) || (imps[i].has1 && imps[j].has0) {
-					r.csc = append(r.csc, p)
+					res.CSC = append(res.CSC, p)
 				} else {
-					r.usc = append(r.usc, p)
+					res.USC = append(res.USC, p)
 				}
 			}
 		}
-		r.both = group0 && group1
-		return r, nil
-	})
-
-	res := &Conflicts{}
-	for ki, r := range results {
-		if n := len(groups[ki]); n > res.MaxGroup {
-			res.MaxGroup = n
-		}
-		res.CSC = append(res.CSC, r.csc...)
-		res.USC = append(res.USC, r.usc...)
-		if r.both && res.LowerBound == 0 {
+		if group0 && group1 {
 			res.LowerBound = 1
 		}
 	}

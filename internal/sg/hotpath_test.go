@@ -87,17 +87,15 @@ func propertyGraphs(t *testing.T) []*Graph {
 // path on random STGs.
 func TestCodeGroupsMatchesLegacy(t *testing.T) {
 	for gi, g := range propertyGraphs(t) {
-		for _, workers := range []int{1, 4} {
-			keys, groups := codeGroups(g, workers)
-			lkeys, lgroups := legacyCodeGroups(g)
-			if !reflect.DeepEqual(keys, lkeys) {
-				t.Fatalf("graph %d workers %d: keys diverge\n new %v\n old %v", gi, workers, keys, lkeys)
-			}
-			for ki, k := range keys {
-				if !reflect.DeepEqual(groups[ki], lgroups[k]) {
-					t.Fatalf("graph %d workers %d code %b: members diverge\n new %v\n old %v",
-						gi, workers, k, groups[ki], lgroups[k])
-				}
+		keys, groups := codeGroups(g)
+		lkeys, lgroups := legacyCodeGroups(g)
+		if !reflect.DeepEqual(keys, lkeys) {
+			t.Fatalf("graph %d: keys diverge\n new %v\n old %v", gi, keys, lkeys)
+		}
+		for ki, k := range keys {
+			if !reflect.DeepEqual(groups[ki], lgroups[k]) {
+				t.Fatalf("graph %d code %b: members diverge\n new %v\n old %v",
+					gi, k, groups[ki], lgroups[k])
 			}
 		}
 		enabled := g.EnabledNonInputsAll(nil)
@@ -111,15 +109,11 @@ func TestCodeGroupsMatchesLegacy(t *testing.T) {
 
 // TestAnalyzeMatchesLegacyScan pins the full conflict scan (which now
 // runs over the shared enabled-mask column and radix groups) against a
-// direct reconstruction from the legacy grouping, at both worker counts.
+// direct reconstruction from the legacy grouping.
 func TestAnalyzeMatchesLegacyScan(t *testing.T) {
 	for gi, g := range propertyGraphs(t) {
-		want := legacyAnalyze(g)
-		for _, workers := range []int{1, 4} {
-			got := AnalyzeWorkers(g, workers)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("graph %d workers %d: conflicts diverge\n new %+v\n old %+v", gi, workers, got, want)
-			}
+		if got, want := Analyze(g), legacyAnalyze(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("graph %d: conflicts diverge\n new %+v\n old %+v", gi, got, want)
 		}
 	}
 }

@@ -64,13 +64,12 @@ func (st *Stream) FunctionTable(sig int, supportMask uint64) (*Table, error) {
 		func(s int) uint8 { return uint8((st.Implied[s] >> sig) & 1) })
 }
 
-// AnalyzeStream performs the same full CSC analysis as AnalyzeWorkers,
-// but over streamed columns instead of a materialized graph: states are
+// AnalyzeStream performs the same full CSC analysis as Analyze, but
+// over streamed columns instead of a materialized graph: states are
 // grouped by full code (raw code under the Active mask — a streamed
 // graph is phase-free, so there are no state-signal columns to add) and
-// compared by enabled non-input signal sets. Pair lists come out in the
-// identical order for any worker count.
-func AnalyzeStream(st *Stream, workers int) *Conflicts {
+// compared by enabled non-input signal sets.
+func AnalyzeStream(st *Stream) *Conflicts {
 	n := len(st.Codes)
 	if n == 0 {
 		return &Conflicts{}
@@ -81,7 +80,7 @@ func AnalyzeStream(st *Stream, workers int) *Conflicts {
 		codes[i] = c & st.Active
 	}
 	_, groups := GroupCodes(codes)
-	res := analyzeGroups(groups, st.Enabled, workers)
+	res := analyzeGroups(groups, st.Enabled)
 	scratchPool.Put(sc)
 	return res
 }

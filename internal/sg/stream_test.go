@@ -100,9 +100,9 @@ func TestExpandStreamMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestAnalyzeStreamMatchesAnalyzeWorkers pins the streamed conflict scan
-// against the materialized one at both worker counts.
-func TestAnalyzeStreamMatchesAnalyzeWorkers(t *testing.T) {
+// TestAnalyzeStreamMatchesAnalyze pins the streamed conflict scan
+// against the materialized one.
+func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	for gi, g := range propertyGraphs(t) {
 		st, err := g.ExpandStream()
 		if err != nil {
@@ -112,13 +112,8 @@ func TestAnalyzeStreamMatchesAnalyzeWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("graph %d: Expand: %v", gi, err)
 		}
-		for _, workers := range []int{1, 4} {
-			got := AnalyzeStream(st, workers)
-			want := AnalyzeWorkers(ex, workers)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("graph %d workers %d: conflicts diverge\n stream %+v\n materialized %+v",
-					gi, workers, got, want)
-			}
+		if got, want := AnalyzeStream(st), Analyze(ex); !reflect.DeepEqual(got, want) {
+			t.Fatalf("graph %d: conflicts diverge\n stream %+v\n materialized %+v", gi, got, want)
 		}
 	}
 }

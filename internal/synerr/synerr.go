@@ -26,8 +26,7 @@ var (
 
 	// ErrModuleUnsolvable reports that a per-output modular graph
 	// admits no state-signal assignment, even incrementally — the case
-	// the widening fallback chain (widenNonInputs → widenAll) exists
-	// to repair.
+	// the widening retry on the whole graph exists to repair.
 	ErrModuleUnsolvable = errors.New("modular graph unsolvable")
 
 	// ErrConflictsPersist reports that CSC conflicts survived every
