@@ -31,12 +31,7 @@ func edgeKindsGraph() *sg.Graph {
 			{From: 4, To: 0, Sig: -1},
 		},
 	}
-	g.Out = make([][]int, len(g.States))
-	g.In = make([][]int, len(g.States))
-	for i, e := range g.Edges {
-		g.Out[e.From] = append(g.Out[e.From], i)
-		g.In[e.To] = append(g.In[e.To], i)
-	}
+	g.IndexEdges()
 	return g
 }
 

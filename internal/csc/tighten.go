@@ -69,13 +69,13 @@ func Tighten(g *sg.Graph, conf *sg.Conflicts, cols [][]sg.Phase) {
 		return true
 	}
 	edgesOK := func(s, k int) bool {
-		for _, ei := range g.Out[s] {
+		for _, ei := range g.Out(s) {
 			e := g.Edges[ei]
 			if !sg.EdgeCompatibleIO(cols[k][e.From], cols[k][e.To], g.InputEdge(e)) {
 				return false
 			}
 		}
-		for _, ei := range g.In[s] {
+		for _, ei := range g.In(s) {
 			e := g.Edges[ei]
 			if !sg.EdgeCompatibleIO(cols[k][e.From], cols[k][e.To], g.InputEdge(e)) {
 				return false

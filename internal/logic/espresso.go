@@ -201,33 +201,55 @@ func (m *mintermMatrix) coverMask(a assignment, dst []uint64) {
 // of those have each variable true. Entries live in a flat arena at
 // stride nvars+1 (agreeing rows first, then one true-count per
 // variable); a miss costs one AND/popcount pass over the OFF columns.
+// The entries' assignments are indexed by an open-addressed table of
+// entry numbers with linear probing, kept at most half full, so a
+// lookup costs a hash and a compare or two, and growing the table
+// re-places 4-byte slots and doubles the room of the keys and the
+// arena with it.
 type offCounts struct {
 	off    *mintermMatrix
-	index  map[assignment]int
+	keys   []assignment // per entry
+	slots  []int32      // entry number plus one, 0 when empty; a power of two of them
 	counts []int32
 	mask   []uint64
 }
 
 // newOffCounts sizes the memo for a typical function: of the 141
 // minimizations of a Table 1 pass, half make at most 9 entries and nine
-// in ten at most 30.
+// in ten at most 30; larger ones grow by doubling.
 func newOffCounts(off *mintermMatrix) offCounts {
-	return offCounts{off: off, index: make(map[assignment]int, 16),
+	return offCounts{off: off, keys: make([]assignment, 0, 16), slots: make([]int32, 32),
 		counts: make([]int32, 0, 16*(off.nvars+1)), mask: make([]uint64, off.words)}
+}
+
+// home returns a's first slot.
+func (oc *offCounts) home(a assignment) int {
+	h := a.vars*0x9e3779b97f4a7c15 ^ a.vals*0xc2b2ae3d27d4eb4f
+	return int((h ^ h>>29) & uint64(len(oc.slots)-1))
 }
 
 // lookup returns a's entry. The slice aliases the arena, so it is only
 // valid until the next lookup.
 func (oc *offCounts) lookup(a assignment) []int32 {
 	m, stride := oc.off, oc.off.nvars+1
-	at, ok := oc.index[a]
-	if ok {
-		return oc.counts[at : at+stride]
+	mod := len(oc.slots) - 1
+	i := oc.home(a)
+	for ; oc.slots[i] != 0; i = (i + 1) & mod {
+		if e := int(oc.slots[i] - 1); oc.keys[e] == a {
+			return oc.counts[e*stride : (e+1)*stride]
+		}
 	}
+	if 2*(len(oc.keys)+1) > len(oc.slots) {
+		oc.grow()
+		mod = len(oc.slots) - 1
+		for i = oc.home(a); oc.slots[i] != 0; i = (i + 1) & mod {
+		}
+	}
+	oc.keys = append(oc.keys, a)
+	oc.slots[i] = int32(len(oc.keys))
 	mask := oc.mask
 	m.coverMask(a, mask)
-	at = len(oc.counts)
-	oc.index[a] = at
+	at := len(oc.counts)
 	oc.counts = append(oc.counts, make([]int32, stride)...)
 	cnt := oc.counts[at : at+stride]
 	for w, mw := range mask {
@@ -240,6 +262,24 @@ func (oc *offCounts) lookup(a assignment) []int32 {
 		}
 	}
 	return cnt
+}
+
+// grow doubles the table, re-places every entry and reserves the keys
+// and the arena for as many entries as the table takes before its next
+// growth, so all three grow geometrically together.
+func (oc *offCounts) grow() {
+	oc.slots = make([]int32, 2*len(oc.slots))
+	room := len(oc.slots)/2 - len(oc.keys)
+	oc.keys = slices.Grow(oc.keys, room)
+	oc.counts = slices.Grow(oc.counts, room*(oc.off.nvars+1))
+	mod := len(oc.slots) - 1
+	for e, a := range oc.keys {
+		i := oc.home(a)
+		for oc.slots[i] != 0 {
+			i = (i + 1) & mod
+		}
+		oc.slots[i] = int32(e + 1)
+	}
 }
 
 // expander runs ESPRESSO's EXPAND over all the cubes of a pass at once.

@@ -12,6 +12,7 @@ package petri
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strings"
 
@@ -192,20 +193,33 @@ func (e ErrUnbounded) Error() string {
 }
 
 // ReachEdge is one firing in the reachability graph: from state From,
-// firing Trans reaches state To (states indexed into Reachability.States).
+// firing Trans reaches state To (states numbered as in Reachability).
 type ReachEdge struct {
 	From, To int
 	Trans    TransID
 }
 
 // Reachability is the explicit reachability graph of a bounded net.
+// States are numbered in the order the exploration discovers them: the
+// initial marking is state 0, and the successors of each state, taken
+// in state order, follow in transition order.
 type Reachability struct {
-	States []Marking
-	Edges  []ReachEdge
-	// Index maps a marking key to its state index.
-	Index map[string]int
-	// Out[i] lists the indices into Edges of state i's outgoing edges.
-	Out [][]int
+	// Edges lists every firing in the order of exploration: grouped by
+	// source state in state order, and within a state by transition.
+	Edges []ReachEdge
+
+	markings []uint8 // every marking, stride bytes each, in state order
+	stride   int     // the net's place count
+	n        int
+}
+
+// NumStates returns the number of reachable markings.
+func (r *Reachability) NumStates() int { return r.n }
+
+// Marking returns the marking of state i. It aliases the graph's
+// storage, so callers must not modify it.
+func (r *Reachability) Marking(i int) Marking {
+	return r.markings[i*r.stride : (i+1)*r.stride : (i+1)*r.stride]
 }
 
 // Reach exhaustively generates all markings reachable from the initial
@@ -220,50 +234,159 @@ func (n *Net) Reach(bound int, maxStates int) (*Reachability, error) {
 // mid-generation (with an error matching synerr.ErrCanceled) instead of
 // finishing a large state space first. Exceeding maxStates yields an
 // error matching synerr.ErrStateLimit.
+//
+// The markings live end to end in one byte arena, one place count
+// (the stride) per state, behind an open-addressed hash index of state
+// numbers. Each successor is written in place at the arena's tail and
+// kept only if the index does not hold it yet, so the exploration makes
+// no allocation per state or per firing beyond the growth of the arena,
+// the index and the edge list.
 func (n *Net) ReachContext(ctx context.Context, bound int, maxStates int) (*Reachability, error) {
-	if len(n.Initial) != len(n.Places) {
-		return nil, fmt.Errorf("petri: initial marking covers %d of %d places", len(n.Initial), len(n.Places))
+	np := len(n.Places)
+	if len(n.Initial) != np {
+		return nil, fmt.Errorf("petri: initial marking covers %d of %d places", len(n.Initial), np)
 	}
-	r := &Reachability{Index: make(map[string]int)}
-	push := func(m Marking) (int, error) {
-		for p, k := range m {
-			if int(k) > bound {
-				return 0, ErrUnbounded{Place: n.Places[p].Name, Bound: bound}
-			}
+	for p, k := range n.Initial {
+		if int(k) > bound {
+			return nil, ErrUnbounded{Place: n.Places[p].Name, Bound: bound}
 		}
-		key := m.Key()
-		if i, ok := r.Index[key]; ok {
-			return i, nil
-		}
-		i := len(r.States)
-		if maxStates > 0 && i >= maxStates {
-			return 0, fmt.Errorf("petri: reachability exceeds %d states: %w", maxStates, synerr.ErrStateLimit)
-		}
-		r.States = append(r.States, m)
-		r.Out = append(r.Out, nil)
-		r.Index[key] = i
-		return i, nil
 	}
-	if _, err := push(n.Initial.Clone()); err != nil {
-		return nil, err
-	}
-	for i := 0; i < len(r.States); i++ {
+	arena := make([]uint8, np, 64*np)
+	copy(arena, n.Initial)
+	index := markingIndex{slots: make([]uint64, 64)}
+	index.add(markingHash(arena), 0)
+	var edges []ReachEdge
+	count := 1
+	for i := 0; i < count; i++ {
 		if i&1023 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, synerr.Canceled(err)
 			}
 		}
-		m := r.States[i]
-		for _, t := range n.EnabledSet(m) {
-			j, err := push(n.Fire(m, t))
-			if err != nil {
-				return nil, err
+		for t := range n.Transitions {
+			tr := &n.Transitions[t]
+			if !enabledIn(arena[i*np:(i+1)*np], tr.Pre) {
+				continue
 			}
-			r.Edges = append(r.Edges, ReachEdge{From: i, To: j, Trans: t})
-			r.Out[i] = append(r.Out[i], len(r.Edges)-1)
+			arena = append(arena, arena[i*np:(i+1)*np]...)
+			next := arena[count*np:]
+			for _, p := range tr.Pre {
+				next[p]--
+			}
+			for _, p := range tr.Post {
+				next[p]++
+			}
+			if p := overBound(next, tr, bound); p >= 0 {
+				return nil, ErrUnbounded{Place: n.Places[p].Name, Bound: bound}
+			}
+			h := markingHash(next)
+			j := index.find(h, next, arena, np)
+			if j < 0 {
+				if maxStates > 0 && count >= maxStates {
+					return nil, fmt.Errorf("petri: reachability exceeds %d states: %w", maxStates, synerr.ErrStateLimit)
+				}
+				j = count
+				count++
+				index.add(h, j)
+			} else {
+				arena = arena[:count*np]
+			}
+			edges = append(edges, ReachEdge{From: i, To: j, Trans: TransID(t)})
 		}
 	}
-	return r, nil
+	return &Reachability{Edges: edges, markings: arena, stride: np, n: count}, nil
+}
+
+// enabledIn reports whether every place in pre holds a token in m.
+func enabledIn(m Marking, pre []PlaceID) bool {
+	for _, p := range pre {
+		if m[p] == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// overBound returns the lowest-numbered place of next above bound, or
+// -1. next succeeds a marking within the bound, so only the places the
+// firing changed, its fanin and fanout, can be above it, and the
+// lowest-numbered of those is the place a scan of the whole marking
+// would name. The fanin counts too: token counts are bytes, so a place
+// listed twice in the fanin that holds one token wraps to 255.
+func overBound(next Marking, tr *Transition, bound int) PlaceID {
+	worst := PlaceID(-1)
+	for _, ps := range [2][]PlaceID{tr.Pre, tr.Post} {
+		for _, p := range ps {
+			if int(next[p]) > bound && (worst < 0 || p < worst) {
+				worst = p
+			}
+		}
+	}
+	return worst
+}
+
+// markingSeed keys the marking hash. Which seed a process draws only
+// moves states between index slots, never changes their numbers.
+var markingSeed = maphash.MakeSeed()
+
+// markingIndex maps a marking to its state number by open addressing
+// with linear probing over the markings in the arena. A slot holds the
+// marking's 32-bit hash tag in its high half and the state number plus
+// one in its low half (0 is an empty slot); the tag picks the home
+// slot, so growing the table re-places every entry without touching
+// the arena. The table is kept at most half full.
+type markingIndex struct {
+	slots []uint64
+	count int
+}
+
+// markingHash returns the index tag of marking m.
+func markingHash(m []uint8) uint32 {
+	h := maphash.Bytes(markingSeed, m)
+	return uint32(h ^ h>>32)
+}
+
+// find returns the state whose marking, stride bytes at its place in
+// arena, equals m, or -1.
+func (x *markingIndex) find(h uint32, m, arena []uint8, stride int) int {
+	mask := uint64(len(x.slots) - 1)
+	for i := uint64(h) & mask; ; i = (i + 1) & mask {
+		sl := x.slots[i]
+		if sl == 0 {
+			return -1
+		}
+		if uint32(sl>>32) != h {
+			continue
+		}
+		s := int(uint32(sl)) - 1
+		if string(arena[s*stride:(s+1)*stride]) == string(m) {
+			return s
+		}
+	}
+}
+
+// add indexes state s under tag h; s is not in the index yet.
+func (x *markingIndex) add(h uint32, s int) {
+	if 2*(x.count+1) > len(x.slots) {
+		old := x.slots
+		x.slots = make([]uint64, 2*len(old))
+		for _, sl := range old {
+			if sl != 0 {
+				x.put(sl)
+			}
+		}
+	}
+	x.put(uint64(h)<<32 | uint64(s+1))
+	x.count++
+}
+
+func (x *markingIndex) put(sl uint64) {
+	mask := uint64(len(x.slots) - 1)
+	i := (sl >> 32) & mask
+	for x.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = sl
 }
 
 // Validate performs structural sanity checks: every transition has at

@@ -81,8 +81,8 @@ func TestReachCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.States) != 5 {
-		t.Fatalf("cycle of 5 places: %d states, want 5", len(r.States))
+	if r.NumStates() != 5 {
+		t.Fatalf("cycle of 5 places: %d states, want 5", r.NumStates())
 	}
 	if len(r.Edges) != 5 {
 		t.Fatalf("%d edges, want 5", len(r.Edges))
@@ -120,8 +120,8 @@ func TestReachDiamond(t *testing.T) {
 		t.Fatal(err)
 	}
 	// pre-fork, post-fork, x done, y done, both done = 5.
-	if len(r.States) != 5 {
-		t.Fatalf("diamond: %d states, want 5", len(r.States))
+	if r.NumStates() != 5 {
+		t.Fatalf("diamond: %d states, want 5", r.NumStates())
 	}
 }
 
@@ -182,8 +182,8 @@ func TestMultiTokenMarking(t *testing.T) {
 		t.Fatal(err)
 	}
 	// (2,0), (1,1), (0,2) = 3 states.
-	if len(r.States) != 3 {
-		t.Fatalf("%d states, want 3", len(r.States))
+	if r.NumStates() != 3 {
+		t.Fatalf("%d states, want 3", r.NumStates())
 	}
 }
 

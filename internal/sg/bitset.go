@@ -48,6 +48,7 @@ type scratch struct {
 	flags []uint8
 	sets  []PhaseSet
 	bytes []byte
+	edges []Edge
 }
 
 // resize returns *buf resized to n, reallocating only when its capacity

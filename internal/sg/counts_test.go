@@ -2,6 +2,7 @@ package sg
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -81,6 +82,35 @@ func TestEpsClassesMatchComponents(t *testing.T) {
 						t.Fatalf("%s: state %d in class %d, want %d", name, s, cls[s], wantCls[s])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestQuotientEdgesMatchLegacy pins Quotient's edge list — the edges
+// between classes, re-pointed, each (from, to, signal, direction) kept
+// at its first occurrence in the original edge order — to the
+// map-based deduplication it replaced, for no signal, each single
+// signal and every signal silenced.
+func TestQuotientEdgesMatchLegacy(t *testing.T) {
+	for gi, g := range propertyGraphs(t) {
+		masks := []uint64{0, g.Active}
+		for i := range g.Base {
+			masks = append(masks, 1<<i)
+		}
+		for _, mask := range masks {
+			m, _ := g.Quotient(mask)
+			seen := make(map[Edge]bool)
+			var want []Edge
+			for _, e := range g.Edges {
+				ne := Edge{From: m.Cover[e.From], To: m.Cover[e.To], Sig: e.Sig, Dir: e.Dir}
+				if ne.From != ne.To && !seen[ne] {
+					seen[ne] = true
+					want = append(want, ne)
+				}
+			}
+			if !slices.Equal(m.Graph.Edges, want) || len(m.Graph.Edges) != cap(m.Graph.Edges) {
+				t.Fatalf("graph %d mask %#x: %d edges (cap %d), legacy %d", gi, mask, len(m.Graph.Edges), cap(m.Graph.Edges), len(want))
 			}
 		}
 	}

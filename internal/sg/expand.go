@@ -92,8 +92,6 @@ func (g *Graph) Expand() (*Graph, error) {
 		pool = append(pool, s)
 		code := g.States[s.orig].Code | (s.x << nb)
 		ex.States = append(ex.States, State{Code: code})
-		ex.Out = append(ex.Out, nil)
-		ex.In = append(ex.In, nil)
 		ex.Origin = append(ex.Origin, s.orig)
 		return i
 	}
@@ -133,22 +131,23 @@ func (g *Graph) Expand() (*Graph, error) {
 			switch {
 			case ss.Phases[cur.orig] == PUp && lvl == 0:
 				j := push(xstate{cur.orig, cur.x | 1<<k})
-				ex.addEdge(Edge{From: i, To: j, Sig: nb + k, Dir: stg.Rising})
+				ex.Edges = append(ex.Edges, Edge{From: i, To: j, Sig: nb + k, Dir: stg.Rising})
 			case ss.Phases[cur.orig] == PDown && lvl == 1:
 				j := push(xstate{cur.orig, cur.x &^ (1 << k)})
-				ex.addEdge(Edge{From: i, To: j, Sig: nb + k, Dir: stg.Falling})
+				ex.Edges = append(ex.Edges, Edge{From: i, To: j, Sig: nb + k, Dir: stg.Falling})
 			}
 		}
 		// Original edges, gated by successor-phase compatibility.
-		for _, ei := range g.Out[cur.orig] {
+		for _, ei := range g.Out(cur.orig) {
 			e := g.Edges[ei]
 			if !compat(cur.x, e.To) {
 				continue
 			}
 			j := push(xstate{e.To, cur.x})
-			ex.addEdge(Edge{From: i, To: j, Sig: e.Sig, Dir: e.Dir})
+			ex.Edges = append(ex.Edges, Edge{From: i, To: j, Sig: e.Sig, Dir: e.Dir})
 		}
 	}
+	ex.IndexEdges()
 	return ex, nil
 }
 

@@ -3,10 +3,10 @@ package sg
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"asyncsyn/internal/metrics"
-	"asyncsyn/internal/petri"
 	"asyncsyn/internal/stg"
 )
 
@@ -30,25 +30,27 @@ type StateSignal struct {
 	Phases []Phase // indexed by state
 }
 
-// State is one state graph node. Code holds the binary levels of the base
-// signals (bit i = signal i), masked by the owning graph's Active mask.
-// Marking is retained only on graphs generated directly from an STG.
+// State is one state graph node: the binary levels of the base signals
+// (bit i = signal i), masked by the owning graph's Active mask.
 type State struct {
-	Code    uint64
-	Marking petri.Marking
+	Code uint64
 }
 
 // Graph is a state graph: the reachable-state automaton of an STG with a
 // consistent binary state assignment, possibly quotiented (modular) and
 // possibly carrying inserted state signals as 4-valued phase columns.
+//
+// The adjacency is kept as compressed rows, one per direction: Out(s)
+// and In(s) are ranges of one edge-index array, delimited by one offset
+// array, built from Edges in one counting pass. Every constructor builds
+// them; a graph assembled by hand calls IndexEdges once its States and
+// Edges are in place.
 type Graph struct {
 	Name    string
 	Base    []SignalInfo
 	Active  uint64 // mask of base signals participating in state codes
 	States  []State
 	Edges   []Edge
-	Out     [][]int // per-state outgoing edge indices
-	In      [][]int // per-state incoming edge indices
 	Initial int
 
 	StateSigs []StateSignal
@@ -56,6 +58,15 @@ type Graph struct {
 	// Origin maps each state to the state of the pre-expansion graph it
 	// came from; nil unless the graph was produced by Expand.
 	Origin []int
+
+	out, in rows
+}
+
+// rows is one direction of a graph's adjacency: the edge indices of
+// state s are idx[off[s]:off[s+1]], in ascending order.
+type rows struct {
+	off []int32 // one entry per state, plus the edge count
+	idx []int32
 }
 
 // MaxSignals caps the total signal count so state codes fit in a uint64.
@@ -64,45 +75,46 @@ const MaxSignals = 58
 // NumStates returns the number of states.
 func (g *Graph) NumStates() int { return len(g.States) }
 
-// addEdge appends an edge and indexes it.
-func (g *Graph) addEdge(e Edge) {
-	g.Edges = append(g.Edges, e)
-	g.Out[e.From] = append(g.Out[e.From], len(g.Edges)-1)
-	g.In[e.To] = append(g.In[e.To], len(g.Edges)-1)
-}
+// Out returns the indices of the edges leaving state s, ascending. The
+// slice aliases the graph's adjacency, so callers must not modify it.
+func (g *Graph) Out(s int) []int32 { return g.out.idx[g.out.off[s]:g.out.off[s+1]] }
 
-// indexEdges (re)builds Out and In from Edges in two counted passes: the
-// per-state lists are carved out of two backing arrays with exact sizes
-// instead of growing by repeated append. Edge indices appear in each
-// list in ascending order — the same order incremental addEdge calls
-// produce.
-func (g *Graph) indexEdges() {
-	n := len(g.States)
-	outDeg := make([]int, n)
-	inDeg := make([]int, n)
+// In returns the indices of the edges entering state s, ascending. The
+// slice aliases the graph's adjacency, so callers must not modify it.
+func (g *Graph) In(s int) []int32 { return g.in.idx[g.in.off[s]:g.in.off[s+1]] }
+
+// IndexEdges (re)builds the adjacency rows of Out and In from States
+// and Edges: one pass counts the degrees, and a reverse pass over the
+// edges fills each row from its end, so edge indices come out
+// ascending. All four arrays share one allocation.
+func (g *Graph) IndexEdges() {
+	n, m := len(g.States), len(g.Edges)
+	buf := make([]int32, 2*(n+1)+2*m)
+	outOff, inOff := buf[:n+1], buf[n+1:2*(n+1)]
+	outIdx, inIdx := buf[2*(n+1):2*(n+1)+m], buf[2*(n+1)+m:]
 	for _, e := range g.Edges {
-		outDeg[e.From]++
-		inDeg[e.To]++
+		outOff[e.From]++
+		inOff[e.To]++
 	}
-	if g.Out == nil {
-		g.Out = make([][]int, n)
-	}
-	if g.In == nil {
-		g.In = make([][]int, n)
-	}
-	outBack := make([]int, len(g.Edges))
-	inBack := make([]int, len(g.Edges))
-	outOff, inOff := 0, 0
+	// Running sums leave off[s] at the end of row s; the fill below
+	// walks it back to the row's start.
+	var so, si int32
 	for s := 0; s < n; s++ {
-		g.Out[s] = outBack[outOff : outOff : outOff+outDeg[s]]
-		g.In[s] = inBack[inOff : inOff : inOff+inDeg[s]]
-		outOff += outDeg[s]
-		inOff += inDeg[s]
+		so += outOff[s]
+		outOff[s] = so
+		si += inOff[s]
+		inOff[s] = si
 	}
-	for ei, e := range g.Edges {
-		g.Out[e.From] = append(g.Out[e.From], ei)
-		g.In[e.To] = append(g.In[e.To], ei)
+	outOff[n], inOff[n] = int32(m), int32(m)
+	for ei := m - 1; ei >= 0; ei-- {
+		e := &g.Edges[ei]
+		outOff[e.From]--
+		outIdx[outOff[e.From]] = int32(ei)
+		inOff[e.To]--
+		inIdx[inOff[e.To]] = int32(ei)
 	}
+	g.out = rows{off: outOff, idx: outIdx}
+	g.in = rows{off: inOff, idx: inIdx}
 }
 
 // FullCode returns the complete binary code of state s: base signal
@@ -122,7 +134,7 @@ func (g *Graph) FullCode(s int) uint64 {
 // enabled transition in state s.
 func (g *Graph) EnabledNonInputs(s int) uint64 {
 	var m uint64
-	for _, ei := range g.Out[s] {
+	for _, ei := range g.Out(s) {
 		e := g.Edges[ei]
 		if e.Sig >= 0 && !g.Base[e.Sig].Input {
 			m |= 1 << e.Sig
@@ -135,7 +147,7 @@ func (g *Graph) EnabledNonInputs(s int) uint64 {
 // take from state s: 1 if sig+ is enabled, 0 if sig− is enabled, else the
 // current level.
 func (g *Graph) ImpliedValue(s, sig int) uint8 {
-	for _, ei := range g.Out[s] {
+	for _, ei := range g.Out(s) {
 		e := g.Edges[ei]
 		if e.Sig == sig {
 			if e.Dir == stg.Rising {
@@ -195,121 +207,120 @@ func FromSTGContext(ctx context.Context, g *stg.G, opt Options) (*Graph, error) 
 	if err != nil {
 		return nil, err
 	}
-	metrics.From(ctx).Add(metrics.SGStates, int64(len(r.States)))
+	metrics.From(ctx).Add(metrics.SGStates, int64(r.NumStates()))
 
 	sgr := &Graph{
 		Name:    g.Name,
 		Base:    make([]SignalInfo, len(g.Signals)),
 		Active:  (uint64(1) << len(g.Signals)) - 1,
-		States:  make([]State, len(r.States)),
-		Out:     make([][]int, len(r.States)),
-		In:      make([][]int, len(r.States)),
+		States:  make([]State, r.NumStates()),
+		Edges:   make([]Edge, len(r.Edges)),
 		Initial: 0,
 	}
 	for i, s := range g.Signals {
 		sgr.Base[i] = SignalInfo{Name: s.Name, Input: s.Kind == stg.Input}
 	}
-	for i, m := range r.States {
-		sgr.States[i] = State{Marking: m}
-	}
-	sgr.Edges = make([]Edge, 0, len(r.Edges))
-	for _, e := range r.Edges {
+	for i, e := range r.Edges {
 		l := g.Labels[e.Trans]
-		sgr.Edges = append(sgr.Edges, Edge{From: e.From, To: e.To, Sig: l.Sig, Dir: l.Dir})
+		sgr.Edges[i] = Edge{From: e.From, To: e.To, Sig: l.Sig, Dir: l.Dir}
 	}
-	sgr.indexEdges()
-
-	vals, err := inferValues(g, sgr)
-	if err != nil {
+	sgr.IndexEdges()
+	if err := inferLevels(g, sgr); err != nil {
 		return nil, err
-	}
-	for i := range sgr.States {
-		var code uint64
-		for s := 0; s < len(g.Signals); s++ {
-			if vals[i][s] == 1 {
-				code |= 1 << s
-			}
-		}
-		sgr.States[i].Code = code
 	}
 	return sgr, nil
 }
 
-// inferValues computes the binary level of every signal in every state.
-// Values propagate along edges: an edge for signal s fixes s's level on
-// both endpoints (0→1 for rising, 1→0 for falling, complement for
-// toggle); every other edge preserves s's level. Conflicts mean the STG
-// has no consistent state assignment.
-func inferValues(g *stg.G, sgr *Graph) ([][]int8, error) {
-	n, ns := len(sgr.States), len(g.Signals)
-	vals := make([][]int8, n)
-	for i := range vals {
-		vals[i] = make([]int8, ns)
-		for j := range vals[i] {
-			vals[i][j] = -1
+// queued flags a state on inferLevels' work list. It lies above every
+// signal bit (MaxSignals < 63), in the state's known word.
+const queued = uint64(1) << 63
+
+// inferLevels writes every state's binary level of every signal into
+// its Code. Levels propagate along edges: an edge for signal s fixes
+// s's level on both endpoints (0→1 for rising, 1→0 for falling,
+// complement for toggle); every other edge preserves s's level.
+// Conflicts mean the STG has no consistent state assignment.
+//
+// All signals propagate at once, a word per state: known[s] holds the
+// signals whose level in s is fixed and Code their levels. A state on
+// the work list pushes its known levels across each of its edges, in
+// both directions, and a neighbour that learns a level joins the list.
+// The fixed point does not depend on the order of the list, so the
+// codes, and the first undetermined level in state order, are the same
+// as any other propagation order gives.
+func inferLevels(g *stg.G, sgr *Graph) error {
+	n := len(sgr.States)
+	known := make([]uint64, n)
+	work := make([]int32, 0, n)
+	push := func(st int) {
+		if known[st]&queued == 0 {
+			known[st] |= queued
+			work = append(work, int32(st))
 		}
 	}
-
-	type seed struct {
-		state int
-		sig   int
-		v     int8
+	inconsistent := func(st int, bad uint64) error {
+		return fmt.Errorf("sg: inconsistent state assignment for signal %q (marking state %d requires both 0 and 1)",
+			g.Signals[bits.TrailingZeros64(bad)].Name, st)
 	}
-	var queue []seed
-	set := func(st, sig int, v int8) error {
-		switch vals[st][sig] {
-		case -1:
-			vals[st][sig] = v
-			queue = append(queue, seed{st, sig, v})
-		case v:
-		default:
-			return fmt.Errorf("sg: inconsistent state assignment for signal %q (marking state %d requires both 0 and 1)",
-				g.Signals[sig].Name, st)
+	// merge gives state st the levels vals of the signals in mask.
+	merge := func(st int, mask, vals uint64) error {
+		code := &sgr.States[st].Code
+		if bad := known[st] & mask & (*code ^ vals); bad != 0 {
+			return inconsistent(st, bad)
+		}
+		if learned := mask &^ known[st]; learned != 0 {
+			known[st] |= learned
+			*code |= vals & learned
+			push(st)
 		}
 		return nil
 	}
 
-	// Seed from every non-toggle signal edge.
+	// Seed from every non-toggle signal edge, in edge order.
 	for _, e := range sgr.Edges {
 		if e.Sig < 0 || e.Dir == stg.Toggle {
 			continue
 		}
-		var before, after int8 = 0, 1
+		bit := uint64(1) << e.Sig
+		before, after := uint64(0), bit
 		if e.Dir == stg.Falling {
-			before, after = 1, 0
+			before, after = bit, 0
 		}
-		if err := set(e.From, e.Sig, before); err != nil {
-			return nil, err
+		if err := merge(e.From, bit, before); err != nil {
+			return err
 		}
-		if err := set(e.To, e.Sig, after); err != nil {
-			return nil, err
+		if err := merge(e.To, bit, after); err != nil {
+			return err
 		}
 	}
 
-	// Propagate: for signal s, a non-s edge preserves the level; an s
-	// toggle edge complements it.
+	// Propagate: an edge carries every known level across it but its own
+	// signal's, which a rising or falling edge has seeded on both
+	// endpoints and a toggle edge complements.
 	drain := func() error {
-		for len(queue) > 0 {
-			sd := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			prop := func(ei int, other int) error {
-				e := sgr.Edges[ei]
-				v := sd.v
-				if e.Sig == sd.sig {
-					if e.Dir != stg.Toggle {
-						return nil // endpoints already seeded
+		for len(work) > 0 {
+			st := int(work[len(work)-1])
+			work = work[:len(work)-1]
+			known[st] &^= queued
+			mask, vals := known[st], sgr.States[st].Code
+			across := func(e Edge, other int) error {
+				m, v := mask, vals
+				if e.Sig >= 0 {
+					if bit := uint64(1) << e.Sig; e.Dir == stg.Toggle {
+						v ^= bit
+					} else {
+						m &^= bit
 					}
-					v = 1 - v
 				}
-				return set(other, sd.sig, v)
+				return merge(other, m, v&m)
 			}
-			for _, ei := range sgr.Out[sd.state] {
-				if err := prop(ei, sgr.Edges[ei].To); err != nil {
+			for _, ei := range sgr.Out(st) {
+				if err := across(sgr.Edges[ei], sgr.Edges[ei].To); err != nil {
 					return err
 				}
 			}
-			for _, ei := range sgr.In[sd.state] {
-				if err := prop(ei, sgr.Edges[ei].From); err != nil {
+			for _, ei := range sgr.In(st) {
+				if err := across(sgr.Edges[ei], sgr.Edges[ei].From); err != nil {
 					return err
 				}
 			}
@@ -317,32 +328,27 @@ func inferValues(g *stg.G, sgr *Graph) ([][]int8, error) {
 		return nil
 	}
 	if err := drain(); err != nil {
-		return nil, err
+		return err
 	}
 
 	// A signal with only toggle transitions has consistent parity but no
 	// absolute level; anchor it at 0 in the initial state (the usual
 	// astg convention) and re-propagate.
-	for sig := range g.Signals {
-		if vals[sgr.Initial][sig] == -1 {
-			if err := set(sgr.Initial, sig, 0); err != nil {
-				return nil, err
-			}
-		}
+	all := uint64(1)<<len(g.Signals) - 1
+	if err := merge(sgr.Initial, all&^known[sgr.Initial], 0); err != nil {
+		return err
 	}
 	if err := drain(); err != nil {
-		return nil, err
+		return err
 	}
 
-	for st := range vals {
-		for sig, v := range vals[st] {
-			if v == -1 {
-				return nil, fmt.Errorf("sg: level of signal %q undetermined in state %d (signal never switches in a reachable marking)",
-					g.Signals[sig].Name, st)
-			}
+	for st, k := range known {
+		if k != all {
+			return fmt.Errorf("sg: level of signal %q undetermined in state %d (signal never switches in a reachable marking)",
+				g.Signals[bits.TrailingZeros64(all&^k)].Name, st)
 		}
 	}
-	return vals, nil
+	return nil
 }
 
 // SignalIndex finds a base signal by name.
@@ -355,8 +361,8 @@ func (g *Graph) SignalIndex(name string) (int, bool) {
 	return -1, false
 }
 
-// Clone returns a deep copy of the graph (markings are shared; they are
-// never mutated).
+// Clone returns a deep copy of the graph. A state is its code alone, so
+// nothing is shared with g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		Name:    g.Name,
@@ -364,14 +370,9 @@ func (g *Graph) Clone() *Graph {
 		Active:  g.Active,
 		States:  append([]State(nil), g.States...),
 		Edges:   append([]Edge(nil), g.Edges...),
-		Out:     make([][]int, len(g.Out)),
-		In:      make([][]int, len(g.In)),
 		Initial: g.Initial,
 	}
-	for i := range g.Out {
-		c.Out[i] = append([]int(nil), g.Out[i]...)
-		c.In[i] = append([]int(nil), g.In[i]...)
-	}
+	c.IndexEdges()
 	for _, ss := range g.StateSigs {
 		c.StateSigs = append(c.StateSigs, StateSignal{Name: ss.Name, Phases: append([]Phase(nil), ss.Phases...)})
 	}

@@ -48,10 +48,10 @@ func TestFromSTGCodes(t *testing.T) {
 		if (code>>reqIdx)&1 != w.req || (code>>ackIdx)&1 != w.ack {
 			t.Fatalf("state %d: code %b, want req=%d ack=%d", i, code, w.req, w.ack)
 		}
-		if len(sgr.Out[s]) != 1 {
-			t.Fatalf("state %d has %d out edges", i, len(sgr.Out[s]))
+		if len(sgr.Out(s)) != 1 {
+			t.Fatalf("state %d has %d out edges", i, len(sgr.Out(s)))
 		}
-		s = sgr.Edges[sgr.Out[s][0]].To
+		s = sgr.Edges[sgr.Out(s)[0]].To
 	}
 	if s != sgr.Initial {
 		t.Fatalf("cycle does not close")
@@ -117,7 +117,7 @@ func TestImpliedValueAndEnabled(t *testing.T) {
 	if v := sgr.ImpliedValue(s, ackIdx); v != 0 {
 		t.Fatalf("implied ack at idle = %d", v)
 	}
-	s = sgr.Edges[sgr.Out[s][0]].To // after req+: ack+ enabled → implied 1
+	s = sgr.Edges[sgr.Out(s)[0]].To // after req+: ack+ enabled → implied 1
 	if v := sgr.ImpliedValue(s, ackIdx); v != 1 {
 		t.Fatalf("implied ack after req+ = %d", v)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"asyncsyn/internal/bench"
 	"asyncsyn/internal/metrics"
 	"asyncsyn/internal/stg"
 )
@@ -89,5 +90,33 @@ func BenchmarkConflictScan(b *testing.B) {
 		if c := Analyze(g); c == nil {
 			b.Fatal("nil conflicts")
 		}
+	}
+}
+
+// BenchmarkFromSTG measures elaboration, the first step of every
+// method: reachability over the packed marking arena, the edge rows and
+// the word-parallel level inference, on the largest Table-1 row (mr0)
+// and on the handshake with five concurrent branches (6252 states).
+func BenchmarkFromSTG(b *testing.B) {
+	mr0, err := bench.Load("mr0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	hs, err := stg.Handshakes("", 5, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		spec *stg.G
+	}{{"mr0", mr0}, {"handshake-k5", hs}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := FromSTG(c.spec, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -41,8 +41,8 @@ func (g *Graph) CheckPersistency() []PersistencyViolation {
 		return g.Base[e.Sig].Name + e.Dir.String()
 	}
 	for s := range g.States {
-		for _, ei := range g.Out[s] {
-			for _, ej := range g.Out[s] {
+		for _, ei := range g.Out(s) {
+			for _, ej := range g.Out(s) {
 				if ei == ej {
 					continue
 				}
@@ -52,7 +52,7 @@ func (g *Graph) CheckPersistency() []PersistencyViolation {
 				}
 				// After firing b, is an edge with a's label still enabled?
 				still := false
-				for _, ek := range g.Out[b.To] {
+				for _, ek := range g.Out(b.To) {
 					e := g.Edges[ek]
 					if e.Sig == a.Sig && e.Dir == a.Dir {
 						still = true

@@ -21,9 +21,8 @@ func TestSCCsDetectsDeadEnd(t *testing.T) {
 	sgr, _ := FromSTG(parse(t, handshake), Options{})
 	// Graft an artificial dead-end state.
 	sgr.States = append(sgr.States, State{Code: 0b11})
-	sgr.Out = append(sgr.Out, nil)
-	sgr.In = append(sgr.In, nil)
-	sgr.addEdge(Edge{From: 0, To: len(sgr.States) - 1, Sig: 0, Dir: stg.Rising})
+	sgr.Edges = append(sgr.Edges, Edge{From: 0, To: len(sgr.States) - 1, Sig: 0, Dir: stg.Rising})
+	sgr.IndexEdges()
 	if sgr.StronglyConnected() {
 		t.Fatalf("dead end not detected")
 	}

@@ -1,8 +1,8 @@
 package sg
 
 import (
+	"math/bits"
 	"sort"
-	"sync"
 )
 
 // Merged is the result of an ε-quotient: the modular state graph plus the
@@ -24,11 +24,12 @@ type Merged struct {
 // inconsistent phase join (the paper's guard: a signal whose removal puts
 // an Up and a Down of some state signal in one class cannot be removed).
 func (g *Graph) Quotient(silencedMask uint64) (m *Merged, ok bool) {
-	// The union-find parent array and the member counts are pooled
-	// scratch (scratchFor): one quotient is built per module, about 90
-	// per Table-1 pass, and none of this scratch escapes.
+	// The union-find parent array, the member counts and the edge buffer
+	// are pooled scratch (scratchFor): one quotient is built per module,
+	// about 90 per Table-1 pass, and none of this scratch escapes.
 	n := len(g.States)
 	sc := scratchFor(n)
+	defer releaseScratch(n, sc)
 	cover := make([]int, n)
 	nm := g.epsClasses(silencedMask, sc.intsFor(n), cover)
 
@@ -46,7 +47,6 @@ func (g *Graph) Quotient(silencedMask uint64) (m *Merged, ok bool) {
 		members[mi] = backing[off : off : off+sz]
 		off += sz
 	}
-	releaseScratch(n, sc)
 	for s, mi := range cover {
 		members[mi] = append(members[mi], s)
 	}
@@ -57,8 +57,6 @@ func (g *Graph) Quotient(silencedMask uint64) (m *Merged, ok bool) {
 		Base:    append([]SignalInfo(nil), g.Base...),
 		Active:  active,
 		States:  make([]State, len(members)),
-		Out:     make([][]int, len(members)),
-		In:      make([][]int, len(members)),
 		Initial: cover[g.Initial],
 	}
 
@@ -91,25 +89,37 @@ func (g *Graph) Quotient(silencedMask uint64) (m *Merged, ok bool) {
 	// flips an active bit, on which a class's members agree, so it joins
 	// two classes. The dedup key packs (from, to, sig, dir) into a
 	// uint64 — from and to index merged states (< n) and sig indexes
-	// base signals (< MaxSignals) — and the set itself is pooled across
-	// calls, one per module.
-	seen := edgeSeenPool.Get().(map[uint64]struct{})
+	// base signals (< MaxSignals) — and the set of keys seen is an
+	// open-addressed table in pooled scratch, at most half full, where 0
+	// marks an empty slot: no key is 0, since a kept edge joins two
+	// different classes. The survivors collect in scratch and are copied
+	// out at their exact count.
+	seen := sc.u64sFor(max(16, 2<<bits.Len(uint(len(g.Edges)))))
+	clear(seen)
+	shift := 64 - bits.Len(uint(len(seen)-1))
+	mod := len(seen) - 1
 	nm64 := uint64(nm)
-	mg.Edges = make([]Edge, 0, len(g.Edges))
+	kept := sc.edges[:0]
 	for _, e := range g.Edges {
 		ne := Edge{From: cover[e.From], To: cover[e.To], Sig: e.Sig, Dir: e.Dir}
 		if ne.From == ne.To {
 			continue
 		}
 		k := (uint64(ne.From)*nm64+uint64(ne.To))<<7 | uint64(ne.Sig)<<1 | uint64(ne.Dir)
-		if _, dup := seen[k]; dup {
+		i := int((k * 0x9e3779b97f4a7c15) >> shift)
+		for seen[i] != 0 && seen[i] != k {
+			i = (i + 1) & mod
+		}
+		if seen[i] == k {
 			continue
 		}
-		seen[k] = struct{}{}
-		mg.Edges = append(mg.Edges, ne)
+		seen[i] = k
+		kept = append(kept, ne)
 	}
-	putEdgeSeen(seen)
-	mg.indexEdges()
+	mg.Edges = make([]Edge, len(kept))
+	copy(mg.Edges, kept)
+	sc.edges = kept
+	mg.IndexEdges()
 
 	return &Merged{Graph: mg, Orig: g, Cover: cover, Members: members}, allOK
 }
@@ -166,24 +176,6 @@ func (g *Graph) epsClasses(silenced uint64, parent, cls []int) int {
 // footprint bounded by typical module sizes rather than the largest
 // graph of the run.
 const quotientSpillStates = 1 << 16
-
-// edgeSeenPool recycles the Quotient edge-dedup sets. Sets are cleared
-// before they go back to the pool (putEdgeSeen) and oversized ones are
-// dropped, so a pooled set never leaks state between calls, results are
-// identical with or without a pool hit, and one huge quotient cannot
-// pin its bucket array in the pool.
-var edgeSeenPool = sync.Pool{
-	New: func() any { return make(map[uint64]struct{}, 256) },
-}
-
-func putEdgeSeen(m map[uint64]struct{}) bool {
-	if len(m) > maxPooledMapEntries {
-		return false
-	}
-	clear(m)
-	edgeSeenPool.Put(m)
-	return true
-}
 
 // ImpliedOf returns the per-merged-state implied-value probe for signal o
 // needed by OutputConflicts: the union of the implied values of the

@@ -41,8 +41,8 @@ func (g *Graph) SCCs() [][]int {
 
 		for len(work) > 0 {
 			f := &work[len(work)-1]
-			if f.ei < len(g.Out[f.v]) {
-				w := g.Edges[g.Out[f.v][f.ei]].To
+			if out := g.Out(f.v); f.ei < len(out) {
+				w := g.Edges[out[f.ei]].To
 				f.ei++
 				if index[w] == -1 {
 					index[w] = counter
@@ -86,7 +86,7 @@ func (g *Graph) SCCs() [][]int {
 func (g *Graph) Deadlocks() []int {
 	var out []int
 	for s := range g.States {
-		if len(g.Out[s]) == 0 {
+		if len(g.Out(s)) == 0 {
 			out = append(out, s)
 		}
 	}

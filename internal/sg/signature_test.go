@@ -18,8 +18,6 @@ func permuteStates(g *Graph, perm []int, rng *rand.Rand) *Graph {
 		Base:    g.Base,
 		Active:  g.Active,
 		States:  make([]State, n),
-		Out:     make([][]int, n),
-		In:      make([][]int, n),
 		Initial: perm[g.Initial],
 	}
 	for s := 0; s < n; s++ {
@@ -35,8 +33,9 @@ func permuteStates(g *Graph, perm []int, rng *rand.Rand) *Graph {
 	order := rng.Perm(len(g.Edges))
 	for _, ei := range order {
 		e := g.Edges[ei]
-		out.addEdge(Edge{From: perm[e.From], To: perm[e.To], Sig: e.Sig, Dir: e.Dir})
+		out.Edges = append(out.Edges, Edge{From: perm[e.From], To: perm[e.To], Sig: e.Sig, Dir: e.Dir})
 	}
+	out.IndexEdges()
 	return out
 }
 
@@ -146,24 +145,24 @@ func TestSignatureSensitive(t *testing.T) {
 
 // TestAdjacencyIsEdgesGrouped pins the fact that lets SignatureOf leave
 // Out and In unread: on every graph the package builds (elaborated,
-// cloned, quotiented, expanded), Out[s] is exactly the indices of the
-// edges leaving s and In[s] those entering s, in ascending order. Two
+// cloned, quotiented, expanded), Out(s) is exactly the indices of the
+// edges leaving s and In(s) those entering s, in ascending order. Two
 // graphs with equal edge lists therefore have equal adjacency.
 func TestAdjacencyIsEdgesGrouped(t *testing.T) {
 	check := func(name string, g *Graph) {
 		t.Helper()
 		n := len(g.States)
-		if len(g.Out) != n || len(g.In) != n {
-			t.Fatalf("%s: %d states, %d Out and %d In lists", name, n, len(g.Out), len(g.In))
+		if len(g.out.off) != n+1 || len(g.in.off) != n+1 {
+			t.Fatalf("%s: %d states, %d Out and %d In offsets", name, n, len(g.out.off), len(g.in.off))
 		}
-		out, in := make([][]int, n), make([][]int, n)
+		out, in := make([][]int32, n), make([][]int32, n)
 		for i, e := range g.Edges {
-			out[e.From] = append(out[e.From], i)
-			in[e.To] = append(in[e.To], i)
+			out[e.From] = append(out[e.From], int32(i))
+			in[e.To] = append(in[e.To], int32(i))
 		}
 		for s := 0; s < n; s++ {
-			if !slices.Equal(g.Out[s], out[s]) || !slices.Equal(g.In[s], in[s]) {
-				t.Fatalf("%s: state %d has Out %v In %v, edges give %v and %v", name, s, g.Out[s], g.In[s], out[s], in[s])
+			if !slices.Equal(g.Out(s), out[s]) || !slices.Equal(g.In(s), in[s]) {
+				t.Fatalf("%s: state %d has Out %v In %v, edges give %v and %v", name, s, g.Out(s), g.In(s), out[s], in[s])
 			}
 		}
 	}

@@ -241,7 +241,7 @@ func (g *Graph) ExpandWaves(emit func(WaveState) error) (waves, peakFrontier int
 				fire(nb+k, stg.Falling)
 			}
 		}
-		for _, ei := range g.Out[cur.orig] {
+		for _, ei := range g.Out(cur.orig) {
 			e := g.Edges[ei]
 			if !compat(cur.x, e.To) {
 				continue
@@ -314,7 +314,7 @@ func (g *Graph) ExpandStream() (*Stream, error) {
 // per signal.
 func (g *Graph) impliedMask(s int) uint64 {
 	var decided, vals uint64
-	for _, ei := range g.Out[s] {
+	for _, ei := range g.Out(s) {
 		e := g.Edges[ei]
 		if e.Sig < 0 {
 			continue

@@ -11,7 +11,9 @@ import (
 // through the daemon's POST /v1/synthesize, so it must return errors,
 // never panic, on arbitrary bytes. Accepted inputs additionally go
 // through Validate, Format, and a re-parse of the formatted output —
-// the paths a parsed graph immediately hits in the pipeline.
+// the paths a parsed graph immediately hits in the pipeline — and are
+// elaborated both by sg.FromSTG and by the legacy path, which must
+// agree.
 func FuzzParse(f *testing.F) {
 	// Seed with every embedded benchmark (the realistic corpus) ...
 	for _, name := range bench.Available() {
@@ -40,6 +42,7 @@ func FuzzParse(f *testing.F) {
 		".graph\nz+ z-\n.end",
 		".model\n.inputs\n.graph\n.marking\n.end",
 		".outputs b\n.graph\nb~ b+\nb+ b~/2\n.end",
+		".outputs a b\n.graph\na+ b~\nb~ a-\na- b~/2\nb~/2 a+\n.marking { <b~/2,a+> }\n.end",
 		"# comment only\n.outputs b\n.graph\nb+ b- # tail\n.end",
 		".outputs b\n.capacity p0 2\n.graph\nb+ b-\n.end",
 		".marking { p0 }\n.end",
@@ -58,6 +61,7 @@ func FuzzParse(f *testing.F) {
 		// A successfully parsed graph must survive the immediate
 		// downstream calls without panicking; their errors are fine.
 		_ = g.Validate()
+		checkElaboratesAlike(t, g)
 		out := stg.Format(g)
 		// The formatter's output is program-generated; re-parsing it
 		// must not panic either (errors tolerated: Format can emit

@@ -307,8 +307,8 @@ a+ b+
 		if err1 != nil || err2 != nil {
 			t.Fatalf("reach: %v %v", err1, err2)
 		}
-		if len(r1.States) != len(r2.States) {
-			t.Fatalf("round trip changed reachability: %d vs %d states", len(r1.States), len(r2.States))
+		if r1.NumStates() != r2.NumStates() {
+			t.Fatalf("round trip changed reachability: %d vs %d states", r1.NumStates(), r2.NumStates())
 		}
 	}
 }
@@ -328,8 +328,8 @@ func TestBuilderEquivalentToParser(t *testing.T) {
 	}
 	rb, _ := built.Net.Reach(1, 0)
 	rp, _ := parsed.Net.Reach(1, 0)
-	if len(rb.States) != len(rp.States) {
-		t.Fatalf("builder graph differs: %d vs %d states", len(rb.States), len(rp.States))
+	if rb.NumStates() != rp.NumStates() {
+		t.Fatalf("builder graph differs: %d vs %d states", rb.NumStates(), rp.NumStates())
 	}
 }
 
@@ -366,7 +366,7 @@ func TestBuilderPlaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// idle, post-r+ (choice), mid-a, mid-b, merged = 5 markings.
-	if len(r.States) != 5 {
-		t.Fatalf("choice cycle has %d states, want 5", len(r.States))
+	if r.NumStates() != 5 {
+		t.Fatalf("choice cycle has %d states, want 5", r.NumStates())
 	}
 }
