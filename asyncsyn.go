@@ -93,14 +93,13 @@ func NewJSONTracer(w io.Writer) Tracer { return trace.NewJSON(w) }
 func NewLogTracer(w io.Writer) Tracer { return trace.NewLog(w) }
 
 // Metrics is a thread-safe set of atomic synthesis counters (SAT
-// decisions/conflicts/propagations/learned clauses, BDD nodes,
-// state-graph states explored and merged, ESPRESSO passes, modular
-// passes, formula sizes). Attach one via Options.Metrics; it
-// accumulates across every run it is attached to, and each run's own
-// delta is reported in Circuit.Counters and per stage in
-// Circuit.Stages. Collection is zero-overhead when no collector is
-// attached: hot paths consult the context once per coarse operation and
-// all methods no-op on nil.
+// decisions/conflicts/propagations/learned clauses, state-graph states
+// explored and merged, ESPRESSO passes, modular passes, formula sizes).
+// Attach one via Options.Metrics; it accumulates across every run it is
+// attached to, and each run's own delta is reported in Circuit.Counters
+// and per stage in Circuit.Stages. Collection is zero-overhead when no
+// collector is attached: hot paths consult the context once per coarse
+// operation and all methods no-op on nil.
 type Metrics = metrics.Collector
 
 // NewMetrics returns an empty metrics collector.
@@ -206,49 +205,11 @@ func ParseMethod(s string) (Method, error) {
 	return 0, fmt.Errorf("unknown method %q", s)
 }
 
-// Engine selects the SAT engine. The values are explicit and match
-// the internal engine numbers, which are part of the module-cache key:
-// the retired values 1 and 3 are never reused.
-type Engine int
-
-const (
-	// DPLL is the complete branch-and-bound solver (default).
-	DPLL Engine = 0
-	// BDD solves the constraints with a binary decision diagram and
-	// returns the minimum-excitation model — the paper's closing pointer
-	// to a BDD-based approach with further area reduction. Falls back to
-	// DPLL when the diagram exceeds its node budget.
-	BDD Engine = 2
-)
-
-func (e Engine) String() string {
-	switch e {
-	case DPLL:
-		return "dpll"
-	case BDD:
-		return "bdd"
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
-}
-
-// ParseEngine resolves an engine name ("dpll", "bdd"; "" selects the
-// default).
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "dpll":
-		return DPLL, nil
-	case "bdd":
-		return BDD, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q", s)
-}
-
 // Options configures Synthesize. Normalize gives an option set its
 // canonical form: a budget given at its default is the same as zero,
 // and an invalid value is an error matching ErrParse.
 type Options struct {
 	Method Method
-	Engine Engine
 	// MaxBacktracks bounds each SAT search (0 means the default of
 	// 2,000,000; negative is rejected); exceeding it aborts the run with
 	// Circuit.Aborted set, mirroring the paper's "SAT Backtrack Limit"
@@ -304,8 +265,8 @@ type Options struct {
 
 // Normalize returns the canonical form of opt, the one every option
 // key (the run database's, the daemon's) is derived from. It rejects
-// an unknown Method or Engine and a negative MaxBacktracks, MaxStates
-// or TokenBound with an error matching ErrParse, and it maps a budget
+// an unknown Method and a negative MaxBacktracks, MaxStates or
+// TokenBound with an error matching ErrParse, and it maps a budget
 // given at its default to zero, so spelling a default out does not
 // make another run. Every other field passes through unchanged.
 // SynthesizeContext runs it first.
@@ -316,10 +277,6 @@ func (opt Options) Normalize() (Options, error) {
 	switch {
 	case opt.Method != Modular && opt.Method != Direct && opt.Method != Lavagno:
 		return invalid("unknown method %v", opt.Method)
-	case opt.Engine != DPLL && opt.Engine != BDD:
-		// A retired engine number would otherwise solve with DPLL and
-		// be recorded under an engine it did not use.
-		return invalid("unknown engine %v", opt.Engine)
 	case opt.MaxBacktracks < 0:
 		return invalid("negative MaxBacktracks %d", opt.MaxBacktracks)
 	case opt.MaxStates < 0:
@@ -347,7 +304,6 @@ type FormulaStat struct {
 	Clauses  int
 	Literals int
 	Status   string // "SAT", "UNSAT", "BACKTRACK-LIMIT"
-	Engine   string // engine that decided it: "dpll" or "bdd"
 	// Cached reports that the instance was replayed from the module
 	// solve cache instead of being searched.
 	Cached bool
@@ -356,9 +312,7 @@ type FormulaStat struct {
 	// hashing, encoding and the solver load. A cache hit reports the time
 	// to the hit.
 	Time time.Duration
-	// Search is the time inside the engine calls alone (the SAT search
-	// or the BDD solve, plus the SAT fallback of a BDD solve that hit its
-	// node limit); 0 on a cache hit.
+	// Search is the time inside the SAT search alone; 0 on a cache hit.
 	Search time.Duration
 }
 
@@ -497,7 +451,7 @@ func Synthesize(s *STG, opt Options) (*Circuit, error) {
 // SynthesizeContext is Synthesize under a caller-supplied context:
 // canceling ctx (or exceeding Options.Timeout) stops the run promptly —
 // every long-running loop in the pipeline polls the context, down to
-// the SAT engines' inner branch loops — and returns an error matching
+// the SAT search's inner branch loop — and returns an error matching
 // ErrCanceled. Uncanceled runs produce bit-identical circuits to
 // Synthesize: the polls are read-only. An option set that Normalize
 // rejects returns its ErrParse error before any work.
@@ -549,7 +503,6 @@ func coreOptions(opt Options) (core.Options, error) {
 	}
 	return core.Options{
 		SAT: csc.SolveOptions{
-			Engine:        csc.Engine(opt.Engine),
 			ExpandXor:     opt.ExpandXor,
 			MaxBacktracks: opt.MaxBacktracks,
 			Cache:         cache,
@@ -704,7 +657,7 @@ func formulaStat(output string, f csc.FormulaStats) FormulaStat {
 	return FormulaStat{
 		Output: output, Signals: f.Signals, Vars: f.Vars,
 		Clauses: f.Clauses, Literals: f.Literals,
-		Status: f.Status.String(), Engine: f.Engine, Cached: f.Cached,
+		Status: f.Status.String(), Cached: f.Cached,
 		Time: f.SolveTime, Search: f.SearchTime,
 	}
 }

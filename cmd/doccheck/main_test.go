@@ -70,7 +70,7 @@ func TestCheckFile(t *testing.T) {
 // the same set the CI docs job gates on — so a broken link fails
 // locally too.
 func TestRepoDocsResolve(t *testing.T) {
-	for _, doc := range []string{"README.md", "DESIGN.md", "docs/API.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/API.md", ".claude/skills/verify/SKILL.md"} {
 		path := filepath.Join("..", "..", doc)
 		problems, err := checkFile(path)
 		if err != nil {

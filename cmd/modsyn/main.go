@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	modsyn [-method modular|direct|lavagno] [-engine dpll|bdd]
-//	       [-workers N] [-timeout D] [-trace file] [-cachedir dir]
-//	       [-maxbacktracks N] [-expandxor] [-v] file.g
+//	modsyn [-method modular|direct|lavagno] [-workers N] [-timeout D]
+//	       [-trace file] [-cachedir dir] [-maxbacktracks N] [-expandxor]
+//	       [-v] file.g
 //	modsyn -bench name        # synthesize an embedded benchmark
 //	modsyn -project dir/      # incremental suite mode over a directory
 //	       [-rundb dir] [-recheck]
@@ -22,8 +22,7 @@
 // -workers N bounds the worker pool of per-signal logic derivation, the
 // one parallel stage (0 = GOMAXPROCS, 1 = sequential); conflict scans
 // and state-signal insertion run sequentially, and the synthesized
-// circuit is identical for every value. -engine bdd solves each formula with a
-// binary decision diagram, falling back to DPLL past its node budget.
+// circuit is identical for every value.
 // -timeout bounds the run's wall-clock time (e.g. -timeout 30s).
 // -trace writes one JSON line per pipeline stage and per SAT formula to
 // the given file ("-" for stderr).
@@ -55,7 +54,6 @@ import (
 
 func main() {
 	method := flag.String("method", "modular", "synthesis method: modular, direct or lavagno")
-	engine := flag.String("engine", "dpll", "constraint engine: dpll or bdd (minimum-excitation models, dpll past the node budget)")
 	workers := flag.Int("workers", 0, "worker pool for per-signal logic derivation (0 = GOMAXPROCS, 1 = sequential; output is identical for any value)")
 	expandXor := flag.Bool("expandxor", false, "use the paper-style expanded CNF for separation constraints")
 	benchName := flag.String("bench", "", "synthesize the named embedded benchmark instead of a file")
@@ -94,9 +92,6 @@ func main() {
 	}
 	var err error
 	if opt.Method, err = asyncsyn.ParseMethod(*method); err != nil {
-		fatalClass(synerr.ClassParse, "%v", err)
-	}
-	if opt.Engine, err = asyncsyn.ParseEngine(*engine); err != nil {
 		fatalClass(synerr.ClassParse, "%v", err)
 	}
 
@@ -192,12 +187,8 @@ func main() {
 			if out == "" {
 				out = "(global)"
 			}
-			eng := f.Engine
-			if eng == "" {
-				eng = "dpll"
-			}
-			fmt.Printf("  %-10s m=%d  %5d vars %7d clauses  %s  %s  %v\n",
-				out, f.Signals, f.Vars, f.Clauses, f.Status, eng, f.Time)
+			fmt.Printf("  %-10s m=%d  %5d vars %7d clauses  %s  %v\n",
+				out, f.Signals, f.Vars, f.Clauses, f.Status, f.Time)
 		}
 	}
 }

@@ -179,11 +179,8 @@ func TestSynthesizeOptions(t *testing.T) {
 		err  string // "" = synthesizes fifo's default circuit
 	}{
 		{"zero", Options{}, ""},
-		{"spelled-out-defaults", Options{Method: Modular, Engine: DPLL, MaxBacktracks: 2000000, MaxStates: 100000, TokenBound: 1}, ""},
+		{"spelled-out-defaults", Options{Method: Modular, MaxBacktracks: 2000000, MaxStates: 100000, TokenBound: 1}, ""},
 		{"unknown-method", Options{Method: Method(42)}, "unknown method"},
-		// 1 is the retired WalkSAT number; neither may fall back to DPLL.
-		{"retired-engine", Options{Engine: Engine(1)}, "unknown engine"},
-		{"unknown-engine", Options{Engine: Engine(7)}, "unknown engine"},
 		{"negative-backtracks", Options{MaxBacktracks: -1}, "negative MaxBacktracks"},
 		{"negative-states", Options{MaxStates: -5}, "negative MaxStates"},
 		{"negative-token-bound", Options{TokenBound: -1}, "negative TokenBound"},
@@ -270,9 +267,12 @@ func TestLavagnoSuite(t *testing.T) {
 	}
 }
 
-// TestLavagnoEngine: a Lavagno-style run solves every formula, in its
-// csc stage as in expansion refinement, with the run's engine.
-func TestLavagnoEngine(t *testing.T) {
+// TestLavagnoExpandXor: a Lavagno-style run solves every formula, in
+// its csc stage as in expansion refinement, in the run's encoding. The
+// paper-style expansion has no auxiliary variables, so each formula has
+// exactly the 2·m·n state variables of m signals over the n initial
+// states; the default Tseitin encoding adds separation variables.
+func TestLavagnoExpandXor(t *testing.T) {
 	for _, name := range []string{"fifo", "nak-pa"} {
 		src, err := bench.Source(name)
 		if err != nil {
@@ -282,7 +282,7 @@ func TestLavagnoEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Synthesize(g, Options{Method: Lavagno, Engine: BDD})
+		c, err := Synthesize(g, Options{Method: Lavagno, ExpandXor: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -290,8 +290,8 @@ func TestLavagnoEngine(t *testing.T) {
 			t.Fatalf("%s: no formulas recorded", name)
 		}
 		for i, f := range c.Formulas {
-			if f.Engine != "bdd" {
-				t.Errorf("%s: formula %d of %d solved by %q, want bdd", name, i, len(c.Formulas), f.Engine)
+			if want := 2 * f.Signals * c.InitialStates; f.Vars != want {
+				t.Errorf("%s: formula %d of %d has %d variables, want the %d state variables alone", name, i, len(c.Formulas), f.Vars, want)
 			}
 		}
 	}

@@ -167,9 +167,9 @@ func compareMethod(rep *Report, opt CompareOptions, label string, old, new Metho
 }
 
 // compareCounters reports drift in the deterministic counters as soft
-// findings: counter totals are bit-stable for a given code version and
-// engine, but a legitimate algorithm change moves them, so they inform
-// rather than gate.
+// findings: counter totals are bit-stable for a given code version,
+// but a legitimate algorithm change moves them, so they inform rather
+// than gate.
 func compareCounters(rep *Report, label string, old, new map[string]int64) {
 	if old == nil || new == nil {
 		return

@@ -189,8 +189,9 @@ func (s chainSink) add(lits []sat.Lit) {
 
 // solve is one DPLL attempt: emit, search, decode, tighten. It records
 // the formula in the run's metrics and trace, absorbs the stable
-// exports into opt.Chain and returns their normalized form (see
-// solveUncached).
+// exports into opt.Chain and returns their normalized form, which
+// Attempt stores with a cached outcome so that a hit can replay the
+// absorption.
 func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts, m int, opt SolveOptions, start time.Time) (cols [][]sg.Phase, stats FormulaStats, norm [][]sat.Lit, err error) {
 	// Reject what no formula can express before touching solver state.
 	if m <= 0 {
@@ -227,7 +228,7 @@ func (c *ChainSolver) solve(ctx context.Context, g *sg.Graph, conf *sg.Conflicts
 	stats = FormulaStats{
 		Signals: m, Vars: 2*c.lay.n*m + c.grpAux, Clauses: block.Clauses + c.grpCl,
 		Literals: block.Literals + c.grpLit, Status: r.Status,
-		SolveTime: time.Since(start), SearchTime: search, Engine: "dpll",
+		SolveTime: time.Since(start), SearchTime: search,
 	}
 	if r.Status == sat.Canceled {
 		return nil, stats, nil, synerr.Canceled(ctx.Err())

@@ -40,10 +40,12 @@ func edgeKindsGraph() *sg.Graph {
 // self-loop edges: every step of one ChainSolver, growing, shrinking
 // and regrowing its columns, reports the formula size, verdict, search
 // counters, stable export and model of Encode's formula solved from
-// scratch by sat.SolveWarm. The solver is then handed other graphs: one
-// of another size, a structurally equal copy of the first and one of
-// the first's size with an edge relabelled. It must reset for each. The
-// same sequence then runs again in the paper-style expanded encoding.
+// scratch by sat.SolveWarm, and the diagram oracle, small enough here
+// for every step, gives its verdict. The solver is then handed other
+// graphs: one of another size, a structurally equal copy of the first
+// and one of the first's size with an edge relabelled. It must reset
+// for each. The same sequence then runs again in the paper-style
+// expanded encoding.
 func TestChainSolverMatchesEncode(t *testing.T) {
 	g := edgeKindsGraph()
 	separable := &sg.Conflicts{CSC: []sg.Pair{{A: 0, B: 2}}, USC: []sg.Pair{{A: 2, B: 4}}}
@@ -70,13 +72,14 @@ func TestChainSolverMatchesEncode(t *testing.T) {
 
 	c := NewChainSolver()
 	verdicts := map[sat.Status]int{}
+	var oracle OracleTally
 	for i, st := range steps {
 		name := fmt.Sprintf("step%d-%s-m%d-pairs%d", i, st.g.Name, st.m, st.conf.N())
 		if st.expandXor {
 			name += "-expandxor"
 		}
 		t.Run(name, func(t *testing.T) {
-			c.check = stepChecker(t, verdicts)
+			c.check = stepChecker(t, verdicts, &oracle)
 			opt := SolveOptions{ExpandXor: st.expandXor}.withDefaults()
 			if _, _, _, err := c.solve(context.Background(), st.g, st.conf, st.m, opt, time.Now()); err != nil {
 				t.Fatal(err)
@@ -85,6 +88,9 @@ func TestChainSolverMatchesEncode(t *testing.T) {
 	}
 	if verdicts[sat.Sat] == 0 || verdicts[sat.Unsat] == 0 || verdicts[sat.Sat]+verdicts[sat.Unsat] != len(steps) {
 		t.Fatalf("verdicts %v over %d steps, want SAT and UNSAT steps only", verdicts, len(steps))
+	}
+	if oracle.Decided != len(steps) || oracle.Unsat != verdicts[sat.Unsat] {
+		t.Fatalf("%v over %d steps, want every step decided", oracle, len(steps))
 	}
 	// Three input edges (two of a, one ε) and two output edges block
 	// 3·10 + 2·8 phase pairs per column; the two self-loops add nothing.

@@ -237,16 +237,6 @@ func TestSolveDirectBacktrackLimit(t *testing.T) {
 	}
 }
 
-// TestEngineNumbersAreCacheKeys pins the engine values: int(Engine) is
-// part of the module-cache key that disk and peer records are matched
-// on, so renumbering an engine would let a record written under another
-// engine by an older build answer its queries.
-func TestEngineNumbersAreCacheKeys(t *testing.T) {
-	if int(DPLL) != 0 || int(BDD) != 2 {
-		t.Fatalf("DPLL = %d, BDD = %d; want 0 and 2", int(DPLL), int(BDD))
-	}
-}
-
 func TestTightenPreservesConstraintsAndShrinksRegions(t *testing.T) {
 	g := graph(t, twoPulse)
 	conf := sg.Analyze(g)

@@ -10,27 +10,8 @@ import (
 	"asyncsyn/internal/sg"
 )
 
-// Engine selects the SAT engine used to solve CSC formulas.
-type Engine int
-
-// The engine values are explicit because int(Engine) is part of the
-// module-cache key (modcache.Key.Engine), which disk and peer records
-// are matched on. A number retired with its engine (1 was a local-search
-// solver, 3 a race of DPLL against it) is never reused, so a record an
-// older build wrote can never match a different engine.
-const (
-	// DPLL is the branch-and-bound solver (default; the role of the SIS
-	// SAT program in the paper's experiments).
-	DPLL Engine = 0
-	// BDD conjoins all constraints into a binary decision diagram and
-	// extracts the minimum-excitation model (the paper's closing pointer
-	// to a BDD-based approach with further area reduction). It falls
-	// back to DPLL when the diagram exceeds the node limit.
-	BDD Engine = 2
-)
-
 // DefaultMaxBacktracks is the SAT backtrack budget per formula when
-// none is set: the default of every engine and method.
+// none is set: the default of every method.
 const DefaultMaxBacktracks = 2000000
 
 // maxDirectSignals bounds the direct method's state-signal insertion.
@@ -39,7 +20,6 @@ const maxDirectSignals = 8
 // SolveOptions configures CSC solving: one Attempt, the Figure 4
 // insertion loop (Insert) and the direct whole-graph method.
 type SolveOptions struct {
-	Engine Engine
 	// ExpandXor generates the paper-style direct CNF expansion of the
 	// "codes must differ" constraints (4^m clauses per conflicting pair)
 	// instead of the default Tseitin encoding with auxiliary difference
@@ -64,11 +44,6 @@ type SolveOptions struct {
 	Incr *ChainSolver
 	// NamePrefix names inserted signals (default "csc").
 	NamePrefix string
-
-	// bddNodeLimit overrides the BDD engine's node limit (0: the pool's
-	// default of one million nodes); tests set it to force the DPLL
-	// fallback.
-	bddNodeLimit int
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
@@ -93,12 +68,9 @@ type FormulaStats struct {
 	// covers key hashing, encoding and the solver load. A cache hit
 	// reports the time to the hit.
 	SolveTime time.Duration
-	// SearchTime is the time inside the engine calls alone (the DPLL
-	// search or the BDD solve, plus the DPLL fallback of a BDD solve
-	// that hit its node limit); 0 on a cache hit.
+	// SearchTime is the time inside the DPLL search alone; 0 on a cache
+	// hit.
 	SearchTime time.Duration
-	// Engine names the engine that produced Status ("dpll" or "bdd").
-	Engine string
 	// Cached reports that the outcome was replayed from the module
 	// solve cache instead of being computed.
 	Cached bool

@@ -96,16 +96,18 @@ func (e *Encoding) DecodePhases(model []bool) [][]sg.Phase { return e.lay.decode
 // checks the warm chain the step was seeded from, which works in the
 // chain solver's layout: the seeds are the chain's clauses at every
 // column, each seed is implied by one column's edge clauses, and the
-// step's exports normalize alike in both layouts.
-func CheckedChainSolver(tb testing.TB, verdicts map[sat.Status]int) *ChainSolver {
+// step's exports normalize alike in both layouts. Every step whose
+// constraints fit the diagram oracle's node limit is checked against
+// the diagram too (matchesOracle), counted in oracle.
+func CheckedChainSolver(tb testing.TB, verdicts map[sat.Status]int, oracle *OracleTally) *ChainSolver {
 	c := NewChainSolver()
-	c.check = stepChecker(tb, verdicts)
+	c.check = stepChecker(tb, verdicts, oracle)
 	return c
 }
 
 // stepChecker returns CheckedChainSolver's check hook. proved records,
 // per graph, the seed clauses already proved sound.
-func stepChecker(tb testing.TB, verdicts map[sat.Status]int) func(chainStep) {
+func stepChecker(tb testing.TB, verdicts map[sat.Status]int, oracle *OracleTally) func(chainStep) {
 	proved := map[*sg.Graph]map[string]bool{}
 	return func(st chainStep) {
 		tb.Helper()
@@ -113,8 +115,10 @@ func stepChecker(tb testing.TB, verdicts map[sat.Status]int) func(chainStep) {
 		if proved[st.g] == nil {
 			proved[st.g] = map[string]bool{}
 		}
-		if err := st.matchesEncode(proved[st.g]); err != nil {
-			tb.Errorf("%s: m=%d, %d+%d pairs, expandXor=%v: %v", st.g.Name, st.m, len(st.conf.CSC), len(st.conf.USC), st.opt.ExpandXor, err)
+		for _, err := range []error{st.matchesEncode(proved[st.g]), st.matchesOracle(oracle)} {
+			if err != nil {
+				tb.Errorf("%s: m=%d, %d+%d pairs, expandXor=%v: %v", st.g.Name, st.m, len(st.conf.CSC), len(st.conf.USC), st.opt.ExpandXor, err)
+			}
 		}
 	}
 }
@@ -147,7 +151,7 @@ func (st chainStep) matchesEncode(proved map[string]bool) error {
 	}
 	r := sat.SolveWarm(enc.F, sat.Limits{MaxBacktracks: st.opt.MaxBacktracks, ExportStable: st.opt.Chain != nil}, seeds)
 	want := FormulaStats{Signals: st.m, Vars: enc.F.NumVars, Clauses: enc.F.NumClauses(),
-		Literals: enc.F.NumLiterals(), Status: r.Status, Engine: "dpll"}
+		Literals: enc.F.NumLiterals(), Status: r.Status}
 	got := st.stats
 	got.SolveTime, got.SearchTime = 0, 0
 	if got != want {

@@ -36,10 +36,10 @@ type Result struct {
 // the most popular code); consistency, semi-modularity and USC
 // constraints still span the entire graph, which is what makes the
 // method expensive without decomposition. Every instance is one
-// csc.Attempt under the run's engine, encoding and backtrack budget
-// (opt's Engine, ExpandXor and MaxBacktracks), with no solve cache and
-// no warm chain, all on one chain solver (opt.Incr, or a new one), so
-// the run's metrics and trace see every formula.
+// csc.Attempt under the run's encoding and backtrack budget (opt's
+// ExpandXor and MaxBacktracks), with no solve cache and no warm chain,
+// all on one chain solver (opt.Incr, or a new one), so the run's
+// metrics and trace see every formula.
 //
 // Budget exhaustion or an insertion cap reached with conflicts left
 // returns an error matching synerr.ErrBacktrackLimit (Table 1 reports

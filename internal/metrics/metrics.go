@@ -1,7 +1,7 @@
 // Package metrics provides the synthesis pipeline's quantitative
 // instrumentation: a Collector of cheap atomic counters (SAT decisions,
-// conflicts, propagations, learned clauses, BDD nodes, state-graph
-// states explored and merged, ESPRESSO passes, modular passes, formula
+// conflicts, propagations, learned clauses, state-graph states
+// explored and merged, ESPRESSO passes, modular passes, formula
 // sizes) carried on the context.Context alongside the
 // internal/trace Tracer. Hot paths fetch the collector once with From
 // and call Add on it; both are nil-safe, so an uninstrumented run pays
@@ -33,14 +33,12 @@ const (
 	SATLearned
 	// SATRestarts counts DPLL restarts.
 	SATRestarts
-	// SATFormulas counts solved SAT/BDD constraint instances.
+	// SATFormulas counts solved SAT constraint instances.
 	SATFormulas
 	// SATClauses accumulates the clause counts of all encoded formulas.
 	SATClauses
 	// SATVars accumulates the variable counts of all encoded formulas.
 	SATVars
-	// BDDNodes accumulates the node counts of BDD constraint solves.
-	BDDNodes
 	// SGStates counts state-graph states constructed (reachability
 	// elaboration and CSC expansion).
 	SGStates
@@ -94,7 +92,6 @@ var kindNames = [numKinds]string{
 	SATFormulas:      "sat_formulas",
 	SATClauses:       "sat_clauses",
 	SATVars:          "sat_vars",
-	BDDNodes:         "bdd_nodes",
 	SGStates:         "sg_states",
 	SGStatesMerged:   "sg_states_merged",
 	EspressoExpand:   "espresso_expand",

@@ -51,7 +51,7 @@ func TestKindNamesStable(t *testing.T) {
 	want := []string{
 		"sat_decisions", "sat_conflicts", "sat_propagations", "sat_learned",
 		"sat_restarts", "sat_formulas", "sat_clauses", "sat_vars",
-		"bdd_nodes", "sg_states", "sg_states_merged",
+		"sg_states", "sg_states_merged",
 		"espresso_expand", "espresso_reduce", "modules",
 		"modcache_hits", "modcache_misses", "modcache_inflight",
 		"sat_warm_clauses", "sat_assumptions",

@@ -13,10 +13,9 @@ var kindHelp = [numKinds]string{
 	SATPropagations:  "Unit propagations of the DPLL engine.",
 	SATLearned:       "Clauses learned by conflict analysis.",
 	SATRestarts:      "DPLL restarts.",
-	SATFormulas:      "Solved SAT/BDD constraint instances.",
+	SATFormulas:      "Solved SAT constraint instances.",
 	SATClauses:       "Total clause count of all encoded formulas.",
 	SATVars:          "Total variable count of all encoded formulas.",
-	BDDNodes:         "Node counts of BDD constraint solves.",
 	SGStates:         "State-graph states constructed.",
 	SGStatesMerged:   "States of the quotiented modular graphs.",
 	EspressoExpand:   "EXPAND passes of the two-level minimizer.",

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -156,12 +157,11 @@ func TestExportImport(t *testing.T) {
 	}
 
 	dst := New()
-	d, err := dst.Import(rec)
-	if err != nil {
-		t.Fatal(err)
+	if err := dst.Import(RecordDigest(testKey("other")), rec); err == nil || dst.Len() != 0 {
+		t.Fatalf("Import under another key's digest: err=%v, %d entries stored; want a refusal that stores nothing", err, dst.Len())
 	}
-	if d != digest {
-		t.Fatalf("Import digest %s != %s", d, digest)
+	if err := dst.Import(digest, rec); err != nil {
+		t.Fatal(err)
 	}
 	e, hit, err := dst.Do(ctx, key, func() (*Entry, error) {
 		t.Fatal("solve ran despite an imported record")
@@ -171,14 +171,10 @@ func TestExportImport(t *testing.T) {
 		t.Fatalf("imported record not served: hit=%v err=%v", hit, err)
 	}
 
-	if _, err := dst.Import([]byte("junk")); err == nil {
-		t.Fatal("Import accepted junk")
-	}
-	if _, err := dst.Import([]byte(`{"schema":999,"key":{},"entry":{}}`)); err == nil {
-		t.Fatal("Import accepted a wrong-schema record")
-	}
-	if _, err := dst.Import([]byte(`{"schema":1,"key":{}}`)); err == nil {
-		t.Fatal("Import accepted an entry-less record")
+	for _, bad := range []string{"junk", `{"schema":999,"key":{},"entry":{}}`, `{"schema":2,"key":{}}`} {
+		if err := dst.Import(RecordDigest(Key{}), []byte(bad)); err == nil {
+			t.Fatalf("Import accepted %s", bad)
+		}
 	}
 
 	// A disk-backed cache exports records persisted by an earlier
@@ -200,75 +196,79 @@ func TestExportImport(t *testing.T) {
 	}
 }
 
-// TestEarlierKeyFormatMissesCleanly pins the change of the key's JSON
-// when the key lost its renumbering-invariant "canon" hash: a record
-// written in the earlier format, and named by the digest of that JSON,
-// reads as a miss that solves, is not exported under its old name, and
-// is stored under the current digest of the key it describes when it
-// is taken in through Import.
+// TestEarlierKeyFormatMissesCleanly pins the record format change that
+// dropped the key's engine number (0 for DPLL, 2 for the retired BDD
+// engine): json.Unmarshal ignores unknown fields, so a schema-1 record
+// would decode into the current key of the same problem whatever
+// engine wrote it. Such a record, in the engine-numbered format or in
+// the earlier one that also carried a renumbering-invariant "canon"
+// hash, reads from a cache directory as a miss that solves, under its
+// old name and under the current digest of the key it describes alike;
+// it is not exported under its old name, and Import refuses it under
+// either name, storing nothing.
 func TestEarlierKeyFormatMissesCleanly(t *testing.T) {
 	ctx := context.Background()
 	key := testKey("layout")
-	earlierKey := struct {
-		Canon         string `json:"canon"`
+	type earlierKey struct {
+		Canon         string `json:"canon,omitempty"`
 		Layout        string `json:"layout"`
 		M             int    `json:"m"`
 		Engine        int    `json:"engine"`
 		ExpandXor     bool   `json:"expand_xor"`
-		SkipUSC       bool   `json:"skip_usc,omitempty"`
 		MaxBacktracks int    `json:"max_backtracks"`
-		BDDNodeLimit  int    `json:"bdd_node_limit,omitempty"`
 		WarmHash      string `json:"warm_hash"`
-	}{Canon: "canon", Layout: key.Layout, M: key.M, Engine: key.Engine, ExpandXor: key.ExpandXor,
-		MaxBacktracks: key.MaxBacktracks, WarmHash: key.WarmHash}
-	kb, err := json.Marshal(earlierKey)
-	if err != nil {
-		t.Fatal(err)
 	}
-	sum := sha256.Sum256(kb)
-	oldDigest := hex.EncodeToString(sum[:])
-	if oldDigest == RecordDigest(key) {
-		t.Fatal("earlier and current key JSON share a digest")
-	}
-	rec, err := json.Marshal(struct {
-		Schema int    `json:"schema"`
-		Key    any    `json:"key"`
-		Entry  *Entry `json:"entry"`
-	}{diskSchema, earlierKey, testEntry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, oldDigest+".json"), rec, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, old := range []earlierKey{
+		{Engine: 0}, {Engine: 2}, {Canon: "canon", Engine: 0}, {Canon: "canon", Engine: 2},
+	} {
+		old.Layout, old.M, old.ExpandXor, old.MaxBacktracks, old.WarmHash = key.Layout, key.M, key.ExpandXor, key.MaxBacktracks, key.WarmHash
+		t.Run(fmt.Sprintf("canon=%q,engine=%d", old.Canon, old.Engine), func(t *testing.T) {
+			kb, err := json.Marshal(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(kb)
+			oldDigest := hex.EncodeToString(sum[:])
+			if oldDigest == RecordDigest(key) {
+				t.Fatal("earlier and current key JSON share a digest")
+			}
+			rec, err := json.Marshal(struct {
+				Schema int        `json:"schema"`
+				Key    earlierKey `json:"key"`
+				Entry  *Entry     `json:"entry"`
+			}{1, old, testEntry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			for _, d := range []string{oldDigest, RecordDigest(key)} {
+				if err := os.WriteFile(filepath.Join(dir, d+".json"), rec, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	c, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solves := 0
-	if _, hit, err := c.Do(ctx, key, func() (*Entry, error) { solves++; return testEntry(), nil }); err != nil || hit || solves != 1 {
-		t.Fatalf("earlier-format record: hit=%v err=%v solves=%d, want a miss that solves", hit, err, solves)
-	}
-	if _, ok := c.Export(oldDigest); ok {
-		t.Fatal("Export served an earlier-format record under its old digest")
-	}
+			c, err := NewDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.Export(oldDigest); ok {
+				t.Fatal("Export served an earlier-format record under its old digest")
+			}
+			solves := 0
+			if _, hit, err := c.Do(ctx, key, func() (*Entry, error) { solves++; return testEntry(), nil }); err != nil || hit || solves != 1 {
+				t.Fatalf("earlier-format record: hit=%v err=%v solves=%d, want a miss that solves", hit, err, solves)
+			}
 
-	dst := New()
-	d, err := dst.Import(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != RecordDigest(key) {
-		t.Fatalf("Import stored the record under %s, want the current digest %s", d, RecordDigest(key))
-	}
-	got, hit, err := dst.Do(ctx, key, func() (*Entry, error) {
-		t.Fatal("solve ran despite an imported record")
-		return nil, nil
-	})
-	if err != nil || !hit || !reflect.DeepEqual(got, testEntry()) {
-		t.Fatalf("imported record not served as stored: hit=%v err=%v entry=%+v", hit, err, got)
+			dst := New()
+			for _, d := range []string{oldDigest, RecordDigest(key)} {
+				if err := dst.Import(d, rec); err == nil {
+					t.Fatalf("Import accepted an earlier-format record under %s", d)
+				}
+			}
+			if dst.Len() != 0 {
+				t.Fatalf("refused imports stored %d entries", dst.Len())
+			}
+		})
 	}
 }
 

@@ -13,7 +13,7 @@
 // Three properties keep cached and cold runs bit-identical:
 //
 //   - The key carries the exact layout hash, every solver-visible
-//     option (engine, encoding, budgets), and the warm-chain hash, so a
+//     option (encoding, budget), and the warm-chain hash, so a
 //     hit guarantees the producing solve saw the same formula, the same
 //     search parameters, and the same seed clauses.
 //   - The entry stores the solve's outcome wholesale: decoded (and
@@ -68,14 +68,10 @@ type Key struct {
 	Layout string `json:"layout"`
 	// M is the number of state signals attempted.
 	M int `json:"m"`
-	// Engine and ExpandXor select the solver and encoding. Engine is
-	// int(csc.Engine), whose retired numbers are never reused, so a
-	// record can only match the engine that wrote it.
-	Engine    int  `json:"engine"`
+	// ExpandXor selects the encoding.
 	ExpandXor bool `json:"expand_xor"`
-	// MaxBacktracks is the search budget (the BDD engine's node limit
-	// is fixed); a BacktrackLimit verdict is only deterministic relative
-	// to it.
+	// MaxBacktracks is the search budget; a BacktrackLimit verdict is
+	// only deterministic relative to it.
 	MaxBacktracks int `json:"max_backtracks"`
 	// WarmHash fingerprints the warm-chain state seeded into the
 	// search ("-" when the caller has no chain): seeds steer the DPLL
@@ -95,7 +91,6 @@ type Entry struct {
 	Clauses  int        `json:"clauses"`
 	Literals int        `json:"literals"`
 	Status   sat.Status `json:"status"`
-	Engine   string     `json:"engine"`
 	// Warm is the normalized learned-clause export the producing solve
 	// contributed to its warm chain; hits replay it so the chain state
 	// matches the miss path exactly.
@@ -283,8 +278,11 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// diskSchema versions the on-disk record layout.
-const diskSchema = 1
+// diskSchema versions the on-disk record layout. Schema 2 dropped the
+// key's and the entry's engine fields: json.Unmarshal ignores unknown
+// fields, so a schema-1 record of another engine's solve would
+// otherwise decode into the key of the same problem solved by DPLL.
+const diskSchema = 2
 
 // diskRecord is the on-disk JSON envelope. The full key is stored and
 // verified on load, so a content-hash collision or a record written by
@@ -369,21 +367,25 @@ func (c *Cache) Export(digest string) ([]byte, bool) {
 }
 
 // Import validates an encoded record and stores it in every local
-// tier, returning its digest. An already-present key is left
-// untouched (first write wins — entries for one key are byte-identical
-// by construction, so there is nothing to reconcile).
-func (c *Cache) Import(b []byte) (string, error) {
+// tier under digest, the name it was sent under. A record that does
+// not decode, or whose key's RecordDigest is not digest, is refused
+// before anything is stored. An already-present key is left untouched
+// (first write wins — entries for one key are byte-identical by
+// construction, so there is nothing to reconcile).
+func (c *Cache) Import(digest string, b []byte) error {
 	key, e, err := DecodeRecord(b)
 	if err != nil {
-		return "", err
+		return err
 	}
-	d := RecordDigest(key)
+	if d := RecordDigest(key); d != digest {
+		return fmt.Errorf("modcache: record digest %s does not match %s", d, digest)
+	}
 	c.mu.Lock()
 	if _, ok := c.entries[key]; !ok {
 		c.store(key, e.clone())
 	}
 	c.mu.Unlock()
-	return d, nil
+	return nil
 }
 
 // validDigest guards Export's disk path against traversal: a digest is

@@ -13,16 +13,15 @@ import (
 )
 
 func testKey(layout string) Key {
-	return Key{Layout: layout, M: 1, Engine: 3,
-		MaxBacktracks: 1000, WarmHash: "-"}
+	return Key{Layout: layout, M: 1, MaxBacktracks: 1000, WarmHash: "-"}
 }
 
 func testEntry() *Entry {
 	return &Entry{
 		Cols:    [][]sg.Phase{{sg.P0, sg.P1}, {sg.PUp, sg.PDown}},
 		Signals: 1, Vars: 8, Clauses: 12, Literals: 30,
-		Status: sat.Sat, Engine: "dpll",
-		Warm: [][]sat.Lit{{sat.PosLit(0), sat.NegLit(1)}},
+		Status: sat.Sat,
+		Warm:   [][]sat.Lit{{sat.PosLit(0), sat.NegLit(1)}},
 	}
 }
 

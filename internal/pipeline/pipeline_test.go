@@ -82,7 +82,7 @@ func TestRunEmitsTraceEventsPerStage(t *testing.T) {
 	_, err := Run(ctx, []Stage{
 		{Name: "elaborate", Run: func(context.Context) error { return nil }},
 		{Name: "logic", Run: func(ctx context.Context) error {
-			trace.Formula(ctx, trace.FormulaEvent{Status: "SAT", Engine: "dpll"})
+			trace.Formula(ctx, trace.FormulaEvent{Status: "SAT"})
 			return nil
 		}},
 	})

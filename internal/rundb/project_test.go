@@ -147,11 +147,11 @@ func TestProjectIncrementalContract(t *testing.T) {
 		t.Fatalf("recorded digest %s != direct-run digest %s", changed.Digest, c.Digest())
 	}
 
-	// Different options are a different key: a changed engine re-banks
-	// rather than skipping against the dpll record.
-	optBDD := opt
-	optBDD.Engine = asyncsyn.BDD
-	res, err = RunProject(context.Background(), db, dir, optBDD, false, nil)
+	// Different options are a different key: a changed encoding
+	// re-banks rather than skipping against the default record.
+	optXor := opt
+	optXor.ExpandXor = true
+	res, err = RunProject(context.Background(), db, dir, optXor, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@
 //     and declaration noise never move it, a semantic edit always
 //     does.
 //   - OptionsHash is the hex SHA-256 of the canonical JSON of exactly
-//     the solver-visible options (method, engine, budgets, encodings)
+//     the solver-visible options (method, budgets, encoding)
 //     of the normalized option set (asyncsyn.Options.Normalize), so a
 //     budget spelled out at its default hashes like a zero one and an
 //     invalid set has no hash at all. Workers, timeouts, caching and
@@ -80,7 +80,6 @@ func Signature(canonical string) string {
 // (OptionsKey).Hash.
 type OptionsKey struct {
 	Method        string `json:"method"`
-	Engine        string `json:"engine"`
 	MaxBacktracks int64  `json:"max_backtracks"`
 	ExpandXor     bool   `json:"expand_xor"`
 	MaxStates     int    `json:"max_states"`
@@ -100,7 +99,6 @@ func OptionsOf(opt asyncsyn.Options) (OptionsKey, error) {
 	}
 	return OptionsKey{
 		Method:        opt.Method.String(),
-		Engine:        opt.Engine.String(),
 		MaxBacktracks: opt.MaxBacktracks,
 		ExpandXor:     opt.ExpandXor,
 		MaxStates:     opt.MaxStates,

@@ -16,7 +16,7 @@ import (
 // fakeRecord fabricates a storable record without running synthesis;
 // the durability tests exercise the disk layout, not the pipeline.
 func fakeRecord(sig, digest string) *Record {
-	opts := OptionsKey{Method: "modular", Engine: "dpll"}
+	opts := OptionsKey{Method: "modular"}
 	return &Record{
 		Schema:      Schema,
 		Tool:        Tool,
@@ -271,8 +271,8 @@ func TestListFilterAndPagination(t *testing.T) {
 // (they cannot move the circuit), while every solver-visible option
 // must.
 func TestOptionsKeyExcludesNonSemanticKnobs(t *testing.T) {
-	base := OptionsKey{Method: "modular", Engine: "dpll"}
-	if base.Hash() != (OptionsKey{Method: "modular", Engine: "dpll"}).Hash() {
+	base := OptionsKey{Method: "modular"}
+	if base.Hash() != (OptionsKey{Method: "modular"}).Hash() {
 		t.Fatal("equal option keys hash differently")
 	}
 	moved := base
@@ -288,7 +288,7 @@ func TestOptionsKeyExcludesNonSemanticKnobs(t *testing.T) {
 // -project then re-synthesizes each entry once), so such a change must
 // update this value on purpose.
 func TestDefaultOptionsHashGolden(t *testing.T) {
-	const want = "f2012f6482691d16beb1b592816f0fdb803cc17f9c1bd4041346ab180dd3312b"
+	const want = "ea12a79a17c096b1af6d4e47069297fe6c5a6757c22a466049198bfaaa1b6bb0"
 	opts, err := OptionsOf(asyncsyn.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -307,8 +307,7 @@ func TestOptionsOfNormalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	spelled, err := OptionsOf(asyncsyn.Options{
-		Method: asyncsyn.Modular, Engine: asyncsyn.DPLL,
-		MaxBacktracks: 2000000, MaxStates: 100000, TokenBound: 1,
+		Method: asyncsyn.Modular, MaxBacktracks: 2000000, MaxStates: 100000, TokenBound: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

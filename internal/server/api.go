@@ -29,7 +29,6 @@ type Request struct {
 	Bench string `json:"bench,omitempty"`
 
 	Method        string `json:"method,omitempty"`  // modular|direct|lavagno
-	Engine        string `json:"engine,omitempty"`  // dpll|bdd
 	Workers       int    `json:"workers,omitempty"` // per-job logic-derivation pool bound
 	Timeout       string `json:"timeout,omitempty"` // Go duration, capped by MaxTimeout
 	MaxBacktracks int64  `json:"max_backtracks,omitempty"`
@@ -168,10 +167,6 @@ func (s *Server) resolveRequest(req Request, wantTrace bool) (*parsedRequest, er
 	if err != nil {
 		return nil, synerr.Parse(err)
 	}
-	engine, err := asyncsyn.ParseEngine(req.Engine)
-	if err != nil {
-		return nil, synerr.Parse(err)
-	}
 	timeout := s.cfg.DefaultTimeout
 	if req.Timeout != "" {
 		d, err := time.ParseDuration(req.Timeout)
@@ -194,7 +189,6 @@ func (s *Server) resolveRequest(req Request, wantTrace bool) (*parsedRequest, er
 		bench: req.Bench,
 		opts: asyncsyn.Options{
 			Method:        method,
-			Engine:        engine,
 			Workers:       workers,
 			Timeout:       timeout,
 			MaxBacktracks: req.MaxBacktracks,

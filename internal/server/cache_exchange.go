@@ -44,7 +44,8 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 
 // handleCachePut is PUT /v1/cache/{key}: accept a record pushed by a
 // peer (or an operator warming a fresh node). The record must decode
-// and its key's digest must match the path.
+// and its key's digest must match the path; one that does not is
+// refused with nothing stored.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBody))
@@ -54,17 +55,10 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		}, start)
 		return
 	}
-	digest, err := s.cache.Import(body)
-	if err != nil {
+	digest := r.PathValue("key")
+	if err := s.cache.Import(digest, body); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, &Response{
 			Error: err.Error(), Class: "parse",
-		}, start)
-		return
-	}
-	if want := r.PathValue("key"); digest != want {
-		s.writeJSON(w, http.StatusBadRequest, &Response{
-			Error: fmt.Sprintf("record digest %s does not match path key %s", digest, want),
-			Class: "parse",
 		}, start)
 		return
 	}

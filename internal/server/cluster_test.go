@@ -267,8 +267,9 @@ func TestBatchThroughRouter(t *testing.T) {
 }
 
 // TestCacheExchangeEndpoints pins the GET/PUT /v1/cache/{key} surface:
-// round trip between two shards, 404 on unknown or malformed keys,
-// 400 on digest/path mismatch and corrupt records.
+// round trip between two shards, 404 on unknown or malformed keys, and
+// 400 with nothing stored on a digest/path mismatch, a corrupt record
+// or a record of an earlier schema.
 func TestCacheExchangeEndpoints(t *testing.T) {
 	a := startShard(t, Config{MaxInFlight: 1})
 	if _, w := postThrough(t, a.srv.Handler(), "fifo"); w.Code != http.StatusOK {
@@ -304,8 +305,8 @@ func TestCacheExchangeEndpoints(t *testing.T) {
 	}
 
 	// PUT round trip: encode a synthetic record, push it, read it back.
-	key := modcache.Key{Layout: "l", M: 1, Engine: 1, MaxBacktracks: 10, WarmHash: "-"}
-	rec, err := modcache.EncodeRecord(key, &modcache.Entry{Signals: 1, Status: 1, Engine: "dpll"})
+	key := modcache.Key{Layout: "l", M: 1, MaxBacktracks: 10, WarmHash: "-"}
+	rec, err := modcache.EncodeRecord(key, &modcache.Entry{Signals: 1, Status: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,14 +323,39 @@ func TestCacheExchangeEndpoints(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
+	get := func(digest string) int {
+		resp, err := http.Get(a.ts.URL + "/v1/cache/" + digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// A refused PUT stores nothing: a fresh record under another path,
+	// and a record in the schema-1 format whose key still carried an
+	// engine number, under its current digest.
+	oldRec := strings.Replace(strings.Replace(string(rec), `"schema":2`, `"schema":1`, 1), `"m":1,`, `"m":1,"engine":2,`, 1)
+	if oldRec == string(rec) || !strings.Contains(oldRec, `"engine":2`) {
+		t.Fatalf("could not derive a schema-1 record from %s", rec)
+	}
+	for _, tc := range []struct{ name, path, body string }{
+		{"mismatched", "/v1/cache/" + strings.Repeat("0", 64), string(rec)},
+		{"corrupt", "/v1/cache/" + digest, "garbage"},
+		{"schema-1", "/v1/cache/" + digest, oldRec},
+	} {
+		before := a.srv.Cache().Len()
+		if code := put(tc.path, tc.body); code != http.StatusBadRequest {
+			t.Errorf("%s PUT status %d, want 400", tc.name, code)
+		}
+		if n := a.srv.Cache().Len(); n != before {
+			t.Fatalf("%s PUT changed the cache from %d to %d entries", tc.name, before, n)
+		}
+	}
+	if code := get(digest); code != http.StatusNotFound {
+		t.Fatalf("GET after refused PUTs status %d, want 404", code)
+	}
 	if code := put("/v1/cache/"+digest, string(rec)); code != http.StatusOK {
 		t.Fatalf("PUT status %d, want 200", code)
-	}
-	if code := put("/v1/cache/"+strings.Repeat("0", 64), string(rec)); code != http.StatusBadRequest {
-		t.Errorf("mismatched PUT status %d, want 400", code)
-	}
-	if code := put("/v1/cache/"+digest, "garbage"); code != http.StatusBadRequest {
-		t.Errorf("corrupt PUT status %d, want 400", code)
 	}
 	resp, err := http.Get(a.ts.URL + "/v1/cache/" + digest)
 	if err != nil {

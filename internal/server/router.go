@@ -132,8 +132,8 @@ func (rt *Router) Handler() http.Handler {
 // whitespace, comments and declaration noise, so every spelling of
 // one specification lands on one shard — which is what lets that
 // shard's solve cache specialize on the signatures the specification
-// produces. Options are deliberately excluded: engine or budget
-// sweeps over one STG share the shard and therefore the cache.
+// produces. Options are deliberately excluded: method, encoding or
+// budget sweeps over one STG share the shard and therefore the cache.
 func routeKey(req Request) (string, error) {
 	src := req.STG
 	switch {

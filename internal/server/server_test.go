@@ -370,6 +370,7 @@ func TestStatusMapping(t *testing.T) {
 		{"negative-budget", `{"bench":"fifo","max_backtracks":-1}`, http.StatusBadRequest, "parse"},
 		{"retired-engine-walksat", `{"bench":"fifo","engine":"walksat"}`, http.StatusBadRequest, "parse"},
 		{"retired-engine-portfolio", `{"bench":"fifo","engine":"portfolio"}`, http.StatusBadRequest, "parse"},
+		{"removed-field-engine", `{"bench":"fifo","engine":"dpll"}`, http.StatusBadRequest, "parse"},
 		{"removed-field-full-support", `{"bench":"fifo","full_support":true}`, http.StatusBadRequest, "parse"},
 		{"removed-field-exact-minimize", `{"bench":"fifo","exact_minimize":true}`, http.StatusBadRequest, "parse"},
 		{"budget", `{"bench":"fifo","max_backtracks":1}`, http.StatusUnprocessableEntity, "unsolvable"},

@@ -533,27 +533,3 @@ a~/3 a~
 		}
 	}
 }
-
-// TestInferLevelsUndetermined reaches the undetermined-level error,
-// which no elaborated net can: its states are all reachable, and an
-// edge-connected graph fixes every signal's level through the initial
-// state's anchor. On a hand-built graph with an isolated state both
-// paths name the same signal and state.
-func TestInferLevelsUndetermined(t *testing.T) {
-	g := stg.New("isolated")
-	g.AddSignal("a", stg.Output)
-	g.AddSignal("b", stg.Input)
-	sgr := &Graph{
-		States: make([]State, 3),
-		Edges:  []Edge{{From: 0, To: 1, Sig: 0, Dir: stg.Rising}, {From: 1, To: 0, Sig: 0, Dir: stg.Falling}},
-	}
-	sgr.IndexEdges()
-	err := inferLevels(g, sgr)
-	_, werr := legacyInferValues(g, 3, sgr.Edges, 0)
-	if err == nil || werr == nil || err.Error() != werr.Error() {
-		t.Fatalf("error %v, legacy %v", err, werr)
-	}
-	if want := `sg: level of signal "a" undetermined in state 2 (signal never switches in a reachable marking)`; err.Error() != want {
-		t.Fatalf("error %v, want %s", err, want)
-	}
-}

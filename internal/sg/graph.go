@@ -246,8 +246,7 @@ const queued = uint64(1) << 63
 // the work list pushes its known levels across each of its edges, in
 // both directions, and a neighbour that learns a level joins the list.
 // The fixed point does not depend on the order of the list, so the
-// codes, and the first undetermined level in state order, are the same
-// as any other propagation order gives.
+// codes are the same as any other propagation order gives.
 func inferLevels(g *stg.G, sgr *Graph) error {
 	n := len(sgr.States)
 	known := make([]uint64, n)
@@ -338,17 +337,8 @@ func inferLevels(g *stg.G, sgr *Graph) error {
 	if err := merge(sgr.Initial, all&^known[sgr.Initial], 0); err != nil {
 		return err
 	}
-	if err := drain(); err != nil {
-		return err
-	}
-
-	for st, k := range known {
-		if k != all {
-			return fmt.Errorf("sg: level of signal %q undetermined in state %d (signal never switches in a reachable marking)",
-				g.Signals[bits.TrailingZeros64(all&^k)].Name, st)
-		}
-	}
-	return nil
+	// Every level is now fixed: each state is reachable from the anchored initial state.
+	return drain()
 }
 
 // SignalIndex finds a base signal by name.

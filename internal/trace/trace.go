@@ -36,7 +36,6 @@ type FormulaEvent struct {
 	Clauses  int
 	Literals int
 	Status   string
-	Engine   string
 	Duration time.Duration
 }
 
@@ -142,7 +141,6 @@ type jsonEvent struct {
 	Clauses  int     `json:"clauses,omitempty"`
 	Literals int     `json:"literals,omitempty"`
 	Status   string  `json:"status,omitempty"`
-	Engine   string  `json:"engine,omitempty"`
 	MS       float64 `json:"ms,omitempty"`
 	Err      string  `json:"err,omitempty"`
 }
@@ -180,7 +178,7 @@ func (t *JSONTracer) StageEnd(e StageEvent) {
 func (t *JSONTracer) FormulaSolved(e FormulaEvent) {
 	t.emit(jsonEvent{Type: "formula", Model: e.Model, Method: e.Method, Stage: e.Stage,
 		Output: e.Output, Signals: e.Signals, Vars: e.Vars, Clauses: e.Clauses,
-		Literals: e.Literals, Status: e.Status, Engine: e.Engine, MS: ms(e.Duration)})
+		Literals: e.Literals, Status: e.Status, MS: ms(e.Duration)})
 }
 
 // BufferTracer collects events in memory as marshalled JSON objects —
@@ -225,7 +223,7 @@ func (t *BufferTracer) StageEnd(e StageEvent) {
 func (t *BufferTracer) FormulaSolved(e FormulaEvent) {
 	t.add(jsonEvent{Type: "formula", Model: e.Model, Method: e.Method, Stage: e.Stage,
 		Output: e.Output, Signals: e.Signals, Vars: e.Vars, Clauses: e.Clauses,
-		Literals: e.Literals, Status: e.Status, Engine: e.Engine, MS: ms(e.Duration)})
+		Literals: e.Literals, Status: e.Status, MS: ms(e.Duration)})
 }
 
 // LogTracer writes human-readable lines, safe for concurrent use.
@@ -260,6 +258,6 @@ func (t *LogTracer) FormulaSolved(e FormulaEvent) {
 	if out == "" {
 		out = "(global)"
 	}
-	t.line("trace: %s/%s stage %s formula %s m=%d %dv/%dc %s %s %.2fms",
-		e.Model, e.Method, e.Stage, out, e.Signals, e.Vars, e.Clauses, e.Status, e.Engine, ms(e.Duration))
+	t.line("trace: %s/%s stage %s formula %s m=%d %dv/%dc %s %.2fms",
+		e.Model, e.Method, e.Stage, out, e.Signals, e.Vars, e.Clauses, e.Status, ms(e.Duration))
 }
