@@ -504,43 +504,142 @@ func (e *bddExpr) build(p *bddPool) (bddNode, error) {
 	return p.Or(f, g)
 }
 
-// TestBDDPoolSemantics checks the oracle's diagrams against direct
-// evaluation of random expressions on every assignment, and its
-// minimum cost against the cheapest satisfying assignment found by
-// enumeration.
-func TestBDDPoolSemantics(t *testing.T) {
+// mustBuild builds e in p, failing the test on a node-limit error.
+func mustBuild(t *testing.T, e *bddExpr, p *bddPool) bddNode {
+	t.Helper()
+	f, err := e.build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestBDDPoolTerminalsAndVar checks the terminals, Var and NVar on
+// both values of their variable, and that the unique table returns one
+// node per variable and polarity.
+func TestBDDPoolTerminalsAndVar(t *testing.T) {
+	p := newBDDPool(1 << 16)
+	x, err := p.Var(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nx, err := p.NVar(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := make([]bool, 4)
+	if p.Eval(x, a) || !p.Eval(nx, a) {
+		t.Fatal("Var/NVar wrong with the variable at 0")
+	}
+	a[3] = true
+	if !p.Eval(x, a) || p.Eval(nx, a) {
+		t.Fatal("Var/NVar wrong with the variable at 1")
+	}
+	if !p.Eval(bddTrue, a) || p.Eval(bddFalse, a) {
+		t.Fatal("terminals wrong")
+	}
+	if x2, _ := p.Var(3); x2 != x {
+		t.Fatalf("Var(3) twice: nodes %d and %d", x, x2)
+	}
+	if n, _ := p.Not(x); n != nx {
+		t.Fatalf("Not(Var(3)) is node %d, NVar(3) node %d", n, nx)
+	}
+}
+
+// TestBDDPoolSemanticsRandom checks the diagrams of random expressions
+// against direct evaluation on every assignment, and that building an
+// expression twice in one pool yields the same node.
+func TestBDDPoolSemanticsRandom(t *testing.T) {
 	const vars = 6
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
 		e := randBDDExpr(rng, vars, 5)
 		p := newBDDPool(1 << 16)
-		f, err := e.build(p)
-		if err != nil {
-			t.Fatal(err)
+		f := mustBuild(t, e, p)
+		if f2 := mustBuild(t, e, p); f2 != f {
+			t.Fatalf("expression %d: built twice as nodes %d and %d", i, f, f2)
 		}
+		a := make([]bool, vars)
+		for m := 0; m < 1<<vars; m++ {
+			for v := range a {
+				a[v] = m&(1<<v) != 0
+			}
+			if got, want := p.Eval(f, a), e.eval(a); got != want {
+				t.Fatalf("expression %d, assignment %06b: diagram %v, expression %v", i, m, got, want)
+			}
+		}
+	}
+}
+
+// TestBDDPoolMinCost checks the minimum cost against the cheapest
+// satisfying assignment found by enumeration, and that a function with
+// no model reports none.
+func TestBDDPoolMinCost(t *testing.T) {
+	const vars = 6
+	rng := rand.New(rand.NewSource(29))
+	unsat := 0
+	for i := 0; i < 300; i++ {
+		e := randBDDExpr(rng, vars, 5)
+		p := newBDDPool(1 << 16)
+		f := mustBuild(t, e, p)
 		cost := make([]int, vars)
 		for v := range cost {
 			cost[v] = rng.Intn(4)
 		}
 		least, any := math.MaxInt, false
+		a := make([]bool, vars)
 		for m := 0; m < 1<<vars; m++ {
-			a := make([]bool, vars)
 			c := 0
 			for v := range a {
 				if a[v] = m&(1<<v) != 0; a[v] {
 					c += cost[v]
 				}
 			}
-			if got, want := p.Eval(f, a), e.eval(a); got != want {
-				t.Fatalf("expression %d, assignment %06b: diagram %v, expression %v", i, m, got, want)
-			}
 			if e.eval(a) {
 				least, any = min(least, c), true
 			}
 		}
+		if !any {
+			unsat++
+		}
 		if got, ok := p.MinCost(f, cost); ok != any || (any && got != least) {
 			t.Fatalf("expression %d: MinCost %d, %v; enumeration %d, %v", i, got, ok, least, any)
 		}
+	}
+	if unsat == 0 || unsat == 300 {
+		t.Fatalf("%d of 300 expressions unsatisfiable: want both kinds", unsat)
+	}
+}
+
+// TestBDDPoolNodeLimit: the conjunction of x_v ≠ x_(v+7 mod 32) over 32
+// variables needs far more than 8 nodes; the pool reports errNodeLimit
+// and never holds more nodes than its limit.
+func TestBDDPoolNodeLimit(t *testing.T) {
+	const limit = 8
+	p := newBDDPool(limit)
+	acc := bddTrue
+	var err error
+	for v := 0; v < 32 && err == nil; v++ {
+		var x, ny, y, xy bddNode
+		if x, err = p.Var(v); err != nil {
+			break
+		}
+		if ny, err = p.NVar((v + 7) % 32); err != nil {
+			break
+		}
+		if y, err = p.Var((v + 7) % 32); err != nil {
+			break
+		}
+		if xy, err = p.ite(x, ny, y); err != nil {
+			break
+		}
+		acc, err = p.And(acc, xy)
+	}
+	if !errors.Is(err, errNodeLimit) {
+		t.Fatalf("want errNodeLimit, got %v", err)
+	}
+	if len(p.nodes) > limit {
+		t.Fatalf("pool holds %d nodes, limit %d", len(p.nodes), limit)
 	}
 }
 
