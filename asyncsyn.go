@@ -59,7 +59,7 @@ var (
 	// ErrStateLimit reports that reachability exceeded Options.MaxStates.
 	ErrStateLimit = synerr.ErrStateLimit
 	// ErrModuleUnsolvable reports a modular graph whose CSC constraints
-	// admit no solution within the signal cap, even widened.
+	// admit no solution within the signal cap.
 	ErrModuleUnsolvable = synerr.ErrModuleUnsolvable
 	// ErrConflictsPersist reports coding conflicts surviving every
 	// repair round (incremental insertion or expansion refinement).
@@ -361,8 +361,10 @@ type ModuleReport struct {
 	MergedStates int
 	Conflicts    int
 	NewSignals   int
-	// Widened is true when the output's restricted module was unsolvable
-	// and the reported pass ran on a widened input set.
+	// Widened is always false.
+	//
+	// Deprecated: the modular method no longer retries a module on a
+	// widened input set; an unsolvable module ends the run.
 	Widened bool
 }
 
@@ -545,7 +547,6 @@ func synthesizeModular(ctx context.Context, s *STG, opt core.Options, start time
 		c.Modules = append(c.Modules, ModuleReport{
 			Output: o.Output, InputSet: o.InputSet,
 			MergedStates: o.MergedStates, Conflicts: o.Ncsc, NewSignals: o.NewSignals,
-			Widened: o.Widened,
 		})
 		for _, f := range o.Formulas {
 			c.Formulas = append(c.Formulas, formulaStat(o.Output, f))

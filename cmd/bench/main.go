@@ -354,7 +354,7 @@ func runSuite(quick bool, workers int, maxBT int64, cacheDir string) (*benchrec.
 		if rec.Clauses, err = clauseSweep(maxBT, workers); err != nil {
 			return nil, err
 		}
-		if rec.Scaling, err = scalingSweep(workers); err != nil {
+		if rec.Scaling, err = scalingSweep(); err != nil {
 			return nil, err
 		}
 	}
@@ -532,54 +532,60 @@ func clauseSweep(maxBT int64, workers int) ([]benchrec.ClauseRow, error) {
 
 // scalingSweep runs the parametric handshake family (k concurrent slave
 // handshakes in two phases — the mr/mmu structure) through all three
-// methods, as examples/scaling does. The modular method runs unbounded —
-// how far it scales is the sweep's whole point — while the direct and
-// lavagno baselines carry a wall-clock budget per point (they exhaust
-// their backtrack budgets by k=3–4 anyway); a budget expiry is recorded
-// as an aborted cell with the elapsed time. The k=7 attempt is the one
-// exception: even the modular method gets a wall-clock cap there, so a
-// record can be produced on hosts where the ~156k-state point does not
-// finish. Every cell also records its sampled peak heap (the k=6 point
-// only became recordable with the frontier-bounded streaming expansion)
-// and, for the modular cells, the module-stage seconds.
-func scalingSweep(workers int) ([]benchrec.ScalingRow, error) {
+// methods, as examples/scaling does, one point after another in
+// increasing k. The modular method runs unbounded — how far it scales is
+// the sweep's whole point — while the direct and lavagno baselines carry
+// a wall-clock budget per point (they exhaust their backtrack budgets by
+// k=3–4 anyway); a budget expiry is recorded as an aborted cell with the
+// elapsed time. The k=7 attempt is the one exception: even the modular
+// method gets a wall-clock cap there, so a record can be produced on
+// hosts where the ~156k-state point does not finish. A method that
+// aborted at some k is not run at a larger one, where each point has
+// about five times the states: its cell is recorded as aborted with no
+// time or heap. Run anyway, the whole-graph baselines build formulas of
+// several GiB within their budget at k=6–7. Every cell that runs also
+// records its sampled peak heap (the k=6 point only became recordable
+// with the frontier-bounded streaming expansion) and, for the modular
+// cells, the module-stage seconds.
+func scalingSweep() ([]benchrec.ScalingRow, error) {
 	const points = 7
 	const baselineBudget = 2 * time.Minute
 	const attemptBudget = 10 * time.Minute
-	return par.Map(points, workers, func(i int) (benchrec.ScalingRow, error) {
-		k := i + 1
+	runCell := func(src string, opt asyncsyn.Options) (benchrec.ScalCell, int, error) {
+		opt.MaxStates = scalingMaxStates
+		g, err := asyncsyn.ParseSTGString(src)
+		if err != nil {
+			return benchrec.ScalCell{}, 0, err
+		}
+		start := time.Now()
+		watch := metrics.WatchHeap(5 * time.Millisecond)
+		c, err := asyncsyn.Synthesize(g, opt)
+		peak := watch.Stop()
+		if err != nil {
+			if errors.Is(err, asyncsyn.ErrCanceled) || errors.Is(err, asyncsyn.ErrStateLimit) {
+				// Budget expiry or a point past the sweep's state cap:
+				// both are honest "this method stopped here" cells,
+				// not record-killing failures.
+				return benchrec.ScalCell{Seconds: time.Since(start).Seconds(), Aborted: true, PeakHeapBytes: peak}, 0, nil
+			}
+			return benchrec.ScalCell{}, 0, err
+		}
+		cell := benchrec.ScalCell{Seconds: c.CPU.Seconds(), Area: c.Area, Aborted: c.Aborted,
+			PeakHeapBytes: peak, ModuleSeconds: stageSeconds(c, "modules")}
+		if c.Aborted {
+			cell.Area = 0
+		}
+		return cell, c.InitialStates, nil
+	}
+	var rows []benchrec.ScalingRow
+	stopped := map[asyncsyn.Method]bool{}
+	for k := 1; k <= points; k++ {
 		row := benchrec.ScalingRow{K: k}
 		spec, err := stg.Handshakes("", k, 2)
 		if err != nil {
-			return row, err
+			return nil, err
 		}
 		src := stg.Format(spec)
-		runCell := func(opt asyncsyn.Options) (benchrec.ScalCell, int, error) {
-			opt.MaxStates = scalingMaxStates
-			g, err := asyncsyn.ParseSTGString(src)
-			if err != nil {
-				return benchrec.ScalCell{}, 0, err
-			}
-			start := time.Now()
-			watch := metrics.WatchHeap(5 * time.Millisecond)
-			c, err := asyncsyn.Synthesize(g, opt)
-			peak := watch.Stop()
-			if err != nil {
-				if errors.Is(err, asyncsyn.ErrCanceled) || errors.Is(err, asyncsyn.ErrStateLimit) {
-					// Budget expiry or a point past the sweep's state cap:
-					// both are honest "this method stopped here" cells,
-					// not record-killing failures.
-					return benchrec.ScalCell{Seconds: time.Since(start).Seconds(), Aborted: true, PeakHeapBytes: peak}, 0, nil
-				}
-				return benchrec.ScalCell{}, 0, err
-			}
-			cell := benchrec.ScalCell{Seconds: c.CPU.Seconds(), Area: c.Area, Aborted: c.Aborted,
-				PeakHeapBytes: peak, ModuleSeconds: stageSeconds(c, "modules")}
-			if c.Aborted {
-				cell.Area = 0
-			}
-			return cell, c.InitialStates, nil
-		}
 		for _, m := range []struct {
 			method asyncsyn.Method
 			dst    *benchrec.ScalCell
@@ -588,24 +594,30 @@ func scalingSweep(workers int) ([]benchrec.ScalingRow, error) {
 			{asyncsyn.Direct, &row.Direct},
 			{asyncsyn.Lavagno, &row.Lavagno},
 		} {
+			if stopped[m.method] {
+				*m.dst = benchrec.ScalCell{Aborted: true}
+				continue
+			}
 			opt := asyncsyn.Options{Method: m.method, MaxBacktracks: 300000, Workers: 1}
 			if m.method != asyncsyn.Modular {
 				opt.Timeout = baselineBudget
 			} else if k >= 7 {
 				opt.Timeout = attemptBudget
 			}
-			cell, init, err := runCell(opt)
+			cell, init, err := runCell(src, opt)
 			if err != nil {
-				return row, fmt.Errorf("scaling k=%d %v: %w", k, m.method, err)
+				return nil, fmt.Errorf("scaling k=%d %v: %w", k, m.method, err)
 			}
 			*m.dst = cell
+			stopped[m.method] = cell.Aborted
 			if row.States == 0 && init > 0 {
 				row.States = init
 			}
 		}
 		fmt.Fprintf(os.Stderr, "bench: scaling k=%d (%d states) done\n", k, row.States)
-		return row, nil
-	})
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // gitCommit records the source revision, best effort.

@@ -204,8 +204,8 @@ func TestSynthesizeOptions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := c.Digest(); d != "67af59f6d8c7" {
-				t.Fatalf("fifo digest %s, want 67af59f6d8c7", d)
+			if d := c.Digest(); d != "a2805642e698" {
+				t.Fatalf("fifo digest %s, want a2805642e698", d)
 			}
 		})
 	}

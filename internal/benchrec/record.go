@@ -196,7 +196,7 @@ type CacheRow struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// WarmClauses is the cold run's sat_warm_clauses counter: learned
-	// clauses re-seeded along its widening chains.
+	// clauses re-seeded along its solve chains.
 	WarmClauses int64 `json:"warm_clauses,omitempty"`
 	// DigestMatch asserts the warm run reproduced the cold run's
 	// determinism digest bit for bit.

@@ -2,14 +2,19 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"asyncsyn/internal/bench"
+	"asyncsyn/internal/csc"
+	"asyncsyn/internal/lavagno"
 	"asyncsyn/internal/metrics"
 	"asyncsyn/internal/sat"
+	"asyncsyn/internal/sg"
 	"asyncsyn/internal/stg"
+	"asyncsyn/internal/synerr"
 )
 
 // censusInputs lists the mechanism census corpus: the 23 Table-1 rows,
@@ -46,9 +51,8 @@ func censusInputs(t *testing.T) (names []string, specs []*stg.G) {
 // TestMechanismCensus pins which inputs take each insertion mechanism
 // of the modular method, read from what Result and the stage counters
 // report: a module solved by the joint formula at its lower bound L_b or
-// at L_b+1, or by the greedy tail of the Figure-4 loop; the widening
-// retry; the residual whole-graph solve; csc.Prune; expansion
-// refinement and its greedy tail. A mechanism that fires on no input
+// at L_b+1, or by the greedy tail of the Figure-4 loop; the residual
+// whole-graph solve; expansion refinement and its greedy tail. A mechanism that fires on no input
 // here has no measured use, and a change that moves an input from one
 // path to another shows up as a census change, not only as a digest
 // change.
@@ -58,7 +62,7 @@ func TestMechanismCensus(t *testing.T) {
 		t.Fatalf("%d census inputs, want 208", len(names))
 	}
 	var jointLb, jointLb1 int
-	var greedy, widened, residual, pruned, refined, refinedGreedy []string
+	var greedy, residual, refined, refinedGreedy []string
 	for i, spec := range specs {
 		name := names[i]
 		ctx := metrics.With(context.Background(), metrics.New())
@@ -67,12 +71,7 @@ func TestMechanismCensus(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		paths := map[string]bool{}
-		newSignals := 0
 		for _, o := range res.Outputs {
-			newSignals += o.NewSignals
-			if o.Widened {
-				paths["widened"] = true
-			}
 			if o.Ncsc == 0 {
 				continue
 			}
@@ -98,9 +97,6 @@ func TestMechanismCensus(t *testing.T) {
 		}
 		if residualFormulas > 0 {
 			residual = append(residual, name)
-		} else if newSignals > res.Inserted {
-			// With no residual signal, the module signals Prune dropped.
-			pruned = append(pruned, name)
 		}
 		if res.ExpandIters > 1 {
 			refined = append(refined, name)
@@ -119,9 +115,6 @@ func TestMechanismCensus(t *testing.T) {
 		if paths["greedy"] {
 			greedy = append(greedy, name)
 		}
-		if paths["widened"] {
-			widened = append(widened, name)
-		}
 	}
 	check := func(mechanism string, got, want any) {
 		t.Helper()
@@ -132,14 +125,73 @@ func TestMechanismCensus(t *testing.T) {
 	check("inputs with a module solved jointly at L_b", jointLb, 175)
 	check("inputs with a module solved jointly at L_b+1", jointLb1, 98)
 	check("inputs with a module solved by greedy insertion", greedy, []string{"sbuf-send-pkt2"})
-	check("widened inputs", widened, []string(nil))
 	check("inputs with a residual solve", residual, []string(nil))
-	check("inputs with pruned signals", pruned, []string{"fifo"})
 	check("inputs refined after expansion", refined, []string{
-		"mr0", "pe-rcv-ifc-fc", "sbuf-send-pkt2", "fifo",
+		"mr0", "pe-rcv-ifc-fc", "sbuf-send-pkt2",
 		"tworounds-9", "tworounds-21", "tworounds-27", "tworounds-38", "tworounds-42", "tworounds-57",
 		"tworounds-58", "tworounds-59", "tworounds-71", "tworounds-74", "tworounds-77", "tworounds-82",
 		"tworounds-86", "tworounds-106", "tworounds-107", "tworounds-108",
 	})
 	check("inputs whose refinement needed the greedy tail", refinedGreedy, []string(nil))
+}
+
+// TestLavagnoCensus pins which inputs take each path of the
+// Lavagno-style baseline as the facade composes it (lavagno.Solve, then
+// ExpandToCSC) at default options, over the census corpus without
+// handshake k=4–5: the csc stage's abort at the backtrack budget or the
+// signal cap, expansion refinement and its greedy tail, and refinement
+// that ends with conflicts left.
+func TestLavagnoCensus(t *testing.T) {
+	ctx := context.Background()
+	names, specs := censusInputs(t)
+	var aborted, refined, refinedGreedy, persist []string
+	inputs := 0
+	for i, spec := range specs {
+		name := names[i]
+		if name == "handshake-k4" || name == "handshake-k5" {
+			continue
+		}
+		inputs++
+		full, err := sg.FromSTG(spec, sg.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := lavagno.Solve(ctx, full, csc.SolveOptions{}); err != nil {
+			if !errors.Is(err, synerr.ErrBacktrackLimit) {
+				t.Fatalf("%s: csc stage: %v", name, err)
+			}
+			aborted = append(aborted, name)
+			continue
+		}
+		_, iters, fallback, err := ExpandToCSC(ctx, full, Options{})
+		if err != nil {
+			if !errors.Is(err, synerr.ErrConflictsPersist) {
+				t.Fatalf("%s: expand stage: %v", name, err)
+			}
+			persist = append(persist, name)
+		}
+		if len(fallback) > 0 {
+			refined = append(refined, name)
+		}
+		// One joint m=1 formula per refinement round, unless the round
+		// fell through to the greedy tail.
+		if len(fallback) > iters-1 {
+			refinedGreedy = append(refinedGreedy, name)
+		}
+	}
+	if inputs != 206 {
+		t.Fatalf("%d inputs, want 206", inputs)
+	}
+	check := func(path string, got, want any) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %v, want %v", path, got, want)
+		}
+	}
+	check("inputs whose csc stage aborted", len(aborted), 35)
+	check("inputs refined after expansion", len(refined), 110)
+	check("inputs whose refinement needed the greedy tail", len(refinedGreedy), 54)
+	check("inputs whose refinement left conflicts", persist, []string{
+		"random-23", "random-44", "random-57", "tworounds-23", "tworounds-44",
+	})
 }

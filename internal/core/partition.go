@@ -29,10 +29,10 @@ type PartitionResult struct {
 // The graph g is extended in place.
 //
 // A module whose greedy tail runs out of separable pairs or of signals
-// returns an error matching synerr.ErrModuleUnsolvable (callers widen
-// the input set and retry); budget exhaustion matches
-// synerr.ErrBacktrackLimit and a canceled ctx synerr.ErrCanceled,
-// neither of which widening can help.
+// returns an error matching synerr.ErrModuleUnsolvable; budget
+// exhaustion matches synerr.ErrBacktrackLimit and a canceled ctx
+// synerr.ErrCanceled. Any error ends the modular run, and g then holds
+// no column of the failed module.
 func PartitionSAT(ctx context.Context, g *sg.Graph, is InputSet, opt Options) (*PartitionResult, error) {
 	opt = opt.withDefaults()
 	name := g.Base[is.Output].Name

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"asyncsyn/internal/bench"
@@ -88,52 +89,34 @@ func TestExpandToCSCRefinementResolves(t *testing.T) {
 	}
 }
 
-// TestWideningFallbackChain (the runModules fallback): an over-restricted
-// module whose quotient conflicts with itself is unsolvable at any signal
-// count; solveModule must widen the input set until partition_sat
-// succeeds, report the widening, and leave the propagated signal on the
-// full graph.
-func TestWideningFallbackChain(t *testing.T) {
+// TestPartitionSATSelfConflict: a module whose input set silences the
+// signals that tell its states apart merges states that imply both
+// values of the output into one class. No state signal can repair that,
+// so partition_sat fails (for a structural reason, not a budget one) and
+// propagates nothing.
+func TestPartitionSATSelfConflict(t *testing.T) {
 	g := twoPulseGraph(t)
 	bIdx, ok := g.SignalIndex("b")
 	if !ok {
 		t.Fatal("no signal b")
 	}
 	restricted := InputSet{Output: bIdx, Mask: 1 << bIdx, Silenced: g.Active &^ (1 << bIdx)}
-
-	// The restricted module really is unsolvable (and for a structural
-	// reason, not a budget one — the chain must not trigger on budgets).
-	if _, err := PartitionSAT(context.Background(), g, restricted, Options{}); err == nil {
-		t.Fatal("over-restricted module unexpectedly solvable")
-	} else if errors.Is(err, synerr.ErrBacktrackLimit) || errors.Is(err, synerr.ErrCanceled) {
-		t.Fatalf("restricted module failed for the wrong reason: %v", err)
+	_, err := PartitionSAT(context.Background(), g, restricted, Options{})
+	if err == nil {
+		t.Fatal("self-conflicting module unexpectedly solvable")
 	}
-
-	is, pr, widened, err := solveModule(context.Background(), g, restricted, Options{})
-	if err != nil {
-		t.Fatalf("widening chain failed: %v", err)
+	if errors.Is(err, synerr.ErrBacktrackLimit) || errors.Is(err, synerr.ErrCanceled) || !strings.Contains(err.Error(), "conflicts with itself") {
+		t.Fatalf("self-conflicting module failed for the wrong reason: %v", err)
 	}
-	if !widened {
-		t.Fatal("successful fallback pass not reported as widened")
-	}
-	if is.Mask == restricted.Mask {
-		t.Fatalf("input set not widened: %b", is.Mask)
-	}
-	if pr == nil || pr.NewSignals < 1 {
-		t.Fatalf("widened pass inserted nothing: %+v", pr)
-	}
-	if len(g.StateSigs) != pr.NewSignals {
-		t.Fatalf("%d signals propagated to the full graph, want %d", len(g.StateSigs), pr.NewSignals)
-	}
-	if conf := sg.Analyze(g); conf.N() != 0 {
-		t.Fatalf("%d conflicts remain after the widened pass", conf.N())
+	if len(g.StateSigs) != 0 {
+		t.Fatalf("failed module propagated %d signals", len(g.StateSigs))
 	}
 }
 
-// TestWideningSkippedOnBacktrackLimit: budget exhaustion must surface
-// unwidened — retrying a formula the budget could not finish on a larger
-// graph only wastes the remaining budget.
-func TestWideningSkippedOnBacktrackLimit(t *testing.T) {
+// TestPartitionSATBacktrackLimit: budget exhaustion surfaces as an
+// error matching ErrBacktrackLimit, and the aborted module propagates
+// nothing to the full graph.
+func TestPartitionSATBacktrackLimit(t *testing.T) {
 	spec, err := bench.Load("mmu0")
 	if err != nil {
 		t.Fatal(err)
@@ -145,32 +128,24 @@ func TestWideningSkippedOnBacktrackLimit(t *testing.T) {
 	aIdx, _ := g.SignalIndex("a")
 	is := DetermineInputSet(g, spec, aIdx)
 	// One backtrack cannot finish output a's 5000-clause joint formula.
-	_, _, widened, err := solveModule(context.Background(), g, is, Options{SAT: csc.SolveOptions{MaxBacktracks: 1}})
+	_, err = PartitionSAT(context.Background(), g, is, Options{SAT: csc.SolveOptions{MaxBacktracks: 1}})
 	if !errors.Is(err, synerr.ErrBacktrackLimit) {
 		t.Fatalf("1-backtrack budget on mmu0 output a must exhaust, got %v", err)
-	}
-	if widened {
-		t.Fatal("widening chain ran on a budget exhaustion")
 	}
 	if len(g.StateSigs) != 0 {
 		t.Fatalf("aborted module inserted %d signals", len(g.StateSigs))
 	}
 }
 
-// TestWideningSkippedOnCancel: a canceled context must stop the chain
-// immediately with an error matching both ErrCanceled and the context's
-// own error.
-func TestWideningSkippedOnCancel(t *testing.T) {
+// TestPartitionSATCanceled: a canceled context stops the module's solve
+// with an error matching both ErrCanceled and the context's own error.
+func TestPartitionSATCanceled(t *testing.T) {
 	g := twoPulseGraph(t)
 	bIdx, _ := g.SignalIndex("b")
-	restricted := InputSet{Output: bIdx, Mask: 1 << bIdx, Silenced: g.Active &^ (1 << bIdx)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, widened, err := solveModule(ctx, g, restricted, Options{})
+	_, err := PartitionSAT(ctx, g, InputSet{Output: bIdx, Mask: g.Active}, Options{})
 	if !errors.Is(err, synerr.ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled chain returned %v", err)
-	}
-	if widened {
-		t.Fatal("widening reported under cancellation")
+		t.Fatalf("canceled module returned %v", err)
 	}
 }

@@ -68,20 +68,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// OutputReport records the modular pass for one output signal.
+// OutputReport records the modular pass for one output signal: its
+// input set, the state signals the module kept, and what partition_sat
+// reported.
 type OutputReport struct {
-	Output       string
-	InputSet     []string
-	StateSigs    []string
-	MergedStates int
-	MergedEdges  int
-	Ncsc         int
-	Lb           int
-	NewSignals   int
-	// Widened is true when the restricted module was unsolvable and the
-	// reported pass ran on the whole graph instead.
-	Widened  bool
-	Formulas []csc.FormulaStats
+	Output    string
+	InputSet  []string
+	StateSigs []string
+	PartitionResult
 }
 
 // Function is one synthesized logic function: a prime-irredundant
@@ -189,12 +183,6 @@ func Synthesize(ctx context.Context, spec *stg.G, opt Options) (*Result, error) 
 					return fmt.Errorf("residual conflicts: %w", err)
 				}
 			}
-			// Drop state signals made redundant by the integration of the
-			// local solutions (the paper notes modular synthesis is not
-			// signal-optimal; this recovers the obvious waste).
-			if removed := csc.Prune(full); len(removed) > 0 {
-				res.Inserted -= len(removed)
-			}
 			return nil
 		}},
 		{Name: "expand", Run: func(ctx context.Context) error {
@@ -232,97 +220,53 @@ func Synthesize(ctx context.Context, spec *stg.G, opt Options) (*Result, error) 
 }
 
 // runModules executes the per-output modular passes: input-set
-// determination, modular CSC solving with the widening fallback chain,
-// and global propagation. It fills res.Outputs/res.Inserted and returns
-// the per-output supports and pass signals needed by logic derivation.
+// determination, then partition_sat (the modular CSC solve and the
+// global propagation of its signals). It fills res.Outputs/res.Inserted
+// and returns the per-output supports and pass signals needed by logic
+// derivation. A module partition_sat cannot solve ends the run.
 func runModules(ctx context.Context, full *sg.Graph, spec *stg.G, opt Options, res *Result) (map[int]InputSet, map[int][]string, error) {
 	// The most-conflicted output goes first: its module contains the
 	// structural core of the coding problem, and the signals inserted for
 	// it (propagated globally, the paper's Figure 5) resolve most of the
 	// remaining outputs' conflicts for free. The reverse order forces one
 	// module to invent several entangled signals at once, which measurably
-	// degrades area.
+	// degrades area. Ties keep name order.
 	//
 	// Each output's conflict count is computed exactly once, by the
 	// counting evaluator on the unmerged graph (the comparator itself
 	// must stay cheap: it runs O(n log n) times).
 	outs := nonInputsByName(full)
-	counts := make([]int, len(outs))
-	for i, o := range outs {
-		counts[i], _ = outputStats(full, o)
+	counts := make(map[int]int, len(outs))
+	for _, o := range outs {
+		counts[o], _ = outputStats(full, o)
 	}
-	order := make([]int, len(outs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		if counts[order[i]] != counts[order[j]] {
-			return counts[order[i]] > counts[order[j]]
-		}
-		return full.Base[outs[order[i]]].Name < full.Base[outs[order[j]]].Name
-	})
-	sorted := make([]int, len(outs))
-	for i, oi := range order {
-		sorted[i] = outs[oi]
-	}
-	outs = sorted
+	sort.SliceStable(outs, func(i, j int) bool { return counts[outs[i]] > counts[outs[j]] })
 	supports := make(map[int]InputSet)
 	passSigs := make(map[int][]string) // output → state-signal names kept or added in its pass
 	for _, o := range outs {
-		octx := trace.WithOutput(ctx, full.Base[o].Name)
+		name := full.Base[o].Name
+		is := DetermineInputSet(full, spec, o)
 		before := len(full.StateSigs)
-		is, pr, widened, err := solveModule(octx, full, DetermineInputSet(full, spec, o), opt)
+		pr, err := PartitionSAT(trace.WithOutput(ctx, name), full, is, opt)
 		supports[o] = is
-		for _, k := range is.StateSigs {
-			passSigs[o] = append(passSigs[o], full.StateSigs[k].Name)
-		}
-		for k := before; k < len(full.StateSigs); k++ {
-			passSigs[o] = append(passSigs[o], full.StateSigs[k].Name)
-		}
-		rep := OutputReport{
-			Output:   full.Base[o].Name,
-			InputSet: full.SignalNamesIn(is.Mask),
-			Widened:  widened,
-		}
-		if pr != nil {
-			rep.MergedStates = pr.MergedStates
-			rep.MergedEdges = pr.MergedEdges
-			rep.Ncsc = pr.Ncsc
-			rep.Lb = pr.Lb
-			rep.NewSignals = pr.NewSignals
-			rep.Formulas = pr.Formulas
-			res.Inserted += pr.NewSignals
-		}
+		rep := OutputReport{Output: name, InputSet: full.SignalNamesIn(is.Mask)}
 		for _, k := range is.StateSigs {
 			rep.StateSigs = append(rep.StateSigs, full.StateSigs[k].Name)
 		}
+		passSigs[o] = append([]string(nil), rep.StateSigs...)
+		for _, ss := range full.StateSigs[before:] {
+			passSigs[o] = append(passSigs[o], ss.Name)
+		}
+		if pr != nil {
+			rep.PartitionResult = *pr
+			res.Inserted += pr.NewSignals
+		}
 		res.Outputs = append(res.Outputs, rep)
 		if err != nil {
-			return supports, passSigs, fmt.Errorf("output %q: %w", full.Base[o].Name, err)
+			return supports, passSigs, fmt.Errorf("output %q: %w", name, err)
 		}
 	}
 	return supports, passSigs, nil
-}
-
-// solveModule runs partition_sat on the output's input set and, when
-// the restricted module is unsolvable, once more on the whole graph: an
-// input set can retain too few output edges for the new signals'
-// transitions to complete across (the input-properness restriction:
-// excitations cannot finish across environment-driven edges). Budget
-// exhaustion and cancellation skip the retry — widening only ever makes
-// those formulas harder. widened reports whether the returned result
-// came from the whole graph; a failed retry returns its own report and
-// error with the original input set.
-func solveModule(ctx context.Context, full *sg.Graph, is InputSet, opt Options) (InputSet, *PartitionResult, bool, error) {
-	pr, err := PartitionSAT(ctx, full, is, opt)
-	if err == nil || errors.Is(err, synerr.ErrBacktrackLimit) || errors.Is(err, synerr.ErrCanceled) {
-		return is, pr, false, err
-	}
-	wider := widenAll(full, is.Output)
-	if pr, err = PartitionSAT(ctx, full, wider, opt); err == nil {
-		return wider, pr, true, nil
-	}
-	return is, pr, false, err
 }
 
 // ExpandToCSC expands the phase columns of g into explicit signals. If
@@ -558,7 +502,6 @@ func supportMasks(expanded *sg.Stream, full *sg.Graph, sigIdx int, supports map[
 		if bi, ok := expanded.SignalIndex(name); ok {
 			restricted |= 1 << bi
 		}
-		// Pruned signals simply drop out of the support.
 	}
 	withAll := restricted
 	for k := len(full.Base); k < len(base); k++ {
@@ -575,15 +518,6 @@ func supportFor(full *sg.Graph, sigIdx int, supports map[int]InputSet) (InputSet
 	}
 	is, ok := supports[sigIdx]
 	return is, ok
-}
-
-// widenAll returns the trivial input set covering the whole graph.
-func widenAll(g *sg.Graph, o int) InputSet {
-	kept := make([]int, len(g.StateSigs))
-	for k := range kept {
-		kept[k] = k
-	}
-	return InputSet{Output: o, Mask: g.Active, StateSigs: kept}
 }
 
 // nonInputsByName lists non-input base signal indices sorted by name.

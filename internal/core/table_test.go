@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"asyncsyn/internal/bench"
-	"asyncsyn/internal/csc"
 	"asyncsyn/internal/sg"
 	"asyncsyn/internal/stg"
 )
@@ -80,7 +79,6 @@ func logicInputs(tb testing.TB, spec *stg.G, opt Options) (*sg.Stream, *sg.Graph
 	if n := sg.Analyze(full).N(); n > 0 {
 		tb.Fatalf("%s: %d residual conflicts: the input needs the residual solve", spec.Name, n)
 	}
-	csc.Prune(full)
 	view, _, _, err := ExpandToCSC(ctx, full, opt)
 	if err != nil {
 		tb.Fatal(err)

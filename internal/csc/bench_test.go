@@ -35,7 +35,7 @@ func BenchmarkSolveChain(b *testing.B) {
 }
 
 // BenchmarkSolveDirect measures the whole-graph CSC solve of the Direct
-// baseline on mmu1: one state graph, one widening chain of SAT formulas
+// baseline on mmu1: one state graph, one solve chain of SAT formulas
 // over every state, which nearly all of a Direct synthesis of mmu1
 // spends its time in. It is the SAT-layer view of that end-to-end run.
 func BenchmarkSolveDirect(b *testing.B) {

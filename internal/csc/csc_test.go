@@ -279,36 +279,3 @@ func countExcited(cols [][]sg.Phase) int {
 	}
 	return n
 }
-
-func TestRedundantAndPrune(t *testing.T) {
-	g := graph(t, twoPulse)
-	if _, err := Solve(context.Background(), g, SolveOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	needed := len(g.StateSigs)
-	// Duplicate the first column: the copy must be redundant.
-	dup := sg.StateSignal{Name: "dup", Phases: append([]sg.Phase(nil), g.StateSigs[0].Phases...)}
-	g.StateSigs = append(g.StateSigs, dup)
-	if !Redundant(g, len(g.StateSigs)-1) {
-		t.Fatalf("duplicated column not redundant")
-	}
-	removed := Prune(g)
-	if len(removed) != 1 || removed[0] != "dup" {
-		t.Fatalf("prune removed %v", removed)
-	}
-	if len(g.StateSigs) != needed {
-		t.Fatalf("prune removed needed signals")
-	}
-	if conf := sg.Analyze(g); conf.N() != 0 {
-		t.Fatalf("prune broke CSC")
-	}
-	// The remaining signal must not be redundant.
-	for k := range g.StateSigs {
-		if Redundant(g, k) {
-			t.Fatalf("needed signal %d reported redundant", k)
-		}
-	}
-	if Redundant(g, -1) || Redundant(g, 99) {
-		t.Fatalf("out-of-range index must not be redundant")
-	}
-}

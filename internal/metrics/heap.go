@@ -61,9 +61,6 @@ func (w *HeapWatch) sample() {
 	}
 }
 
-// Peak returns the highest HeapInuse observed so far, in bytes.
-func (w *HeapWatch) Peak() uint64 { return w.peak.Load() }
-
 // Stop takes a final sample, ends the sampling goroutine and returns the
 // high-water mark in bytes. Stop is idempotent.
 func (w *HeapWatch) Stop() uint64 {

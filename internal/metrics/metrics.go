@@ -59,7 +59,7 @@ const (
 	// solve already in flight (singleflight).
 	CacheInflight
 	// SATWarmClauses accumulates the learned clauses re-seeded into DPLL
-	// searches along widening/insertion chains.
+	// searches along solve chains.
 	SATWarmClauses
 	// SATAssumptions counts formulas solved as assumption-guarded steps of
 	// a persistent incremental solver (every DPLL search of a CSC

@@ -42,7 +42,7 @@ type Formula struct {
 	prefer   []int8 // -1 none, 0 prefer false, 1 prefer true
 	hasEmpty bool
 	// stablePrefix marks the first clauses as structural: invariant
-	// across the related formulas of a widening/insertion chain (see
+	// across the related formulas of a solve chain (see
 	// MarkStablePrefix).
 	stablePrefix int
 }

@@ -4,7 +4,7 @@ import "fmt"
 
 // Incremental is an assumption-based incremental front end over the DPLL
 // engine for solve chains: many related formulas sharing a growing
-// structural prefix (the edge-compatibility clauses of a widening chain)
+// structural prefix (the edge-compatibility clauses of a solve chain)
 // plus one short-lived group of per-problem clauses (the CSC pair
 // constraints of the current attempt). Instead of re-encoding and
 // re-loading the whole formula for every step, the variables and their

@@ -172,7 +172,7 @@ func TestIncrementalLockstep(t *testing.T) {
 			p1 := perm.len()
 
 			// Step 0 solves both columns, step 1 shrinks back to column 0
-			// (the m=2 → m=1 transition of a real widening chain), step 2
+			// (the m=2 → m=1 transition of a real solve chain), step 2
 			// regrows to both.
 			var prevExports [][]Lit
 			for si, cols := range []int{2, 1, 2} {

@@ -168,8 +168,8 @@ func randomClause(rng *rand.Rand, nv, k int) []Lit {
 	return lits
 }
 
-// incrementalChain drives one Incremental solver through a widening
-// chain: a two-column permanent prefix, written as each step's stable
+// incrementalChain drives one Incremental solver through a solve chain:
+// a two-column permanent prefix, written as each step's stable
 // block, then steps over both columns, column 0 alone (column 1's
 // variables inert) and both again, each with a fresh assumption group of
 // auxiliary variables and seeded with the previous step's stable exports

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -54,7 +55,6 @@ type ModuleJSON struct {
 	MergedStates int      `json:"merged_states"`
 	Conflicts    int      `json:"conflicts"`
 	NewSignals   int      `json:"new_signals"`
-	Widened      bool     `json:"widened,omitempty"`
 }
 
 // StageJSON is one pipeline stage timing.
@@ -221,16 +221,18 @@ func (s *Server) synthesize(ctx context.Context, j *job) (*Response, int) {
 	opts := j.opts
 	opts.Cache = s.cache
 	opts.Metrics = s.collector
-	var buf *trace.BufferTracer
+	var events bytes.Buffer
 	if j.trace {
-		buf = trace.NewBuffer()
-		opts.Tracer = buf
+		opts.Tracer = trace.NewJSON(&events)
 	}
 	c, err := asyncsyn.SynthesizeContext(ctx, j.stg, opts)
 	resp, status := buildResponse(c, err)
 	resp.Signature = j.sig
-	if buf != nil {
-		resp.Trace = buf.Events()
+	// One event per line: JSON escapes a newline inside a string.
+	for _, line := range bytes.Split(events.Bytes(), []byte{'\n'}) {
+		if len(line) > 0 {
+			resp.Trace = append(resp.Trace, line)
+		}
 	}
 	if s.rundb != nil && c != nil && err == nil {
 		resp.Run = s.recordRun(c, j)
@@ -295,7 +297,7 @@ func buildResponse(c *asyncsyn.Circuit, err error) (*Response, int) {
 	for _, m := range c.Modules {
 		resp.Modules = append(resp.Modules, ModuleJSON{
 			Output: m.Output, InputSet: m.InputSet, MergedStates: m.MergedStates,
-			Conflicts: m.Conflicts, NewSignals: m.NewSignals, Widened: m.Widened,
+			Conflicts: m.Conflicts, NewSignals: m.NewSignals,
 		})
 	}
 	for _, st := range c.Stages {

@@ -299,9 +299,6 @@ func (s *Server) Cache() *asyncsyn.SolveCache { return s.cache }
 // Metrics exposes the shared synthesis counter collector.
 func (s *Server) Metrics() *asyncsyn.Metrics { return s.collector }
 
-// RunDB exposes the persistent run database (nil when disabled).
-func (s *Server) RunDB() *rundb.DB { return s.rundb }
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)

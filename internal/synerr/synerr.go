@@ -25,8 +25,8 @@ var (
 	ErrStateLimit = errors.New("state graph exceeds the state limit")
 
 	// ErrModuleUnsolvable reports that a per-output modular graph
-	// admits no state-signal assignment, even incrementally — the case
-	// the widening retry on the whole graph exists to repair.
+	// admits no state-signal assignment within the signal cap, jointly
+	// or incrementally; it ends the modular run.
 	ErrModuleUnsolvable = errors.New("modular graph unsolvable")
 
 	// ErrConflictsPersist reports that CSC conflicts survived every

@@ -181,51 +181,6 @@ func (t *JSONTracer) FormulaSolved(e FormulaEvent) {
 		Literals: e.Literals, Status: e.Status, MS: ms(e.Duration)})
 }
 
-// BufferTracer collects events in memory as marshalled JSON objects —
-// the same wire form JSONTracer writes as lines — for callers that
-// return a run's trace inside a larger response (the daemon's ?trace=1
-// section). Safe for concurrent use.
-type BufferTracer struct {
-	mu     sync.Mutex
-	events []json.RawMessage
-}
-
-// NewBuffer returns an empty buffering tracer.
-func NewBuffer() *BufferTracer { return &BufferTracer{} }
-
-func (t *BufferTracer) add(e jsonEvent) {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.events = append(t.events, b)
-}
-
-// Events returns the collected events in emission order. The returned
-// slice is a copy; the tracer may keep collecting.
-func (t *BufferTracer) Events() []json.RawMessage {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]json.RawMessage(nil), t.events...)
-}
-
-func (t *BufferTracer) StageStart(e StageEvent) {
-	t.add(jsonEvent{Type: "stage_start", Model: e.Model, Method: e.Method, Stage: e.Stage})
-}
-
-func (t *BufferTracer) StageEnd(e StageEvent) {
-	t.add(jsonEvent{Type: "stage_end", Model: e.Model, Method: e.Method, Stage: e.Stage,
-		MS: ms(e.Duration), Err: e.Err})
-}
-
-func (t *BufferTracer) FormulaSolved(e FormulaEvent) {
-	t.add(jsonEvent{Type: "formula", Model: e.Model, Method: e.Method, Stage: e.Stage,
-		Output: e.Output, Signals: e.Signals, Vars: e.Vars, Clauses: e.Clauses,
-		Literals: e.Literals, Status: e.Status, MS: ms(e.Duration)})
-}
-
 // LogTracer writes human-readable lines, safe for concurrent use.
 type LogTracer struct {
 	mu sync.Mutex
