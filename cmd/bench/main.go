@@ -557,6 +557,9 @@ func scalingSweep() ([]benchrec.ScalingRow, error) {
 		if err != nil {
 			return benchrec.ScalCell{}, 0, err
 		}
+		// The watch samples HeapInuse, so the previous cell's garbage
+		// is collected first.
+		runtime.GC()
 		start := time.Now()
 		watch := metrics.WatchHeap(5 * time.Millisecond)
 		c, err := asyncsyn.Synthesize(g, opt)
