@@ -64,8 +64,7 @@ func codeGroups(g *Graph) ([]uint64, [][]int) {
 // slices: the distinct codes in ascending order, and for each the
 // indices carrying it, in ascending order. It is the one grouping of
 // the state-coding checks (the materialized and streaming conflict
-// scans here, csc.Prune's redundancy test and core's refinement USC
-// list): a stable LSD radix sort over the packed codes (byte passes
+// scans here and core's refinement USC list): a stable LSD radix sort over the packed codes (byte passes
 // that are constant across all codes are skipped), with every group a
 // slice of one shared permutation array, so the whole partition costs
 // three flat allocations instead of a hash map.
